@@ -36,6 +36,7 @@ from .model import (
     MissingMoment,
     NoiseKind,
     NoiseSpec,
+    NonFiniteCoefficient,
     NonPositiveCoefficient,
     NotConverged,
     ProblemClass,
@@ -53,26 +54,18 @@ from .recursion import (
     GainSchedule,
     riccati_lqr,
     solve,
-    solve_additive,
-    solve_deterministic,
-    solve_higher_moment,
-    solve_mult_state,
 )
 from .control import (
     BaselineKind,
     BaselinePolicy,
-    ControlAction,
     FeedbackPolicy,
     Policy,
-    baseline_policy,
-    control_action,
 )
 from .simulate import (
     CostReport,
     TrajectoryEnsemble,
     kpi,
     predicted_cost,
-    propagate_mean,
     realized_cost,
     simulate_ensemble,
 )

@@ -1,9 +1,10 @@
 """Command-line front end: validate, solve, simulate, verify, example, kpi.
 
 Exit codes are part of the contract: 0 success, 1 a validity check failed,
-2 a recursion or verification failure (bad denominator, non-positive
-coefficient, missing moment, oracle disagreement), 3 an unreadable config or
-an I/O problem. The environment variable HOCS_SEED overrides --seed when set.
+2 a recursion or verification failure (bad denominator, non-positive or
+non-finite coefficient, missing moment, oracle disagreement), 3 an
+unreadable config, an out-of-range flag or an I/O problem. The environment
+variable HOCS_SEED overrides --seed when set.
 
 All CSV output uses a comma delimiter, a header row, Unix newlines, '.' as
 the radix, and 17 significant digits for floats, so files round-trip to the
@@ -34,6 +35,7 @@ from .control import BaselineKind, BaselinePolicy, FeedbackPolicy
 from .model import (
     DenominatorNotPositive,
     MissingMoment,
+    NonFiniteCoefficient,
     NonPositiveCoefficient,
     NotConverged,
     ProblemClass,
@@ -113,6 +115,8 @@ def read_schedule_csv(path, problem_class: ProblemClass, p: int, o: int):
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         lines = [line.rstrip("\n") for line in handle if line.strip()]
+    if not lines:
+        raise ValueError(f"schedule file {path} is empty")
     header = tuple(lines[0].split(","))
     if header != _SCHEDULE_HEADER:
         raise ValueError(f"unexpected schedule header {header}")
@@ -149,23 +153,31 @@ def read_schedule_csv(path, problem_class: ProblemClass, p: int, o: int):
 # Shared command helpers
 # --------------------------------------------------------------------------
 
-def _effective_seed(args, run: RunSettings) -> int:
+def _check_flags(args) -> None:
+    """Reject out-of-range counts and seeds before any command runs.
+
+    For commands that take --seed, a set HOCS_SEED replaces the flag here.
+    """
     env = os.environ.get("HOCS_SEED")
-    if env is not None:
+    if env is not None and hasattr(args, "seed"):
         try:
-            return int(env)
+            args.seed = int(env)
         except ValueError:
             raise ConfigError(f"HOCS_SEED must be an integer, got {env!r}") from None
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return run.master_seed
+        if args.seed < 0:
+            raise ConfigError(f"HOCS_SEED must be >= 0, got {args.seed}")
+    for flag, minimum in (("seed", 0), ("paths", 1), ("sample_paths", 0), ("seeds", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < minimum:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be >= {minimum}, got {value}")
+
+
+def _effective_seed(args, run: RunSettings) -> int:
+    return args.seed if args.seed is not None else run.master_seed
 
 
 def _effective_paths(args, run: RunSettings) -> int:
-    paths = args.paths if getattr(args, "paths", None) is not None else run.n_paths
-    if paths < 1:
-        raise ConfigError(f"--paths must be >= 1, got {paths}")
-    return paths
+    return args.paths if getattr(args, "paths", None) is not None else run.n_paths
 
 
 def _validate_or_print(spec: ProblemSpec) -> bool:
@@ -398,12 +410,8 @@ def run_kpi_study(
 
 
 def cmd_kpi(args) -> int:
-    if args.seeds < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     base_seed = _effective_seed(args, RunSettings())
     n_paths = args.paths if args.paths is not None else 1
-    if n_paths < 1:
-        raise ConfigError(f"--paths must be >= 1, got {n_paths}")
     rows, aggregate = run_kpi_study(args.seeds, base_seed=base_seed, n_paths=n_paths)
     out_dir = Path(args.out) if args.out else Path(".")
     _write_csv(out_dir / "kpi_seeds.csv",
@@ -482,6 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -489,7 +498,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (DenominatorNotPositive, NonPositiveCoefficient) as exc:
+    except (DenominatorNotPositive, NonPositiveCoefficient, NonFiniteCoefficient) as exc:
         print(f"recursion failure: {exc}", file=sys.stderr)
         return 2
     except (MissingMoment, NotConverged) as exc:

@@ -91,8 +91,9 @@ class RunSettings:
     def __post_init__(self) -> None:
         if not isinstance(self.n_paths, int) or isinstance(self.n_paths, bool) or self.n_paths < 1:
             raise ConfigError(f"run.n_paths must be an integer >= 1, got {self.n_paths!r}")
-        if not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool):
-            raise ConfigError(f"run.master_seed must be an integer, got {self.master_seed!r}")
+        if (not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool)
+                or self.master_seed < 0):
+            raise ConfigError(f"run.master_seed must be an integer >= 0, got {self.master_seed!r}")
         if not (isinstance(self.oracle_tol, (int, float)) and self.oracle_tol > 0):
             raise ConfigError(f"run.oracle_tol must be > 0, got {self.oracle_tol!r}")
         if self.mean_mode not in ("exact", "empirical"):

@@ -25,10 +25,7 @@ from .model import IndexOutOfRange
 from .recursion import GainSchedule
 
 __all__ = [
-    "ControlAction",
-    "control_action",
     "BaselineKind",
-    "baseline_policy",
     "Policy",
     "FeedbackPolicy",
     "BaselinePolicy",
@@ -37,42 +34,9 @@ __all__ = [
 ArrayLike = Union[float, np.ndarray]
 
 
-@dataclass(frozen=True)
-class ControlAction:
-    """A realized control together with its mean: u_bar = E[u]."""
-
-    u: float
-    u_bar: float
-
-
 def _check_step(k: int, n_steps: int) -> None:
     if not 0 <= k < n_steps:
         raise IndexOutOfRange(f"step {k} outside control range 0..{n_steps - 1}")
-
-
-def control_action(gains: GainSchedule, k: int, x: float, x_bar: float) -> ControlAction:
-    """Evaluate the solved feedback law at one step.
-
-    For schedules without a deviation channel (deterministic class) the
-    deviation gain is treated as zero; there x = xbar holds by construction
-    and the caller is trusted on it.
-
-    Args:
-        gains: Solved gain schedule.
-        k: Step index, 0 <= k <= N-1.
-        x: Realized state.
-        x_bar: Mean state.
-
-    Returns:
-        The control and its mean component.
-
-    Raises:
-        IndexOutOfRange: If k does not index a control step.
-    """
-    _check_step(k, gains.n_steps)
-    u_bar = -gains.k_mean[k] * x_bar
-    k_dev = 0.0 if gains.k_dev is None else gains.k_dev[k]
-    return ControlAction(u=u_bar - k_dev * (x - x_bar), u_bar=u_bar)
 
 
 class BaselineKind(Enum):
@@ -80,20 +44,6 @@ class BaselineKind(Enum):
 
     SIGN_CONTROLLER = "sign_controller"
     LINEAR_FEEDBACK = "linear_feedback"
-
-
-def baseline_policy(kind: BaselineKind, x: ArrayLike, x_bar: ArrayLike) -> ArrayLike:
-    """Evaluate a reference controller (vectorized in x).
-
-    SIGN_CONTROLLER returns -3 sgn(xbar - x) - 3 sgn(xbar), so its output is
-    always one of {-6, -3, 0, 3, 6}; LINEAR_FEEDBACK returns
-    -3 (xbar - x) - 3 xbar.
-    """
-    if kind is BaselineKind.SIGN_CONTROLLER:
-        return -3.0 * np.sign(x_bar - x) - 3.0 * np.sign(x_bar)
-    if kind is BaselineKind.LINEAR_FEEDBACK:
-        return -3.0 * (x_bar - x) - 3.0 * x_bar
-    raise ValueError(f"unknown baseline kind {kind!r}")
 
 
 class Policy:
@@ -138,9 +88,18 @@ class FeedbackPolicy(Policy):
 
 @dataclass(frozen=True)
 class BaselinePolicy(Policy):
-    """A fixed reference controller, applicable to any horizon."""
+    """A fixed reference controller, applicable to any horizon.
+
+    SIGN_CONTROLLER returns -3 sgn(xbar - x) - 3 sgn(xbar), so its output is
+    always one of {-6, -3, 0, 3, 6}; LINEAR_FEEDBACK returns
+    -3 (xbar - x) - 3 xbar. Both are vectorized in x.
+    """
 
     kind: BaselineKind
 
     def control(self, k: int, x: ArrayLike, x_bar: float) -> ArrayLike:
-        return baseline_policy(self.kind, x, x_bar)
+        if self.kind is BaselineKind.SIGN_CONTROLLER:
+            return -3.0 * np.sign(x_bar - x) - 3.0 * np.sign(x_bar)
+        if self.kind is BaselineKind.LINEAR_FEEDBACK:
+            return -3.0 * (x_bar - x) - 3.0 * x_bar
+        raise ValueError(f"unknown baseline kind {self.kind!r}")

@@ -51,6 +51,10 @@ class NonPositiveCoefficient(HocsError, ArithmeticError):
     """A mean-channel coefficient alpha_bar[k] came out non-positive."""
 
 
+class NonFiniteCoefficient(HocsError, ValueError):
+    """A solved coefficient or gain is not finite (the recursion overflowed)."""
+
+
 class MissingMoment(HocsError, LookupError):
     """A required even moment is not available from the declared law."""
 

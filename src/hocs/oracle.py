@@ -10,6 +10,9 @@ Three routes, none of which reuse the backward recursions they are checking:
   and the late controls sit near the flat bottom of u**2p), so the search
   direction is a damped Newton step from the exact chain-rule Hessian, with
   the raw gradient as fallback; both go through the same Armijo backtracking.
+  Float arithmetic floors out before the flat controls are resolved, so the
+  result is finished by undamped Newton steps on the gradient evaluated in
+  exact rational arithmetic, until they no longer move the floats.
 - Monte-Carlo comparison of the realized expected cost under the solved
   feedback against the coefficient-based prediction, judged at three
   bootstrap standard errors.
@@ -31,7 +34,7 @@ import numpy as np
 from .control import FeedbackPolicy
 from .model import NotConverged, ProblemSpec, ProblemClass, InitialLaw
 from .recursion import CoefficientSchedule, GainSchedule, solve
-from .simulate import predicted_cost, realized_cost, simulate_ensemble
+from .simulate import _deviation_term, predicted_cost, realized_cost, simulate_ensemble
 
 __all__ = [
     "OracleReport",
@@ -87,19 +90,34 @@ def _mean_cost_and_path(spec: ProblemSpec, u: np.ndarray, x0: float) -> tuple[fl
     return total, x
 
 
-def _mean_gradient(spec: ProblemSpec, u: np.ndarray, x0: float) -> np.ndarray:
-    # Adjoint pass through the affine state recursion.
+def _adjoint_gradient(spec: ProblemSpec, u: np.ndarray, x0: float, num=float) -> np.ndarray:
+    """Chain-rule gradient of the deterministic cost in the controls.
+
+    One adjoint pass through the affine state recursion, evaluated in the
+    number type ``num`` and rounded to floats at the end. With ``float`` it
+    is the plain float adjoint, whose noise floor is absolute: set by the
+    large downstream states, it swamps the components of flat controls. With
+    ``Fraction`` every input float is an exact dyadic rational and the cost
+    is a polynomial in the controls, so each component comes back correctly
+    rounded, with a relative error of one ulp.
+    """
     cost = spec.cost
-    p = cost.p
-    odd = 2 * p - 1
-    a_bar, b_bar = spec.mean_dyn.a_bar, spec.mean_dyn.b_bar
+    two_p = 2 * cost.p
+    odd = two_p - 1
     n = spec.n_steps
-    _, x = _mean_cost_and_path(spec, u, x0)
+    a_bar = [num(v) for v in spec.mean_dyn.a_bar]
+    b_bar = [num(v) for v in spec.mean_dyn.b_bar]
+    q_bar = [num(v) for v in cost.q_bar]
+    r_bar = [num(v) for v in cost.r_bar]
+    controls = [num(float(v)) for v in u]
+    x = [num(float(x0))]
+    for i in range(n):
+        x.append(a_bar[i] * x[i] + b_bar[i] * controls[i])
     grad = np.empty(n)
-    lam = 2 * p * cost.q_bar_terminal * x[n] ** odd
+    lam = two_p * num(cost.q_bar_terminal) * x[n] ** odd
     for k in reversed(range(n)):
-        grad[k] = 2 * p * cost.r_bar[k] * float(u[k]) ** odd + b_bar[k] * lam
-        lam = 2 * p * cost.q_bar[k] * x[k] ** odd + a_bar[k] * lam
+        grad[k] = float(two_p * r_bar[k] * controls[k] ** odd + b_bar[k] * lam)
+        lam = two_p * q_bar[k] * x[k] ** odd + a_bar[k] * lam
     return grad
 
 
@@ -131,154 +149,19 @@ def _mean_hessian(spec: ProblemSpec, u: np.ndarray, x0: float) -> np.ndarray:
     return hess
 
 
-def _coordinate_min(spec, u: np.ndarray, x0: float, k: int) -> float:
-    """Exact minimization of the cost over the single control u[k].
-
-    The cost is strictly convex and coercive in each coordinate, so its
-    partial derivative is increasing with exactly one root; bracket it by
-    geometric expansion and bisect to the floating-point floor. Used to
-    polish coordinates whose curvature is too small for the joint Newton
-    step to resolve against the stiff ones.
-    """
-    trial = u.copy()
-
-    def deriv(z: float) -> float:
-        trial[k] = z
-        return float(_mean_gradient(spec, trial, x0)[k])
-
-    z0 = float(u[k])
-    d0 = deriv(z0)
-    if d0 == 0.0 or not math.isfinite(d0):
-        return z0
-    # Root lies below z0 when the derivative is positive.
-    span = max(1e-16 * (1.0 + abs(z0)), 1e-300)
-    lo = hi = z0
-    for _ in range(200):
-        if d0 > 0.0:
-            lo = z0 - span
-            d_probe = deriv(lo)
-        else:
-            hi = z0 + span
-            d_probe = deriv(hi)
-        if math.isnan(d_probe):
-            return z0
-        if (d_probe > 0.0) != (d0 > 0.0) or d_probe == 0.0:
-            break
-        span *= 2.0
-    else:
-        return z0
-    if d0 > 0.0:
-        hi = min(z0, lo + span)
-    else:
-        lo = max(z0, hi - span)
-    d_lo = deriv(lo)
-    if d_lo >= 0.0:
-        return lo if d_lo == 0.0 else z0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        d_mid = deriv(mid)
-        if d_mid == 0.0:
-            return mid
-        if d_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _coordinate_polish(spec, u: np.ndarray, x0: float, sweeps: int = 4) -> np.ndarray:
-    """Cyclic exact coordinate descent; never increases the cost."""
-    u = u.copy()
-    for _ in range(sweeps):
-        for k in range(len(u)):
-            u[k] = _coordinate_min(spec, u, x0, k)
-    return u
-
-
-def _exact_partial_fn(spec, u: np.ndarray, x0: float, k: int):
-    """Partial derivative of the mean cost in u[k] as exact rational arithmetic.
-
-    Floats are dyadic rationals and the cost is a polynomial in the controls,
-    so Fraction arithmetic yields the true sign of the partial even where the
-    float gradient is pure rounding noise. That matters for flat coordinates:
-    their curvature can sit ten orders below the stiff ones, and the float
-    noise floor (absolute, set by the large downstream states in the adjoint)
-    then shifts any root estimate by far more than the argmin tolerance.
-
-    States before step k do not depend on u[k], so they are folded into a
-    prefix once and each candidate only propagates the suffix.
-    """
-    cost = spec.cost
-    two_p = 2 * cost.p
-    odd = two_p - 1
-    n = spec.n_steps
-    a_bar = [Fraction(float(v)) for v in spec.mean_dyn.a_bar]
-    b_bar = [Fraction(float(v)) for v in spec.mean_dyn.b_bar]
-    q_bar = [Fraction(float(v)) for v in cost.q_bar]
-    q_term = Fraction(float(cost.q_bar_terminal))
-    r_k = Fraction(float(cost.r_bar[k]))
-    controls = [Fraction(float(v)) for v in u]
-    prefix = Fraction(float(x0))
-    for i in range(k):
-        prefix = a_bar[i] * prefix + b_bar[i] * controls[i]
-
-    def partial(z: float) -> Fraction:
-        zq = Fraction(z)
-        x = a_bar[k] * prefix + b_bar[k] * zq
-        suffix = [x]
-        for i in range(k + 1, n):
-            x = a_bar[i] * x + b_bar[i] * controls[i]
-            suffix.append(x)
-        lam = two_p * q_term * suffix[-1] ** odd
-        for i in range(n - 1, k, -1):
-            lam = two_p * q_bar[i] * suffix[i - k - 1] ** odd + a_bar[i] * lam
-        return two_p * r_k * zq**odd + b_bar[k] * lam
-
-    return partial
-
-
-def _exact_gradient(spec, u: np.ndarray, x0: float) -> np.ndarray:
-    """Chain-rule gradient evaluated in rational arithmetic, then rounded.
-
-    Each component comes back correctly rounded, so its error is relative
-    (1 ulp) rather than absolute; the float adjoint loses the flat
-    components entirely because their magnitude sits below the rounding
-    noise of the large downstream states.
-    """
-    cost = spec.cost
-    two_p = 2 * cost.p
-    odd = two_p - 1
-    n = spec.n_steps
-    a_bar = [Fraction(float(v)) for v in spec.mean_dyn.a_bar]
-    b_bar = [Fraction(float(v)) for v in spec.mean_dyn.b_bar]
-    q_bar = [Fraction(float(v)) for v in cost.q_bar]
-    r_bar = [Fraction(float(v)) for v in cost.r_bar]
-    controls = [Fraction(float(v)) for v in u]
-    x = [Fraction(float(x0))]
-    for i in range(n):
-        x.append(a_bar[i] * x[i] + b_bar[i] * controls[i])
-    grad = np.empty(n)
-    lam = two_p * Fraction(float(cost.q_bar_terminal)) * x[n] ** odd
-    for k in reversed(range(n)):
-        grad[k] = float(two_p * r_bar[k] * controls[k] ** odd + b_bar[k] * lam)
-        lam = two_p * q_bar[k] * x[k] ** odd + a_bar[k] * lam
-    return grad
-
-
-def _exact_newton_refine(spec, u: np.ndarray, x0: float, max_steps: int = 12) -> np.ndarray:
+def _exact_newton_refine(spec, u: np.ndarray, x0: float, max_steps: int = 100) -> np.ndarray:
     """Full Newton steps on the exactly-evaluated gradient.
 
-    Cyclic coordinate descent zigzags when two flat coordinates couple, so
-    coupling has to be resolved jointly. With the gradient free of absolute
-    rounding noise, the plain damped solve contracts the true residual; steps
-    run undamped because the iterate is already inside the quadratic basin
-    when this is called. Stops when the update no longer moves the floats,
-    keeping whichever iterate has the smaller curvature-scaled residual.
+    Flat controls couple, so they have to be resolved jointly, and only a
+    gradient free of absolute rounding noise shows where their roots are.
+    On that gradient the equilibrated Newton solve contracts the true
+    residual; steps run undamped because the float loop has already brought
+    the iterate into the quadratic basin. Stops when the update no longer
+    moves the floats (``max_steps`` is only a safety cap), keeping whichever
+    iterate has the smaller curvature-scaled residual.
     """
     n = spec.n_steps
-    grad = _exact_gradient(spec, u, x0)
+    grad = _adjoint_gradient(spec, u, x0, Fraction)
     best_u, best_res = u, math.inf
     for _ in range(max_steps + 1):
         hess = _mean_hessian(spec, u, x0)
@@ -303,84 +186,8 @@ def _exact_newton_refine(spec, u: np.ndarray, x0: float, max_steps: int = 12) ->
         candidate = u + direction
         if np.array_equal(candidate, u):
             break
-        u, grad = candidate, _exact_gradient(spec, candidate, x0)
+        u, grad = candidate, _adjoint_gradient(spec, candidate, x0, Fraction)
     return best_u
-
-
-def _exact_coordinate_min(spec, u: np.ndarray, x0: float, k: int) -> float:
-    """Root of the exact coordinate partial, to adjacent-float resolution.
-
-    Returns the greatest float where the partial is <= 0 within the located
-    bracket, so repeated sweeps are stable (a fixed point, not a two-cycle
-    between neighbouring floats).
-    """
-    partial = _exact_partial_fn(spec, u, x0, k)
-    z0 = float(u[k])
-    d0 = partial(z0)
-    if d0 == 0:
-        return z0
-    # Adjacent-float certificate: if the sign flips one ulp away, z0 already
-    # is the fixed point (or its neighbour is), and the sweep loop can stop
-    # paying for a full bisection on this coordinate.
-    if d0 > 0:
-        below = math.nextafter(z0, -math.inf)
-        d_below = partial(below)
-        if d_below <= 0:
-            return below
-        lo, hi = below, z0
-    else:
-        above = math.nextafter(z0, math.inf)
-        d_above = partial(above)
-        if d_above >= 0:
-            return z0
-        lo, hi = z0, above
-    # Geometric expansion away from the wrong-signed side.
-    span = max(2.0**-30 * (1.0 + abs(z0)), 5e-324)
-    for _ in range(300):
-        if d0 > 0:
-            hi = lo
-            lo = z0 - span
-            probe = lo
-        else:
-            lo = hi
-            hi = z0 + span
-            probe = hi
-        if not math.isfinite(probe):
-            return z0
-        d_probe = partial(probe)
-        if d_probe == 0:
-            return probe
-        if (d_probe > 0) != (d0 > 0):
-            break
-        span *= 2.0
-    else:
-        return z0
-    while True:
-        mid = lo + 0.5 * (hi - lo)
-        if mid == lo or mid == hi:
-            return lo
-        d_mid = partial(mid)
-        if d_mid == 0:
-            return mid
-        if d_mid < 0:
-            lo = mid
-        else:
-            hi = mid
-
-
-def _exact_polish(spec, u: np.ndarray, x0: float, max_sweeps: int = 6) -> np.ndarray:
-    """Exact-sign cyclic coordinate descent, swept to a fixed point."""
-    u = u.copy()
-    for _ in range(max_sweeps):
-        moved = False
-        for k in range(len(u)):
-            new = _exact_coordinate_min(spec, u, x0, k)
-            if new != u[k]:
-                u[k] = new
-                moved = True
-        if not moved:
-            break
-    return u
 
 
 def _merit_armijo(spec, x0, u, merit, direction, slope, scale, initial_step):
@@ -398,7 +205,7 @@ def _merit_armijo(spec, x0, u, merit, direction, slope, scale, initial_step):
     trial = initial_step
     for _ in range(100):
         candidate = u + trial * direction
-        grad = _mean_gradient(spec, candidate, x0)
+        grad = _adjoint_gradient(spec, candidate, x0)
         scaled = grad / scale
         candidate_merit = 0.5 * float(scaled @ scaled)
         if candidate_merit <= merit + 1e-4 * trial * slope and candidate_merit < merit:
@@ -432,11 +239,9 @@ def brute_force_deterministic(
     Float arithmetic alone cannot finish the job: the curvature in the late
     controls can sit ten orders below the early ones, and the float
     gradient's noise floor is absolute, set by the big downstream states.
-    The loop's iterate is therefore polished by coordinate descent (float,
-    then exact-rational), a few Newton steps on the exactly-evaluated
-    gradient to resolve coupled flat coordinates jointly, and a final
-    exact-rational coordinate pass. Each stage can only tighten the iterate,
-    so the result is converged-as-reported even when the loop exited at the
+    The loop's iterate is therefore finished by Newton steps on the
+    exact-rational gradient, run until they no longer move the floats, so
+    the result is converged-as-reported even when the loop exited at the
     float floor rather than under tol.
 
     Args:
@@ -459,7 +264,7 @@ def brute_force_deterministic(
     n = spec.n_steps
 
     u = np.zeros(n)
-    grad = _mean_gradient(spec, u, x0)
+    grad = _adjoint_gradient(spec, u, x0)
     # Fixed normalization so the merit cannot overflow for huge problems.
     scale = max(1.0, float(np.max(np.abs(grad))) if n else 1.0)
     scaled = grad / scale
@@ -473,8 +278,8 @@ def brute_force_deterministic(
         if sup < tol:
             break
         # Crawling at the arithmetic floor: accepted steps that no longer
-        # move the sup-norm are not worth the budget, the polish below
-        # resolves each coordinate at its own scale anyway.
+        # move the sup-norm are not worth the budget, the exact refinement
+        # below resolves the flat coordinates anyway.
         if sup < 0.9 * best_sup:
             best_sup = sup
             stall = 0
@@ -518,16 +323,11 @@ def brute_force_deterministic(
         if sup >= tol:
             raise NotConverged(f"gradient sup-norm {sup:.3e} >= tol {tol:.3e} after {max_iter} iterations")
 
-    # The joint step floors out while coordinates whose curvature is many
-    # orders below the stiff ones still sit off their 1-D minima; finish
-    # those by coordinate descent, which resolves each control at its own
-    # scale and never increases the cost. The float pass narrows the
-    # brackets, the exact-rational pass then places each root to adjacent
-    # floats, immune to the gradient's absolute noise floor.
+    # The float step floors out while controls whose curvature is many
+    # orders below the stiff ones still sit off their minima; the exact
+    # gradient resolves them, immune to the float adjoint's noise floor.
     if n:
-        u = _coordinate_polish(spec, u, x0)
         u = _exact_newton_refine(spec, u, x0)
-        u = _exact_polish(spec, u, x0)
 
     value, _ = _mean_cost_and_path(spec, u, x0)
 
@@ -549,24 +349,6 @@ def brute_force_deterministic(
         converged=True,
         discrepant=value < closed_form - BEAT_TOLERANCE * magnitude,
     )
-
-
-def _moment_side_prediction(spec: ProblemSpec, schedule: CoefficientSchedule) -> float:
-    """The deviation-channel part of the predicted cost, computed directly.
-
-    Never derive this by subtracting the mean term from the total: the mean
-    term can be ten orders larger (a moment contribution of 1e-12 next to a
-    mean cost of 1e7 is gone after one addition), and the comparison below
-    needs the moment side at its own scale.
-    """
-    klass = schedule.problem_class
-    if klass is ProblemClass.DETERMINISTIC:
-        return 0.0
-    if klass is ProblemClass.ADDITIVE:
-        return schedule.alpha[0] * spec.initial.variance + schedule.gamma_bar[0]
-    if klass is ProblemClass.MULT_STATE:
-        return schedule.alpha[0] * spec.initial.variance
-    return schedule.alpha[0] * spec.initial.central_moment(2 * schedule.o)
 
 
 def mc_validate(
@@ -595,7 +377,7 @@ def mc_validate(
     mean_realized = report.breakdown["state_power"] + report.breakdown["control_power"]
     mean_ok = abs(mean_predicted - mean_realized) <= 1e-10 * max(abs(mean_predicted), 1.0)
 
-    moment_predicted = _moment_side_prediction(spec, schedule)
+    moment_predicted = _deviation_term(schedule, spec.initial)
     moment_realized = report.breakdown["state_moment"] + report.breakdown["control_moment"]
     moment_budget = 3.0 * report.realized_stderr + 1e-10 * max(
         abs(moment_predicted), abs(moment_realized)

@@ -1,24 +1,29 @@
 """Backward coefficient recursions and feedback gains for all problem classes.
 
-Every solver runs one explicit backward pass k = N-1..0. The mean channel is
-shared by all classes: with
+Every channel is solved by the same convex-completion step, run backward
+k = N-1..0 from alpha[N] = q_terminal. For power 2s, per-step noise moment
+m, loop factor l and offset d:
 
-    c[k] = (alpha_bar[k+1] b_bar[k] / r_bar[k]) ** (1 / (2p - 1))
+    c[k]     = (alpha[k+1] b[k] m / r[k]) ** (1 / (2s - 1))
+    gain[k]  = c[k] a[k] / (1 + c[k] b[k])
+    alpha[k] = q[k] + r[k] gain[k]**(2s)
+             + alpha[k+1] l (a[k] - b[k] gain[k])**(2s) + alpha[k+1] d
 
-the mean gain is k_mean[k] = c[k] a_bar[k] / (1 + c[k] b_bar[k]) and
+The mean channel (alpha_bar, k_mean) is this step with s = p on the mean
+data and m = l = 1, d = 0, for every class. The deviation channel
+(alpha, k_dev) depends on the class:
 
-    alpha_bar[k] = q_bar[k] + r_bar[k] k_mean[k]**(2p)
-                 + alpha_bar[k+1] (a_bar[k] - b_bar[k] k_mean[k])**(2p),
+- additive: s = 1 on the mean dynamics, plus the offset sequence
+  gamma_bar[k] = gamma_bar[k+1] + alpha[k+1] E[eps^2], gamma_bar[N] = 0;
+- multiplicative state: s = 1 on the mean dynamics with d = E[eps^2];
+- higher moment: s = o on the deviation dynamics (a, b) with
+  m = l = E[eps^(2o)].
 
-terminal alpha_bar[N] = q_bar_terminal. The deviation channel depends on the
-class: a linear-quadratic recursion for the additive and multiplicative-state
-classes (the latter adds alpha[k+1] E[eps^2] per step), a noise-offset
-sequence gamma_bar for the additive class, and a 2o-power recursion scaled by
-the noise moment m = E[eps^(2o)] for the higher-moment class.
-
-Denominator positivity (1 + c b_bar > 0, r + alpha b^2 > 0) depends on the
-solved coefficients, so it is checked here during the pass rather than in
-validate(); violations raise DenominatorNotPositive.
+Denominator positivity (1 + c b > 0) and the sign and finiteness of the
+solved coefficients depend on the pass itself, so they are checked here
+rather than in validate(): violations raise DenominatorNotPositive,
+NonPositiveCoefficient (mean channel only) or NonFiniteCoefficient, each
+naming the step.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 
 from .model import (
     DenominatorNotPositive,
+    NonFiniteCoefficient,
     NonPositiveCoefficient,
     ProblemClass,
     ProblemSpec,
@@ -38,12 +44,16 @@ __all__ = [
     "CoefficientSchedule",
     "GainSchedule",
     "solve",
-    "solve_deterministic",
-    "solve_additive",
-    "solve_mult_state",
-    "solve_higher_moment",
     "riccati_lqr",
 ]
+
+
+def _finite(values, name: str) -> tuple[float, ...]:
+    out = tuple(float(v) for v in values)
+    for k, value in enumerate(out):
+        if not math.isfinite(value):
+            raise NonFiniteCoefficient(f"{name}[{k}] = {value} is not finite")
+    return out
 
 
 @dataclass(frozen=True)
@@ -55,6 +65,7 @@ class CoefficientSchedule:
     deterministic class). ``gamma_bar[k]`` is the additive-noise offset
     (present only for the additive class). The class tag and the powers are
     carried along so a schedule is self-contained for cost prediction.
+    Every entry must be finite.
     """
 
     problem_class: ProblemClass
@@ -65,11 +76,11 @@ class CoefficientSchedule:
     gamma_bar: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha_bar", tuple(float(v) for v in self.alpha_bar))
+        object.__setattr__(self, "alpha_bar", _finite(self.alpha_bar, "alpha_bar"))
         for name in ("alpha", "gamma_bar"):
             value = getattr(self, name)
             if value is not None:
-                value = tuple(float(v) for v in value)
+                value = _finite(value, name)
                 if len(value) != len(self.alpha_bar):
                     raise ValueError(f"{name} must have the same length as alpha_bar")
                 object.__setattr__(self, name, value)
@@ -90,16 +101,12 @@ class GainSchedule:
     k_dev: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        k_mean = tuple(float(v) for v in self.k_mean)
-        if not all(math.isfinite(v) for v in k_mean):
-            raise ValueError("k_mean must be finite")
+        k_mean = _finite(self.k_mean, "k_mean")
         object.__setattr__(self, "k_mean", k_mean)
         if self.k_dev is not None:
-            k_dev = tuple(float(v) for v in self.k_dev)
+            k_dev = _finite(self.k_dev, "k_dev")
             if len(k_dev) != len(k_mean):
                 raise ValueError("k_dev must have the same length as k_mean")
-            if not all(math.isfinite(v) for v in k_dev):
-                raise ValueError("k_dev must be finite")
             object.__setattr__(self, "k_dev", k_dev)
 
     @property
@@ -107,242 +114,113 @@ class GainSchedule:
         return len(self.k_mean)
 
 
-def _require_class(spec: ProblemSpec, expected: ProblemClass) -> None:
-    if spec.problem_class is not expected:
-        raise ValueError(f"solver expects class {expected.value}, got {spec.problem_class.value}")
-
-
-def _solve_mean_channel(spec: ProblemSpec) -> tuple[list[float], list[float]]:
-    """Shared mean-channel backward pass: returns (alpha_bar, k_mean).
-
-    Callers guarantee a semantically valid spec (positive mean weights); the
-    deferred denominator and positivity conditions are enforced here.
-    """
-    n = spec.n_steps
-    cost = spec.cost
-    two_p = 2 * cost.p
-    root_order = two_p - 1
-    a_bar, b_bar = spec.mean_dyn.a_bar, spec.mean_dyn.b_bar
-
-    alpha_bar = [0.0] * (n + 1)
-    k_mean = [0.0] * n
-    alpha_bar[n] = cost.q_bar_terminal
-    if alpha_bar[n] <= 0.0:
-        raise NonPositiveCoefficient(f"alpha_bar[{n}] = {alpha_bar[n]} (terminal weight)")
-
-    for k in reversed(range(n)):
-        if b_bar[k] == 0.0:
-            # Uncontrollable step: the mean gain is forced to zero and the
-            # recursion degenerates to pure propagation.
-            gain = 0.0
-            alpha_bar[k] = cost.q_bar[k] + alpha_bar[k + 1] * a_bar[k] ** two_p
-        else:
-            c = signed_root(alpha_bar[k + 1] * b_bar[k] / cost.r_bar[k], root_order)
-            denom = 1.0 + c * b_bar[k]
-            if denom <= 0.0:
-                raise DenominatorNotPositive(f"1 + c b_bar = {denom} at step {k}")
-            gain = c * a_bar[k] / denom
-            closed_loop = a_bar[k] - b_bar[k] * gain
-            alpha_bar[k] = (
-                cost.q_bar[k]
-                + cost.r_bar[k] * gain ** two_p
-                + alpha_bar[k + 1] * closed_loop ** two_p
-            )
-        k_mean[k] = gain
-        if alpha_bar[k] <= 0.0:
-            raise NonPositiveCoefficient(f"alpha_bar[{k}] = {alpha_bar[k]}")
-
-    return alpha_bar, k_mean
-
-
-def _solve_variance_channel(
-    spec: ProblemSpec, extra_moment: float
+def _power_channel(
+    a, b, q, q_terminal: float, r, power: int, *,
+    m: float = 1.0, loop_scale: float = 1.0, offset: float = 0.0,
+    name: str = "alpha", positive: bool = False,
 ) -> tuple[list[float], list[float]]:
-    """Linear-quadratic deviation recursion shared by the o = 1 classes.
-
-    ``extra_moment`` is the per-step additive term inside alpha[k]: zero for
-    the additive-noise class, alpha[k+1] E[eps^2] for multiplicative state
-    noise (passed as E[eps^2] and scaled here).
-    """
-    n = spec.n_steps
-    cost = spec.cost
-    a_bar, b_bar = spec.mean_dyn.a_bar, spec.mean_dyn.b_bar
-
-    alpha = [0.0] * (n + 1)
-    k_dev = [0.0] * n
-    alpha[n] = cost.q_terminal
-
-    for k in reversed(range(n)):
-        denom = cost.r[k] + alpha[k + 1] * b_bar[k] ** 2
-        if denom <= 0.0:
-            raise DenominatorNotPositive(f"r + alpha b_bar^2 = {denom} at step {k}")
-        gain = alpha[k + 1] * b_bar[k] * a_bar[k] / denom
-        closed_loop = a_bar[k] - b_bar[k] * gain
-        alpha[k] = (
-            cost.q[k]
-            + cost.r[k] * gain ** 2
-            + alpha[k + 1] * closed_loop ** 2
-            + alpha[k + 1] * extra_moment
-        )
-        k_dev[k] = gain
-
-    return alpha, k_dev
-
-
-def solve_deterministic(spec: ProblemSpec) -> tuple[CoefficientSchedule, GainSchedule]:
-    """Solve the noise-free problem: mean channel only.
+    """One convex-completion backward pass (see the module docstring).
 
     Args:
-        spec: A spec of class DETERMINISTIC that passed validate().
+        a, b: Per-step dynamics of the channel.
+        q, q_terminal, r: Running, terminal and control weights.
+        power: Half-power s; the channel penalizes powers 2s.
+        m: Noise moment inside the completion constant c[k].
+        loop_scale: Factor on the propagated closed-loop term.
+        offset: Per-step additive term, scaled by alpha[k+1].
+        name: Coefficient name used in error messages.
+        positive: Require every coefficient to be > 0 (the mean channel).
 
     Returns:
-        The coefficient schedule (alpha_bar only) and the mean gains.
-
-    Raises:
-        DenominatorNotPositive: If 1 + c[k] b_bar[k] <= 0 at some step.
-        NonPositiveCoefficient: If some alpha_bar[k] <= 0.
+        The coefficients alpha[0..N] and the gains gain[0..N-1].
     """
-    _require_class(spec, ProblemClass.DETERMINISTIC)
-    alpha_bar, k_mean = _solve_mean_channel(spec)
-    schedule = CoefficientSchedule(
-        problem_class=spec.problem_class,
-        p=spec.cost.p,
-        o=spec.cost.o,
-        alpha_bar=tuple(alpha_bar),
-    )
-    return schedule, GainSchedule(k_mean=tuple(k_mean))
-
-
-def solve_additive(spec: ProblemSpec) -> tuple[CoefficientSchedule, GainSchedule]:
-    """Solve the additive-noise problem: mean, variance, and offset channels.
-
-    The deviation gain is k_dev[k] = alpha[k+1] b_bar[k] a_bar[k] /
-    (r[k] + alpha[k+1] b_bar[k]^2) and the offset obeys
-    gamma_bar[k] = gamma_bar[k+1] + alpha[k+1] E[eps^2], gamma_bar[N] = 0.
-    """
-    _require_class(spec, ProblemClass.ADDITIVE)
-    n = spec.n_steps
-    m2 = spec.noise.even_moment(2)
-
-    alpha_bar, k_mean = _solve_mean_channel(spec)
-    alpha, k_dev = _solve_variance_channel(spec, extra_moment=0.0)
-
-    gamma_bar = [0.0] * (n + 1)
-    for k in reversed(range(n)):
-        gamma_bar[k] = gamma_bar[k + 1] + alpha[k + 1] * m2
-
-    schedule = CoefficientSchedule(
-        problem_class=spec.problem_class,
-        p=spec.cost.p,
-        o=spec.cost.o,
-        alpha_bar=tuple(alpha_bar),
-        alpha=tuple(alpha),
-        gamma_bar=tuple(gamma_bar),
-    )
-    return schedule, GainSchedule(k_mean=tuple(k_mean), k_dev=tuple(k_dev))
-
-
-def solve_mult_state(spec: ProblemSpec) -> tuple[CoefficientSchedule, GainSchedule]:
-    """Solve the multiplicative-state-noise problem.
-
-    Identical to the additive solve except each alpha[k] picks up the extra
-    term alpha[k+1] E[eps^2] and there is no gamma_bar sequence.
-    """
-    _require_class(spec, ProblemClass.MULT_STATE)
-    m2 = spec.noise.even_moment(2)
-
-    alpha_bar, k_mean = _solve_mean_channel(spec)
-    alpha, k_dev = _solve_variance_channel(spec, extra_moment=m2)
-
-    schedule = CoefficientSchedule(
-        problem_class=spec.problem_class,
-        p=spec.cost.p,
-        o=spec.cost.o,
-        alpha_bar=tuple(alpha_bar),
-        alpha=tuple(alpha),
-    )
-    return schedule, GainSchedule(k_mean=tuple(k_mean), k_dev=tuple(k_dev))
-
-
-def solve_higher_moment(
-    spec: ProblemSpec, *, literal_recursion: bool = False
-) -> tuple[CoefficientSchedule, GainSchedule]:
-    """Solve the 2o-th-moment problem under mean-field multiplicative noise.
-
-    The deviation channel mirrors the mean channel's convex-completion shape
-    with power 2o, deviation coefficients (a, b), and the noise moment
-    m = E[eps^(2o)] folded in:
-
-        c[k] = (alpha[k+1] b[k] m / r[k]) ** (1 / (2o - 1))
-        k_dev[k] = c[k] a[k] / (1 + c[k] b[k])
-        alpha[k] = q[k] + r[k] k_dev[k]**(2o)
-                 + alpha[k+1] m (a[k] - b[k] k_dev[k])**(2o)
-
-    The last term carries the factor m because the (k+1)-th central moment of
-    the state is m times the 2o-th moment of the propagated deviation; the
-    stated gain is the stationary point of exactly this m-inclusive one-step
-    objective, and the Monte-Carlo oracle confirms it. ``literal_recursion``
-    drops that standalone factor (keeping m inside c[k] only), a variant that
-    coincides with the default iff m = 1 and is kept for comparison.
-
-    Raises:
-        MissingMoment: If E[eps^(2o)] is unavailable.
-        DenominatorNotPositive: If a gain denominator is not positive.
-        NonPositiveCoefficient: If some alpha_bar[k] <= 0.
-    """
-    _require_class(spec, ProblemClass.HIGHER_MOMENT)
-    n = spec.n_steps
-    cost = spec.cost
-    two_o = 2 * cost.o
-    root_order = two_o - 1
-    m = spec.noise.even_moment(two_o)
-    a, b = spec.dev_dyn.a, spec.dev_dyn.b
-
-    alpha_bar, k_mean = _solve_mean_channel(spec)
-
+    n = len(a)
+    two_s = 2 * power
+    root_order = two_s - 1
     alpha = [0.0] * (n + 1)
-    k_dev = [0.0] * n
-    alpha[n] = cost.q_terminal
+    gains = [0.0] * n
+    alpha[n] = q_terminal
+    if positive and q_terminal <= 0.0:
+        raise NonPositiveCoefficient(f"{name}[{n}] = {q_terminal} (terminal weight)")
+
     for k in reversed(range(n)):
-        c = signed_root(alpha[k + 1] * b[k] * m / cost.r[k], root_order)
+        c = signed_root(alpha[k + 1] * b[k] * m / r[k], root_order)
         denom = 1.0 + c * b[k]
         if denom <= 0.0:
-            raise DenominatorNotPositive(f"1 + c b = {denom} at step {k}")
+            raise DenominatorNotPositive(f"1 + c b = {denom} in {name} at step {k}")
         gain = c * a[k] / denom
         closed_loop = a[k] - b[k] * gain
-        moment_factor = 1.0 if literal_recursion else m
-        alpha[k] = (
-            cost.q[k]
-            + cost.r[k] * gain ** two_o
-            + alpha[k + 1] * moment_factor * closed_loop ** two_o
-        )
-        k_dev[k] = gain
+        try:
+            value = (
+                q[k]
+                + r[k] * gain ** two_s
+                + alpha[k + 1] * loop_scale * closed_loop ** two_s
+                + alpha[k + 1] * offset
+            )
+        except OverflowError:
+            value = math.inf
+        if not (math.isfinite(gain) and math.isfinite(value)):
+            raise NonFiniteCoefficient(f"{name}[{k}] = {value}, gain {gain} at step {k}")
+        if positive and value <= 0.0:
+            raise NonPositiveCoefficient(f"{name}[{k}] = {value}")
+        alpha[k] = value
+        gains[k] = gain
 
-    schedule = CoefficientSchedule(
-        problem_class=spec.problem_class,
-        p=cost.p,
-        o=cost.o,
-        alpha_bar=tuple(alpha_bar),
-        alpha=tuple(alpha),
-    )
-    return schedule, GainSchedule(k_mean=tuple(k_mean), k_dev=tuple(k_dev))
-
-
-_SOLVERS = {
-    ProblemClass.DETERMINISTIC: solve_deterministic,
-    ProblemClass.ADDITIVE: solve_additive,
-    ProblemClass.MULT_STATE: solve_mult_state,
-    ProblemClass.HIGHER_MOMENT: solve_higher_moment,
-}
+    return alpha, gains
 
 
 def solve(
     spec: ProblemSpec, *, literal_recursion: bool = False
 ) -> tuple[CoefficientSchedule, GainSchedule]:
-    """Dispatch to the class-appropriate solver."""
-    if spec.problem_class is ProblemClass.HIGHER_MOMENT:
-        return solve_higher_moment(spec, literal_recursion=literal_recursion)
-    return _SOLVERS[spec.problem_class](spec)
+    """Solve the mean channel and, for stochastic classes, the deviation channel.
+
+    ``literal_recursion`` (higher-moment class only) drops the standalone
+    moment factor on the propagated term, keeping m inside c[k] only. The
+    m-inclusive default is the stationary point of the one-step objective
+    and the Monte-Carlo oracle confirms it; the literal variant coincides
+    with it iff m = 1 and is kept for comparison.
+
+    Args:
+        spec: A spec that passed validate().
+
+    Returns:
+        The coefficient schedule and the feedback gains.
+
+    Raises:
+        MissingMoment: If a required noise moment is unavailable.
+        DenominatorNotPositive: If a gain denominator is not positive.
+        NonPositiveCoefficient: If some alpha_bar[k] <= 0.
+        NonFiniteCoefficient: If a coefficient or gain overflows.
+    """
+    cost, klass = spec.cost, spec.problem_class
+    a_bar, b_bar = spec.mean_dyn.a_bar, spec.mean_dyn.b_bar
+    alpha_bar, k_mean = _power_channel(
+        a_bar, b_bar, cost.q_bar, cost.q_bar_terminal, cost.r_bar, cost.p,
+        name="alpha_bar", positive=True,
+    )
+    alpha = k_dev = gamma_bar = None
+    if klass is ProblemClass.HIGHER_MOMENT:
+        m = spec.noise.even_moment(2 * cost.o)
+        alpha, k_dev = _power_channel(
+            spec.dev_dyn.a, spec.dev_dyn.b, cost.q, cost.q_terminal, cost.r, cost.o,
+            m=m, loop_scale=1.0 if literal_recursion else m,
+        )
+    elif klass is not ProblemClass.DETERMINISTIC:
+        m2 = spec.noise.even_moment(2)
+        alpha, k_dev = _power_channel(
+            a_bar, b_bar, cost.q, cost.q_terminal, cost.r, 1,
+            offset=m2 if klass is ProblemClass.MULT_STATE else 0.0,
+        )
+        if klass is ProblemClass.ADDITIVE:
+            gamma_bar = [0.0] * len(alpha)
+            for k in reversed(range(len(k_dev))):
+                gamma_bar[k] = gamma_bar[k + 1] + alpha[k + 1] * m2
+
+    schedule = CoefficientSchedule(
+        problem_class=klass, p=cost.p, o=cost.o,
+        alpha_bar=alpha_bar, alpha=alpha, gamma_bar=gamma_bar,
+    )
+    return schedule, GainSchedule(k_mean=k_mean, k_dev=k_dev)
 
 
 def riccati_lqr(spec: ProblemSpec) -> CoefficientSchedule:

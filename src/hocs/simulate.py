@@ -32,12 +32,11 @@ from .model import (
     ProblemClass,
     ProblemSpec,
 )
-from .recursion import CoefficientSchedule, GainSchedule, solve
+from .recursion import CoefficientSchedule, solve
 
 __all__ = [
     "TrajectoryEnsemble",
     "CostReport",
-    "propagate_mean",
     "simulate_ensemble",
     "realized_cost",
     "predicted_cost",
@@ -105,19 +104,6 @@ def _mean_channel(spec: ProblemSpec, policy: Policy) -> tuple[np.ndarray, np.nda
         mean_controls[k] = policy.mean_control(k, mean_path[k])
         mean_path[k + 1] = a_bar[k] * mean_path[k] + b_bar[k] * mean_controls[k]
     return mean_path, mean_controls
-
-
-def propagate_mean(spec: ProblemSpec, gains: GainSchedule) -> np.ndarray:
-    """Deterministic mean path under the solved controller.
-
-    Returns the length-(N+1) sequence xbar[k+1] =
-    (a_bar[k] - b_bar[k] k_mean[k]) xbar[k] starting from the initial mean.
-    """
-    from .control import FeedbackPolicy
-
-    mean_path, _ = _mean_channel(spec, FeedbackPolicy(gains))
-    mean_path.setflags(write=False)
-    return mean_path
 
 
 def simulate_ensemble(
@@ -316,21 +302,33 @@ def realized_cost(
 def predicted_cost(schedule: CoefficientSchedule, initial) -> float:
     """Optimal expected cost from the solved coefficients and the initial law.
 
-    Deterministic: alpha_bar[0] xbar0**2p. Additive: adds alpha[0] var(x0)
-    and gamma_bar[0]. Multiplicative state: adds alpha[0] var(x0). Higher
-    moment: adds alpha[0] E[(x0 - xbar0)**2o].
+    The mean term alpha_bar[0] xbar0**2p plus the deviation-channel term
+    (see _deviation_term).
     """
     mean_term = schedule.alpha_bar[0] * initial.mean ** (2 * schedule.p)
+    return _deviation_term(schedule, initial) + mean_term
+
+
+def _deviation_term(schedule: CoefficientSchedule, initial) -> float:
+    """The deviation-channel part of the predicted cost, at its own scale.
+
+    Deterministic: 0. Additive: alpha[0] var(x0) + gamma_bar[0].
+    Multiplicative state: alpha[0] var(x0). Higher moment:
+    alpha[0] E[(x0 - xbar0)**2o]. Never derive this by subtracting the mean
+    term from the total: the mean term can be ten orders larger (a moment
+    contribution of 1e-12 next to a mean cost of 1e7 is gone after one
+    addition).
+    """
     klass = schedule.problem_class
     if klass is ProblemClass.DETERMINISTIC:
-        return mean_term
+        return 0.0
     if schedule.alpha is None:
         raise ValueError(f"schedule for class {klass.value} lacks the deviation channel")
     if klass is ProblemClass.ADDITIVE:
-        return schedule.alpha[0] * initial.variance + mean_term + schedule.gamma_bar[0]
+        return schedule.alpha[0] * initial.variance + schedule.gamma_bar[0]
     if klass is ProblemClass.MULT_STATE:
-        return schedule.alpha[0] * initial.variance + mean_term
-    return schedule.alpha[0] * initial.central_moment(2 * schedule.o) + mean_term
+        return schedule.alpha[0] * initial.variance
+    return schedule.alpha[0] * initial.central_moment(2 * schedule.o)
 
 
 def kpi(ensemble: TrajectoryEnsemble, zeta: int) -> tuple[float, float]:

@@ -26,7 +26,6 @@ from hocs import (
     riccati_lqr,
     simulate_ensemble,
     solve,
-    solve_deterministic,
     realized_cost,
     FeedbackPolicy,
 )
@@ -128,7 +127,7 @@ def test_criterion_03_riccati_reduction(capsys):
                     p=1,
                     initial=spec.initial,
                 )
-            schedule, _ = solve_deterministic(spec)
+            schedule, _ = solve(spec)
             reference = riccati_lqr(spec)
             np.testing.assert_allclose(
                 schedule.alpha_bar, reference.alpha_bar, rtol=1e-12

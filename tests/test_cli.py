@@ -289,3 +289,58 @@ def test_kpi_study_tables(tmp_path, capsys):
 
 def test_kpi_rejects_bad_seed_count(tmp_path):
     assert main(["kpi", "--seeds", "0", "--out", str(tmp_path)]) == 3
+
+
+# --------------------------------------------------------------------------
+# exit-code contract on bad numbers and flags
+# --------------------------------------------------------------------------
+
+def test_solve_overflow_is_a_recursion_failure(tmp_path, capsys):
+    # alpha_bar grows by a_bar**6 = 1e60 per step and overflows before k = 0.
+    n = 8
+    document = {"problem": {
+        "class": "deterministic",
+        "horizon": {"n_steps": n},
+        "mean_dynamics": {"a_bar": [1e10] * n, "b_bar": [1e-300] * n},
+        "cost": {"p": 3, "q_bar": [1.0] * n, "q_bar_terminal": 1.0, "r_bar": [1.0] * n},
+        "initial": {"mean": 1.0},
+    }}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    out = tmp_path / "schedule.csv"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "recursion failure" in err and "at step" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_negative_seed_is_a_config_error(tmp_path, monkeypatch, source):
+    def mutate(doc):
+        if source == "config":
+            doc["run"]["master_seed"] = -1
+
+    path = _write_example_config(tmp_path, 2, 1, mutate)
+    argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "run"), "--paths", "10"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    if source == "env":
+        monkeypatch.setenv("HOCS_SEED", "-1")
+    assert main(argv) == 3
+    assert not (tmp_path / "run").exists()
+
+
+def test_negative_sample_paths_is_a_config_error(tmp_path):
+    path = _write_example_config(tmp_path, 2, 1)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--out", str(out),
+                 "--paths", "10", "--sample-paths", "-3"]) == 3
+    assert not out.exists()
+
+
+def test_read_schedule_csv_rejects_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(ValueError, match="empty.csv"):
+        read_schedule_csv(path, example_config(1, 1).problem.problem_class, 1, 1)

@@ -83,6 +83,34 @@ def test_oracle_agrees_on_random_problems():
         assert not report.discrepant
 
 
+def test_oracle_resolves_flat_controls_on_stiff_spec():
+    # A criterion-2-family spec (the benchmark's oracle_det workload, seed 204,
+    # op 96, slot 1) whose late controls are too flat for the float loop:
+    # only the exact-gradient Newton finish brings them within the gate.
+    spec = build_problem(
+        "deterministic", 9,
+        a_bar=[0.5634618390061549, -0.8350976410486041, 2.936635580986845,
+               0.2197262705960788, -1.7991371509250706, 3.120977374857725,
+               -2.733300798228402, -1.8801972394768407, 2.5094811239951365],
+        b_bar=[3.143430332243743, 2.266115566584935, -3.8763487380845163,
+               -3.5230084266698136, -3.9258727106475386, -3.910901745482935,
+               4.838898406501223, -2.516334558281933, 1.6128008703465033],
+        q_bar=[2.796952582611387, 2.8451967455267346, 4.932612197360924,
+               3.5309516932001266, 4.87445724517901, 4.239109903604223,
+               0.7627786644672812, 2.301015557958514, 4.028373980333825],
+        q_bar_terminal=3.718771852446362,
+        r_bar=[0.9745334214630089, 3.6453537280758344, 2.3673306157721927,
+               3.049074952041743, 1.4610917016631684, 0.5309271818042746,
+               4.39774074031549, 1.4180816942914898, 1.3185023817316976],
+        p=3,
+        initial=InitialLaw(mean=0.7529702568820831),
+    )
+    report = brute_force_deterministic(spec)
+    assert report.relative_gap < 1e-6
+    assert report.control_max_abs_diff < 1e-5
+    assert not report.discrepant
+
+
 def test_oracle_rejects_wrong_class_and_bad_tolerance():
     with pytest.raises(ValueError):
         brute_force_deterministic(example_config(2, 1).problem)

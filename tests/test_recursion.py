@@ -12,6 +12,7 @@ from hocs import (
     InitialLaw,
     NoiseKind,
     NoiseSpec,
+    NonFiniteCoefficient,
     NonPositiveCoefficient,
     ProblemClass,
     Rademacher,
@@ -19,10 +20,6 @@ from hocs import (
     example_config,
     riccati_lqr,
     solve,
-    solve_additive,
-    solve_deterministic,
-    solve_higher_moment,
-    solve_mult_state,
 )
 
 
@@ -42,7 +39,7 @@ def test_one_step_quartic_desk_values():
     # q_bar_0 = 0, q_bar_N = r_bar = a_bar = b_bar = 1, p = 2:
     # c = 1, gain = 1/2, alpha_bar_0 = 1/16 + 1/16 = 1/8.
     spec = _det_spec(1, 1.0, 1.0, [0.0], 1.0, 1.0, p=2)
-    schedule, gains = solve_deterministic(spec)
+    schedule, gains = solve(spec)
     assert math.isclose(gains.k_mean[0], 0.5, rel_tol=1e-14)
     assert math.isclose(schedule.alpha_bar[0], 0.125, rel_tol=1e-14)
     assert schedule.alpha_bar[1] == 1.0
@@ -50,7 +47,7 @@ def test_one_step_quartic_desk_values():
 
 def test_one_step_all_ones_lqr_desk_value():
     spec = _det_spec(1, 1.0, 1.0, 1.0, 1.0, 1.0, p=1)
-    schedule, gains = solve_deterministic(spec)
+    schedule, gains = solve(spec)
     assert math.isclose(schedule.alpha_bar[0], 1.5, rel_tol=1e-14)
     assert math.isclose(gains.k_mean[0], 0.5, rel_tol=1e-14)
     riccati = riccati_lqr(spec)
@@ -80,7 +77,7 @@ def test_zero_terminal_weight_raises():
         initial=InitialLaw(mean=1.0),
     )
     with pytest.raises(NonPositiveCoefficient):
-        solve_deterministic(spec)
+        solve(spec)
 
 
 def test_power_one_matches_riccati_on_random_problems():
@@ -96,7 +93,7 @@ def test_power_one_matches_riccati_on_random_problems():
             r_bar=list(rng.uniform(0.1, 3.0, n)),
             p=1,
         )
-        schedule, _ = solve_deterministic(spec)
+        schedule, _ = solve(spec)
         riccati = riccati_lqr(spec)
         np.testing.assert_allclose(schedule.alpha_bar, riccati.alpha_bar, rtol=1e-12)
 
@@ -117,7 +114,7 @@ def test_mean_gain_stationarity_identity():
             r_bar=list(rng.uniform(0.1, 3.0, n)),
             p=p,
         )
-        schedule, gains = solve_deterministic(spec)
+        schedule, gains = solve(spec)
         for k in range(n):
             a, b = spec.mean_dyn.a_bar[k], spec.mean_dyn.b_bar[k]
             lhs = spec.cost.r_bar[k] * gains.k_mean[k] ** (2 * p - 1)
@@ -131,7 +128,7 @@ def test_uncontrollable_step_gets_zero_gain():
         a_bar=1.0, b_bar=[1.0, 0.0], q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0,
         p=2, initial=InitialLaw(mean=1.0), allow_uncontrollable=True,
     )
-    _, gains = solve_deterministic(spec)
+    _, gains = solve(spec)
     assert gains.k_mean[1] == 0.0
 
 
@@ -148,7 +145,7 @@ def test_one_step_gain_beats_grid_scan():
         r = float(rng.uniform(0.1, 3.0))
         x0 = float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]))
         spec = _det_spec(1, a, b, [q0], qn, [r], p=p, mean=x0)
-        _, gains = solve_deterministic(spec)
+        _, gains = solve(spec)
 
         def cost(u):
             return q0 * x0 ** (2 * p) + r * u ** (2 * p) + qn * (a * x0 + b * u) ** (2 * p)
@@ -177,7 +174,7 @@ def _additive_spec(n, q, q_terminal, r, sigma=1.0, **mean_kwargs):
 
 def test_additive_one_step_desk_values():
     spec = _additive_spec(1, q=[0.0], q_terminal=1.0, r=[1.0])
-    schedule, gains = solve_additive(spec)
+    schedule, gains = solve(spec)
     assert math.isclose(gains.k_dev[0], 0.5, rel_tol=1e-14)
     # alpha_0 = 0 + 1*(1/2)^2 + 1*(1/2)^2 = 1/2; offset picks up alpha_1 m2.
     assert math.isclose(schedule.alpha[0], 0.5, rel_tol=1e-14)
@@ -192,13 +189,13 @@ def test_additive_offset_vanishes_without_noise_power():
         noise=NoiseSpec(kind=NoiseKind.ADDITIVE, moment_override={2: 0.0}),
         initial=InitialLaw(mean=1.0),
     )
-    schedule, _ = solve_additive(spec)
+    schedule, _ = solve(spec)
     assert all(v == 0.0 for v in schedule.gamma_bar)
 
 
 def test_additive_offset_is_monotone_backward():
     spec = _additive_spec(6, q=2.0, q_terminal=2.0, r=1.0, sigma=0.7)
-    schedule, _ = solve_additive(spec)
+    schedule, _ = solve(spec)
     g = schedule.gamma_bar
     assert g[6] == 0.0
     for k in range(6):
@@ -213,7 +210,7 @@ def test_additive_channels_coincide_when_weights_match():
                           q_bar=[2.0, 1.0, 3.0, 0.5, 1.5], q_bar_terminal=2.5,
                           r_bar=[1.0, 2.0, 0.5, 1.0, 3.0],
                           a_bar=[1.0, 0.8, 1.2, 0.9, 1.1], b_bar=[1.0, 1.5, 0.7, 1.0, 0.6])
-    schedule, gains = solve_additive(spec)
+    schedule, gains = solve(spec)
     np.testing.assert_allclose(schedule.alpha, schedule.alpha_bar, rtol=1e-12)
     np.testing.assert_allclose(gains.k_dev, gains.k_mean, rtol=1e-12)
 
@@ -230,7 +227,7 @@ def test_mult_state_one_step_desk_value():
         noise=NoiseSpec(kind=NoiseKind.MULT_STATE, distribution=Gaussian(sigma=1.0)),
         initial=InitialLaw(mean=1.0),
     )
-    schedule, gains = solve_mult_state(spec)
+    schedule, gains = solve(spec)
     assert math.isclose(gains.k_dev[0], 0.5, rel_tol=1e-14)
     # alpha_0 = q_0 + r k^2 + alpha_1 ((a - b k)^2 + E[eps^2]) = 2 + 1.5.
     assert math.isclose(schedule.alpha[0], 3.5, rel_tol=1e-14)
@@ -252,8 +249,8 @@ def test_mult_state_with_zero_noise_power_matches_additive():
         noise=NoiseSpec(kind=NoiseKind.ADDITIVE, moment_override={2: 0.0}),
         **kwargs,
     )
-    mult_schedule, mult_gains = solve_mult_state(mult)
-    add_schedule, add_gains = solve_additive(add)
+    mult_schedule, mult_gains = solve(mult)
+    add_schedule, add_gains = solve(add)
     np.testing.assert_allclose(mult_schedule.alpha, add_schedule.alpha, rtol=1e-14)
     np.testing.assert_allclose(mult_gains.k_dev, add_gains.k_dev, rtol=1e-14)
 
@@ -266,7 +263,7 @@ def test_mult_state_zero_deviation_weights_stay_zero():
         noise=NoiseSpec(kind=NoiseKind.MULT_STATE, distribution=Gaussian(sigma=1.0)),
         initial=InitialLaw(mean=1.0),
     )
-    schedule, gains = solve_mult_state(spec)
+    schedule, gains = solve(spec)
     assert all(v == 0.0 for v in schedule.alpha)
     assert all(v == 0.0 for v in gains.k_dev)
 
@@ -290,14 +287,14 @@ def test_higher_moment_one_step_desk_value():
     # o = 2, unit Gaussian: m4 = 3, c = 3**(1/3), gain = c/(1 + c) with a = b = 1.
     spec = _higher_spec(1, o=2, dist=Gaussian(sigma=1.0), a=1.0, b=1.0,
                         q=[0.0], q_terminal=1.0, r=[1.0])
-    _, gains = solve_higher_moment(spec)
+    _, gains = solve(spec)
     c = 3.0 ** (1.0 / 3.0)
     assert math.isclose(gains.k_dev[0], c / (1.0 + c), rel_tol=1e-13)
 
 
 def test_higher_moment_dev_gain_stationarity():
     spec = _higher_spec(6, o=3, dist=Gaussian(sigma=0.8), p=2)
-    schedule, gains = solve_higher_moment(spec)
+    schedule, gains = solve(spec)
     m = spec.noise.even_moment(6)
     o = spec.cost.o
     for k in range(spec.n_steps):
@@ -313,7 +310,7 @@ def test_higher_moment_order_one_reduces_to_scaled_riccati():
     sigma = 0.9
     spec = _higher_spec(5, o=1, dist=Gaussian(sigma=sigma), p=1,
                         a=0.7, b=1.1, q=1.3, q_terminal=1.3, r=0.6)
-    schedule, _ = solve_higher_moment(spec)
+    schedule, _ = solve(spec)
     reference = build_problem(
         "deterministic", 5,
         a_bar=0.7 * sigma, b_bar=1.1 * sigma,
@@ -325,7 +322,7 @@ def test_higher_moment_order_one_reduces_to_scaled_riccati():
 
 def test_higher_moment_zero_deviation_weights_stay_zero():
     spec = _higher_spec(4, o=2, dist=Gaussian(sigma=1.0), q=0.0, q_terminal=0.0)
-    schedule, gains = solve_higher_moment(spec)
+    schedule, gains = solve(spec)
     assert all(v == 0.0 for v in schedule.alpha)
     assert all(v == 0.0 for v in gains.k_dev)
 
@@ -335,13 +332,13 @@ def test_literal_recursion_matches_only_for_unit_moment():
     # moment factor changes nothing; unit Gaussian at o = 2 has m4 = 3 and
     # the two recursions must part ways.
     unit = _higher_spec(4, o=2, dist=Rademacher(scale=1.0))
-    inclusive, _ = solve_higher_moment(unit)
-    literal, _ = solve_higher_moment(unit, literal_recursion=True)
+    inclusive, _ = solve(unit)
+    literal, _ = solve(unit, literal_recursion=True)
     np.testing.assert_allclose(inclusive.alpha, literal.alpha, rtol=1e-14)
 
     gaussian = _higher_spec(4, o=2, dist=Gaussian(sigma=1.0))
-    inclusive, _ = solve_higher_moment(gaussian)
-    literal, _ = solve_higher_moment(gaussian, literal_recursion=True)
+    inclusive, _ = solve(gaussian)
+    literal, _ = solve(gaussian, literal_recursion=True)
     assert not math.isclose(inclusive.alpha[0], literal.alpha[0], rel_tol=1e-3)
 
 
@@ -364,7 +361,7 @@ def test_one_step_dev_gain_beats_grid_scan():
         sigma = float(rng.uniform(0.5, 1.5))
         spec = _higher_spec(1, o=o, dist=Gaussian(sigma=sigma), p=1,
                             a=a, b=b, q=[0.0], q_terminal=qn, r=[r])
-        _, gains = solve_higher_moment(spec)
+        _, gains = solve(spec)
         m = spec.noise.even_moment(2 * o)
 
         def cost(w):
@@ -381,6 +378,70 @@ def test_one_step_dev_gain_beats_grid_scan():
 # --------------------------------------------------------------------------
 # Schedule containers and dispatch
 # --------------------------------------------------------------------------
+
+def _mult_state_desk_spec():
+    return build_problem(
+        "mult_state", 1,
+        a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
+        q=[2.0], q_terminal=1.0, r=[1.0],
+        noise=NoiseSpec(kind=NoiseKind.MULT_STATE, distribution=Gaussian(sigma=1.0)),
+        initial=InitialLaw(mean=1.0),
+    )
+
+
+_C_O2 = 3.0 ** (1.0 / 3.0)
+_K_O2 = _C_O2 / (1.0 + _C_O2)
+
+# The one-step desk checks above, one per class: (spec builder, mean channel
+# (k_mean, alpha_bar[0]), deviation channel (k_dev, alpha[0]) or None,
+# gamma_bar or None). Unit mean data give c = 1 and k_mean = 1/2, so
+# alpha_bar[0] = q_bar + 2 (1/2)**(2p).
+DESK_CASES = {
+    "deterministic": (
+        lambda: _det_spec(1, 1.0, 1.0, [0.0], 1.0, 1.0, p=2),
+        (0.5, 0.125), None, None,
+    ),
+    "additive": (
+        lambda: _additive_spec(1, q=[0.0], q_terminal=1.0, r=[1.0]),
+        (0.5, 1.5), (0.5, 0.5), (1.0, 0.0),
+    ),
+    "mult_state": (_mult_state_desk_spec, (0.5, 1.5), (0.5, 3.5), None),
+    "higher_moment": (
+        lambda: _higher_spec(1, o=2, dist=Gaussian(sigma=1.0), a=1.0, b=1.0,
+                             q=[0.0], q_terminal=1.0, r=[1.0]),
+        (0.5, 1.125), (_K_O2, _K_O2 ** 4 + 3.0 * (1.0 - _K_O2) ** 4), None,
+    ),
+}
+
+
+@pytest.mark.parametrize("klass", sorted(DESK_CASES))
+def test_solve_table_reproduces_channel_closed_forms(klass):
+    build, mean, dev, gamma_bar = DESK_CASES[klass]
+    schedule, gains = solve(build())
+    assert schedule.problem_class is ProblemClass(klass)
+    assert math.isclose(gains.k_mean[0], mean[0], rel_tol=1e-14)
+    assert math.isclose(schedule.alpha_bar[0], mean[1], rel_tol=1e-14)
+    if dev is None:
+        assert schedule.alpha is None and gains.k_dev is None
+    else:
+        assert math.isclose(gains.k_dev[0], dev[0], rel_tol=1e-13)
+        assert math.isclose(schedule.alpha[0], dev[1], rel_tol=1e-13)
+    assert schedule.gamma_bar == gamma_bar
+
+
+def test_overflow_raises_non_finite_coefficient_naming_the_step():
+    spec = _det_spec(8, 1e10, 1e-300, 1.0, 1.0, 1.0, p=3)
+    with pytest.raises(NonFiniteCoefficient, match="at step"):
+        solve(spec)
+
+
+def test_schedule_rejects_nonfinite_entries():
+    with pytest.raises(NonFiniteCoefficient, match=r"alpha\[1\]"):
+        CoefficientSchedule(
+            problem_class=ProblemClass.ADDITIVE, p=1, o=1,
+            alpha_bar=(1.0, 1.0), alpha=(1.0, math.inf), gamma_bar=(0.0, 0.0),
+        )
+
 
 def test_solve_dispatches_by_class():
     for example_id, klass in ((1, ProblemClass.DETERMINISTIC), (2, ProblemClass.ADDITIVE),

@@ -20,7 +20,6 @@ from hocs import (
     example_config,
     kpi,
     predicted_cost,
-    propagate_mean,
     realized_cost,
     simulate_ensemble,
     solve,
@@ -87,8 +86,9 @@ def test_propagate_mean_geometric_decay():
         initial=InitialLaw(mean=8.0),
     )
     gains = GainSchedule(k_mean=(0.5, 0.5, 0.5, 0.5))
+    ensemble = simulate_ensemble(spec, FeedbackPolicy(gains), n_paths=1, master_seed=0)
     np.testing.assert_allclose(
-        propagate_mean(spec, gains), [8.0, 4.0, 2.0, 1.0, 0.5], rtol=0, atol=0
+        ensemble.mean_path, [8.0, 4.0, 2.0, 1.0, 0.5], rtol=0, atol=0
     )
 
 
