@@ -236,7 +236,6 @@ def _simulation_bundle(
             ("predicted", report.predicted),
             *sorted(report.breakdown.items()),
             ("n_paths", report.n_paths),
-            ("n_bootstrap", report.n_bootstrap),
         ],
     )
     print(f"realized cost {report.realized_mean:.6g} "
@@ -306,6 +305,9 @@ def cmd_verify(args) -> int:
         print(f"verify: {'ok' if ok else 'FAILED'}")
         return 0 if ok else 2
 
+    if run.mean_mode != "exact":
+        print(f"note: verify ignores run.mean_mode {run.mean_mode!r} and simulates "
+              "in exact mean mode", file=sys.stderr)
     n_paths = _effective_paths(args, run)
     seed = _effective_seed(args, run)
     report = mc_validate(spec, schedule, gains, n_paths, seed)

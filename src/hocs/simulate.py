@@ -20,7 +20,9 @@ order enters the results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .model import (
     ProblemClass,
     ProblemSpec,
 )
-from .recursion import CoefficientSchedule, solve
+from .recursion import CoefficientSchedule
 
 __all__ = [
     "TrajectoryEnsemble",
@@ -42,10 +44,6 @@ __all__ = [
     "predicted_cost",
     "kpi",
 ]
-
-# Tag mixed into the bootstrap stream so it can never collide with the
-# init/noise streams spawned from the bare master seed.
-_BOOTSTRAP_TAG = 0xB004
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +62,6 @@ class TrajectoryEnsemble:
     mean_path: np.ndarray
     mean_controls: np.ndarray
     empirical_central_moments: dict[int, np.ndarray] = field(repr=False)
-    master_seed: int
     mean_mode: str
 
     @property
@@ -90,7 +87,8 @@ class CostReport:
     predicted: float
     breakdown: dict[str, float]
     n_paths: int
-    n_bootstrap: int
+    # The stderr is closed-form, so no bootstrap resamples are ever drawn.
+    n_bootstrap: ClassVar[int] = 0
 
 
 def _mean_channel(spec: ProblemSpec, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +213,6 @@ def simulate_ensemble(
         mean_path=mean_path,
         mean_controls=mean_controls,
         empirical_central_moments=moments,
-        master_seed=master_seed,
         mean_mode=mean_mode,
     )
 
@@ -223,30 +220,25 @@ def simulate_ensemble(
 def realized_cost(
     spec: ProblemSpec,
     ensemble: TrajectoryEnsemble,
-    schedule: CoefficientSchedule | None = None,
-    n_bootstrap: int = 200,
+    schedule: CoefficientSchedule,
 ) -> CostReport:
     """Evaluate the realized cost of an ensemble and compare to prediction.
 
     The mean-channel terms (xbar**2p, ubar**2p) are deterministic given the
     ensemble's mean path; the moment terms are ensemble averages of per-path
-    deviation powers. The standard error covers the moment terms and comes
-    from a path-level bootstrap (resampling whole paths), since per-path
-    costs share the ensemble's mean path and naive path variance would be
-    misleading under the empirical mean mode.
+    deviation powers. The standard error covers the moment terms: the
+    plug-in s/sqrt(n) of the per-path moment costs, with s the population
+    standard deviation. It holds the mean path fixed, so under the empirical
+    mean mode it leaves out the noise of the averaged mean path.
 
     Args:
         spec: The problem the ensemble was generated from.
         ensemble: Simulated trajectories.
-        schedule: Coefficients for the predicted cost; solved fresh from the
-            spec when omitted.
-        n_bootstrap: Bootstrap resample count for the stderr.
+        schedule: Coefficients for the predicted cost.
 
     Returns:
         A CostReport; its breakdown entries sum to realized_mean exactly.
     """
-    if schedule is None:
-        schedule = solve(spec)[0]
     cost = spec.cost
     two_p, two_o = 2 * cost.p, 2 * cost.o
     n = ensemble.n_steps
@@ -277,25 +269,12 @@ def realized_cost(
 
     per_path = state_moment_paths + control_moment_paths
     n_paths = ensemble.n_paths
-    if n_paths > 1 and n_bootstrap > 0:
-        boot_rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((ensemble.master_seed, _BOOTSTRAP_TAG)))
-        )
-        boot_means = np.empty(n_bootstrap)
-        for i in range(n_bootstrap):
-            idx = boot_rng.integers(0, n_paths, n_paths)
-            boot_means[i] = per_path[idx].mean()
-        stderr = float(boot_means.std(ddof=1))
-    else:
-        stderr = 0.0
-
     return CostReport(
         realized_mean=realized_mean,
-        realized_stderr=stderr,
+        realized_stderr=float(per_path.std()) / math.sqrt(n_paths),
         predicted=predicted_cost(schedule, spec.initial),
         breakdown=breakdown,
         n_paths=n_paths,
-        n_bootstrap=n_bootstrap,
     )
 
 

@@ -137,7 +137,7 @@ def test_criterion_03_riccati_reduction(capsys):
 
 # ---------------------------------------------------------------------------
 # 4. Stochastic predicted vs realized: additive and state-multiplicative
-#    examples at 1e5 paths land within 3 bootstrap standard errors of the
+#    examples at 1e5 paths land within 3 plug-in standard errors of the
 #    coefficient prediction.
 # ---------------------------------------------------------------------------
 
@@ -153,7 +153,7 @@ def test_criterion_04_stochastic_predicted_vs_realized(capsys):
             assert report.converged
             assert not report.discrepant
             # Deviations here are O(1), so the raw total-cost gap also fits
-            # inside the bootstrap budget.
+            # inside the 3-standard-error budget.
             gap = abs(report.closed_form_cost - report.oracle_cost)
             assert gap <= 3.0 * report.stderr
 
@@ -174,7 +174,7 @@ def test_criterion_05_higher_moment_recursion_variants(capsys):
             schedule, gains = solve(spec)
             # The mean-channel cost is deterministic under the solved gains,
             # so mc_validate holds it to rounding precision and reserves the
-            # 3-sigma bootstrap budget for the deviation channel; a single
+            # 3-standard-error budget for the deviation channel; a single
             # total-cost comparison would drown the o >= 2 mispricing
             # (~2e-10 here) in rounding noise of the 1.8e5-scale mean term.
             report = mc_validate(spec, schedule, gains, 100_000, 42)

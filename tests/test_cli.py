@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +92,14 @@ def test_builtin_configs_match_golden_checksums():
         assert digest == expected, (
             f"example {example_id} p={p} drifted; if intentional, refresh the checksum"
         )
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```json\n(.*?)```", readme, re.DOTALL)
+    assert block is not None, "README.md has no json block"
+    # The README presents its example as the mean-field preset at p = 2.
+    assert parse_config(block.group(1)).problem == example_config(4, 2).problem
 
 
 # --------------------------------------------------------------------------
@@ -226,6 +236,23 @@ def test_verify_stochastic_reference(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "probe minimum at 1.0 : yes" in out
     assert "verify: ok" in out
+
+
+def test_verify_notes_that_it_ignores_empirical_mean_mode(tmp_path, capsys):
+    def empirical(doc):
+        doc["run"]["mean_mode"] = "empirical"
+
+    argv = ["verify", "--config", str(tmp_path / "config.json"), "--paths", "500"]
+    _write_example_config(tmp_path, 2, 1)
+    exact_code = main(argv)
+    exact = capsys.readouterr()
+    _write_example_config(tmp_path, 2, 1, empirical)
+    assert main(argv) == exact_code
+    noted = capsys.readouterr()
+    assert exact.err == ""
+    assert "exact mean mode" in noted.err
+    assert len(noted.err.splitlines()) == 1
+    assert noted.out == exact.out
 
 
 def test_verify_zero_noise_stochastic_config(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from hocs import (
     InitialLaw,
+    NotConverged,
     build_problem,
     brute_force_deterministic,
     convexity_check,
@@ -117,6 +118,11 @@ def test_oracle_rejects_wrong_class_and_bad_tolerance():
     spec = example_config(1, 1).problem
     with pytest.raises(ValueError):
         brute_force_deterministic(spec, tol=0.0)
+
+
+def test_oracle_raises_when_the_iteration_budget_runs_out():
+    with pytest.raises(NotConverged):
+        brute_force_deterministic(example_config(1, 3).problem, max_iter=1)
 
 
 def test_mc_validation_accepts_solved_controller():

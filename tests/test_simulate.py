@@ -38,7 +38,6 @@ def _hand_ensemble(states, controls, mean_path, mean_controls):
         mean_path=np.asarray(mean_path, dtype=float),
         mean_controls=np.asarray(mean_controls, dtype=float),
         empirical_central_moments={},
-        master_seed=0,
         mean_mode="exact",
     )
 
@@ -220,12 +219,48 @@ def test_realized_cost_breakdown_sums_exactly():
 
 
 def test_realized_cost_without_bootstrap_has_no_stderr():
+    # A single path has no spread to estimate, and no resamples are drawn.
     spec = example_config(2, 1).problem
     schedule, policy = _solved_policy(spec)
-    ensemble = simulate_ensemble(spec, policy, n_paths=50, master_seed=17)
-    report = realized_cost(spec, ensemble, schedule, n_bootstrap=0)
+    ensemble = simulate_ensemble(spec, policy, n_paths=1, master_seed=17)
+    report = realized_cost(spec, ensemble, schedule)
     assert report.realized_stderr == 0.0
     assert report.n_bootstrap == 0
+
+
+def _per_path_moment_costs(spec, ensemble):
+    """Per-path deviation-power cost, summed step by step."""
+    cost, two_o, n = spec.cost, 2 * spec.cost.o, ensemble.n_steps
+    total = np.zeros(ensemble.n_paths)
+    for k in range(n):
+        total += cost.q[k] * (ensemble.states[:, k] - ensemble.mean_path[k]) ** two_o
+        total += cost.r[k] * (ensemble.controls[:, k] - ensemble.mean_controls[k]) ** two_o
+    total += cost.q_terminal * (ensemble.states[:, n] - ensemble.mean_path[n]) ** two_o
+    return total
+
+
+def test_realized_stderr_is_plug_in_standard_error():
+    spec = example_config(3, 2).problem
+    schedule, policy = _solved_policy(spec)
+    ensemble = simulate_ensemble(spec, policy, n_paths=300, master_seed=17)
+    report = realized_cost(spec, ensemble, schedule)
+    per_path = _per_path_moment_costs(spec, ensemble)
+    assert math.isclose(report.realized_stderr, per_path.std() / math.sqrt(300),
+                        rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("example_id,p", [(2, 1), (3, 1), (4, 1), (4, 2), (4, 3)])
+def test_realized_stderr_agrees_with_path_bootstrap(example_id, p):
+    spec = example_config(example_id, p).problem
+    schedule, policy = _solved_policy(spec)
+    n_paths = 20_000
+    ensemble = simulate_ensemble(spec, policy, n_paths, master_seed=42)
+    report = realized_cost(spec, ensemble, schedule)
+    per_path = _per_path_moment_costs(spec, ensemble)
+    rng = np.random.default_rng(0)
+    resampled = [per_path[rng.integers(0, n_paths, n_paths)].mean() for _ in range(200)]
+    bootstrap = float(np.std(resampled, ddof=1))
+    assert abs(report.realized_stderr / bootstrap - 1.0) <= 0.10
 
 
 def test_additive_cost_matches_prediction_within_noise():
