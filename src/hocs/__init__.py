@@ -64,6 +64,7 @@ from .control import (
 from .simulate import (
     CostReport,
     TrajectoryEnsemble,
+    central_moment,
     kpi,
     predicted_cost,
     realized_cost,

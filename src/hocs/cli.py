@@ -44,7 +44,7 @@ from .model import (
 )
 from .oracle import brute_force_deterministic, local_optimality_probe, mc_validate
 from .recursion import CoefficientSchedule, GainSchedule, solve
-from .simulate import kpi, predicted_cost, realized_cost, simulate_ensemble
+from .simulate import central_moment, kpi, predicted_cost, realized_cost, simulate_ensemble
 
 __all__ = ["main", "read_schedule_csv", "run_kpi_study", "PROBE_GRID"]
 
@@ -215,12 +215,12 @@ def _simulation_bundle(
         ("k", *(f"path{j}" for j in range(shown))),
         ((k, *ensemble.states[:shown, k]) for k in range(n + 1)),
     )
-    orders = sorted(ensemble.empirical_central_moments)
+    orders = sorted({2, 2 * spec.cost.o})
+    moments = [central_moment(ensemble, order) for order in orders]
     _write_csv(
         out_dir / "moments.csv",
         ("k", *(f"central_{order}" for order in orders)),
-        ((k, *(ensemble.empirical_central_moments[order][k] for order in orders))
-         for k in range(n + 1)),
+        ((k, *(column[k] for column in moments)) for k in range(n + 1)),
     )
     kpi_rows = []
     for zeta in (1, 2, 3):
@@ -311,7 +311,7 @@ def cmd_verify(args) -> int:
     n_paths = _effective_paths(args, run)
     seed = _effective_seed(args, run)
     report = mc_validate(spec, schedule, gains, n_paths, seed)
-    probe = local_optimality_probe(spec, gains, PROBE_GRID, n_paths, seed)
+    probe = local_optimality_probe(spec, schedule, gains, PROBE_GRID, n_paths, seed)
     print(f"predicted cost       : {report.closed_form_cost:.12g}")
     print(f"monte-carlo cost     : {report.oracle_cost:.12g} "
           f"+/- {report.stderr:.3g} ({n_paths} paths)")
@@ -377,7 +377,6 @@ def run_kpi_study(
     }
     cases = tuple(policies)
     rows = []
-    sums = {(zeta, case): [0.0, 0.0, 0.0] for zeta in zetas for case in cases}
     wins = {(zeta, case): 0 for zeta in zetas for case in cases}
     for i in range(n_seeds):
         seed = base_seed + i
@@ -391,23 +390,17 @@ def run_kpi_study(
                 kpi_x, kpi_u = kpi(ensembles[case], zeta)
                 totals[case] = kpi_x + kpi_u
                 rows.append((seed, zeta, case, kpi_x, kpi_u, totals[case]))
-                acc = sums[(zeta, case)]
-                acc[0] += kpi_x
-                acc[1] += kpi_u
-                acc[2] += totals[case]
             best = min(totals.values())
             winners = [case for case in cases if totals[case] == best]
             if len(winners) == 1:
                 wins[(zeta, winners[0])] += 1
-    aggregate = [
-        (zeta, case,
-         sums[(zeta, case)][0] / n_seeds,
-         sums[(zeta, case)][1] / n_seeds,
-         sums[(zeta, case)][2] / n_seeds,
-         wins[(zeta, case)],
-         wins[(zeta, case)] / n_seeds)
-        for zeta in zetas for case in cases
-    ]
+    aggregate = []
+    for zeta in zetas:
+        for case in cases:
+            # Summed in seed order, as the rows were written.
+            columns = zip(*(row[3:] for row in rows if row[1:3] == (zeta, case)))
+            means = (sum(column) / n_seeds for column in columns)
+            aggregate.append((zeta, case, *means, wins[(zeta, case)], wins[(zeta, case)] / n_seeds))
     return rows, aggregate
 
 

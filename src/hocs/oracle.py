@@ -428,6 +428,7 @@ def _scaled_gains(gains: GainSchedule, channel: str, factor: float) -> GainSched
 
 def local_optimality_probe(
     spec: ProblemSpec,
+    schedule: CoefficientSchedule,
     gains: GainSchedule,
     grid: tuple[float, ...],
     n_paths: int,
@@ -442,6 +443,7 @@ def local_optimality_probe(
 
     Args:
         spec: The problem to probe.
+        schedule: The coefficients the gains were solved with.
         gains: Solved gains; scale 1.0 must be in the grid.
         grid: Multiplicative perturbations to apply per channel.
         n_paths: Paths per probe point.
@@ -449,7 +451,6 @@ def local_optimality_probe(
     """
     if 1.0 not in grid:
         raise ValueError("the perturbation grid must include 1.0")
-    schedule = solve(spec)[0]
     channels = ["mean"] if gains.k_dev is None else ["mean", "dev"]
     curves: dict[str, tuple[tuple[float, float, float], ...]] = {}
     ok = True

@@ -21,7 +21,7 @@ order enters the results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -33,6 +33,7 @@ from .model import (
     NoiseKind,
     ProblemClass,
     ProblemSpec,
+    _check_even_order,
 )
 from .recursion import CoefficientSchedule
 
@@ -40,6 +41,7 @@ __all__ = [
     "TrajectoryEnsemble",
     "CostReport",
     "simulate_ensemble",
+    "central_moment",
     "realized_cost",
     "predicted_cost",
     "kpi",
@@ -50,18 +52,16 @@ __all__ = [
 class TrajectoryEnsemble:
     """Seeded Monte-Carlo paths of one closed-loop system.
 
-    ``states`` is n_paths x (N+1), ``controls`` n_paths x N. ``mean_path``
-    and ``mean_controls`` hold xbar/ubar per the ensemble's mean mode.
-    ``empirical_central_moments`` maps an even order to the length-(N+1)
-    array of ensemble averages of (x[k] - xbar[k])**order. All arrays are
-    read-only.
+    ``states`` is n_paths x (N+1), ``controls`` n_paths x N, both stored
+    time-major (transposed views of step x path arrays) so that the column
+    ``[:, k]`` of one step is contiguous. ``mean_path`` and ``mean_controls``
+    hold xbar/ubar per the ensemble's mean mode. All arrays are read-only.
     """
 
     states: np.ndarray
     controls: np.ndarray
     mean_path: np.ndarray
     mean_controls: np.ndarray
-    empirical_central_moments: dict[int, np.ndarray] = field(repr=False)
     mean_mode: str
 
     @property
@@ -91,6 +91,30 @@ class CostReport:
     n_bootstrap: ClassVar[int] = 0
 
 
+def _even_power(x: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """x**n for even n >= 2 as (x*x)**(n/2) by repeated products, which beat
+    numpy's generic power tenfold for n >= 4. ``out`` may be ``x``: only the
+    first product reads x. Past n = 4 the running product gets the one extra
+    buffer, since multiplying it into itself would give x**8 for n = 6, and
+    the last product lands on the square in ``out``.
+    """
+    square = np.multiply(x, x, out=out)
+    if n == 2:
+        return square
+    if n == 4:
+        return np.multiply(square, square, out=square)
+    power = np.multiply(square, square)
+    for _ in range(n // 2 - 3):
+        power *= square
+    return np.multiply(power, square, out=square)
+
+
+def _deviation_powers(values: np.ndarray, centers: np.ndarray, n: int) -> np.ndarray:
+    """(values - centers)**n per path and step, powered in one fresh buffer."""
+    deviations = np.subtract(values, centers)
+    return _even_power(deviations, n, out=deviations)
+
+
 def _mean_channel(spec: ProblemSpec, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
     """Propagate xbar and ubar by applying the policy at the mean."""
     n = spec.n_steps
@@ -111,7 +135,6 @@ def simulate_ensemble(
     master_seed: int,
     *,
     mean_mode: str = "exact",
-    moment_orders: tuple[int, ...] | None = None,
 ) -> TrajectoryEnsemble:
     """Roll out the closed-loop system along seeded Monte-Carlo paths.
 
@@ -122,11 +145,9 @@ def simulate_ensemble(
         master_seed: Seed for the run; reruns are bit-identical.
         mean_mode: "exact" (default) propagates xbar deterministically;
             "empirical" recomputes xbar/ubar as ensemble averages per step.
-        moment_orders: Even orders for the empirical central-moment table;
-            defaults to (2, 2o).
 
     Returns:
-        A read-only TrajectoryEnsemble.
+        A read-only TrajectoryEnsemble, stored time-major (see its class).
 
     Raises:
         InvalidPolicy: If the policy pins a different horizon.
@@ -146,40 +167,32 @@ def simulate_ensemble(
     init_rng = np.random.Generator(np.random.PCG64(init_seq))
     noise_rng = np.random.Generator(np.random.PCG64(noise_seq))
 
-    states = np.empty((n_paths, n + 1))
-    controls = np.empty((n_paths, n))
+    states = np.empty((n + 1, n_paths)).T
+    controls = np.empty((n, n_paths)).T
     states[:, 0] = spec.initial.sample(init_rng, n_paths)
 
     klass = spec.problem_class
-    if spec.noise.kind is NoiseKind.NONE:
-        eps = None
-    else:
-        # eps[:, k] realizes the step-(k+1) noise; eps[0] = 0 never enters.
-        eps = spec.noise.distribution.sample(noise_rng, (n_paths, n))
+    # eps[:, k] realizes the step-(k+1) noise; eps[0] = 0 never enters.
+    eps = (None if spec.noise.kind is NoiseKind.NONE
+           else spec.noise.distribution.sample(noise_rng, (n_paths, n)))
 
     exact = mean_mode == "exact"
     if exact:
         mean_path, mean_controls = _mean_channel(spec, policy)
     else:
-        mean_path = np.empty(n + 1)
-        mean_controls = np.empty(n)
+        mean_path, mean_controls = np.empty(n + 1), np.empty(n)
 
     a_bar, b_bar = spec.mean_dyn.a_bar, spec.mean_dyn.b_bar
     a_dev, b_dev = spec.dev_dyn.a, spec.dev_dyn.b
 
     for k in range(n):
         x = states[:, k]
-        if exact:
-            x_bar = mean_path[k]
-            u = np.asarray(policy.control(k, x, x_bar))
-            u_bar = mean_controls[k]
-        else:
-            x_bar = x.mean()
-            mean_path[k] = x_bar
-            u = np.asarray(policy.control(k, x, x_bar))
-            u_bar = u.mean()
-            mean_controls[k] = u_bar
-        controls[:, k] = u
+        if not exact:
+            mean_path[k] = x.mean()
+        u = controls[:, k] = np.asarray(policy.control(k, x, mean_path[k]))
+        if not exact:
+            mean_controls[k] = u.mean()
+        x_bar, u_bar = mean_path[k], mean_controls[k]
 
         if klass is ProblemClass.DETERMINISTIC:
             states[:, k + 1] = a_bar[k] * x + b_bar[k] * u
@@ -197,14 +210,7 @@ def simulate_ensemble(
     if not exact:
         mean_path[n] = states[:, n].mean()
 
-    if moment_orders is None:
-        moment_orders = tuple(sorted({2, 2 * spec.cost.o}))
-    deviations = states - mean_path[np.newaxis, :]
-    moments = {
-        order: np.mean(deviations ** order, axis=0) for order in moment_orders
-    }
-
-    for arr in (states, controls, mean_path, mean_controls, *moments.values()):
+    for arr in (states, controls, mean_path, mean_controls):
         arr.setflags(write=False)
 
     return TrajectoryEnsemble(
@@ -212,9 +218,14 @@ def simulate_ensemble(
         controls=controls,
         mean_path=mean_path,
         mean_controls=mean_controls,
-        empirical_central_moments=moments,
         mean_mode=mean_mode,
     )
+
+
+def central_moment(ensemble: TrajectoryEnsemble, order: int) -> np.ndarray:
+    """Ensemble averages of (x[k] - xbar[k])**order, k = 0..N, for even order."""
+    _check_even_order(order)
+    return _deviation_powers(ensemble.states, ensemble.mean_path, order).mean(axis=0)
 
 
 def realized_cost(
@@ -243,34 +254,26 @@ def realized_cost(
     two_p, two_o = 2 * cost.p, 2 * cost.o
     n = ensemble.n_steps
     x_bar, u_bar = ensemble.mean_path, ensemble.mean_controls
-    q = np.asarray(cost.q)
-    r = np.asarray(cost.r)
 
-    state_power = float(
-        np.dot(np.asarray(cost.q_bar), x_bar[:-1] ** two_p)
-        + cost.q_bar_terminal * x_bar[n] ** two_p
-    )
-    control_power = float(np.dot(np.asarray(cost.r_bar), u_bar ** two_p))
+    mean_powers = _even_power(x_bar, two_p)
+    state_power = float(np.dot(cost.q_bar, mean_powers[:-1]) + cost.q_bar_terminal * mean_powers[n])
+    control_power = float(np.dot(cost.r_bar, _even_power(u_bar, two_p)))
 
-    dev_x = ensemble.states - x_bar[np.newaxis, :]
-    dev_u = ensemble.controls - u_bar[np.newaxis, :]
-    state_moment_paths = dev_x[:, :-1] ** two_o @ q + cost.q_terminal * dev_x[:, n] ** two_o
-    control_moment_paths = dev_u ** two_o @ r
+    powers = _deviation_powers(ensemble.states, x_bar, two_o)
+    state_moment_paths = powers[:, :-1] @ np.asarray(cost.q) + cost.q_terminal * powers[:, n]
+    del powers
+    control_moment_paths = _deviation_powers(ensemble.controls, u_bar, two_o) @ np.asarray(cost.r)
 
-    state_moment = float(state_moment_paths.mean())
-    control_moment = float(control_moment_paths.mean())
     breakdown = {
         "state_power": state_power,
         "control_power": control_power,
-        "state_moment": state_moment,
-        "control_moment": control_moment,
+        "state_moment": float(state_moment_paths.mean()),
+        "control_moment": float(control_moment_paths.mean()),
     }
-    realized_mean = state_power + control_power + state_moment + control_moment
-
     per_path = state_moment_paths + control_moment_paths
     n_paths = ensemble.n_paths
     return CostReport(
-        realized_mean=realized_mean,
+        realized_mean=sum(breakdown.values()),
         realized_stderr=float(per_path.std()) / math.sqrt(n_paths),
         predicted=predicted_cost(schedule, spec.initial),
         breakdown=breakdown,
@@ -328,8 +331,10 @@ def kpi(ensemble: TrajectoryEnsemble, zeta: int) -> tuple[float, float]:
     if zeta not in (1, 2, 3):
         raise ValueError(f"zeta must be 1, 2, or 3, got {zeta}")
     two_z = 2 * zeta
-    dev_x = ensemble.states - ensemble.mean_path[np.newaxis, :]
-    dev_u = ensemble.controls - ensemble.mean_controls[np.newaxis, :]
-    kpi_x = float(np.sum(np.mean(dev_x ** two_z, axis=0)) + np.sum(ensemble.mean_path ** two_z))
-    kpi_u = float(np.sum(np.mean(dev_u ** two_z, axis=0)) + np.sum(ensemble.mean_controls ** two_z))
+    kpi_x, kpi_u = (
+        float(np.sum(_deviation_powers(values, centers, two_z).mean(axis=0))
+              + np.sum(_even_power(centers, two_z)))
+        for values, centers in ((ensemble.states, ensemble.mean_path),
+                                (ensemble.controls, ensemble.mean_controls))
+    )
     return kpi_x, kpi_u

@@ -138,8 +138,9 @@ def test_mc_validation_accepts_solved_controller():
 
 def test_probe_finds_minimum_at_unit_scale_deterministically():
     spec = example_config(1, 2).problem
-    _, gains = solve(spec)
-    report = local_optimality_probe(spec, gains, PROBE_GRID, n_paths=1, master_seed=0)
+    schedule, gains = solve(spec)
+    report = local_optimality_probe(spec, schedule, gains, PROBE_GRID, n_paths=1,
+                                    master_seed=0)
     assert report.min_at_unit
     assert set(report.curves) == {"mean"}
     curve = dict((scale, cost) for scale, cost, _ in report.curves["mean"])
@@ -148,8 +149,8 @@ def test_probe_finds_minimum_at_unit_scale_deterministically():
 
 def test_probe_covers_both_channels_for_stochastic_classes():
     spec = example_config(3, 1).problem
-    _, gains = solve(spec)
-    report = local_optimality_probe(spec, gains, PROBE_GRID, n_paths=4000,
+    schedule, gains = solve(spec)
+    report = local_optimality_probe(spec, schedule, gains, PROBE_GRID, n_paths=4000,
                                     master_seed=7)
     assert set(report.curves) == {"mean", "dev"}
     assert report.min_at_unit
@@ -157,9 +158,9 @@ def test_probe_covers_both_channels_for_stochastic_classes():
 
 def test_probe_requires_unit_scale_in_grid():
     spec = example_config(1, 1).problem
-    _, gains = solve(spec)
+    schedule, gains = solve(spec)
     with pytest.raises(ValueError):
-        local_optimality_probe(spec, gains, (0.5, 2.0), n_paths=1, master_seed=0)
+        local_optimality_probe(spec, schedule, gains, (0.5, 2.0), n_paths=1, master_seed=0)
 
 
 def test_convexity_check_passes_and_counts():

@@ -17,6 +17,7 @@ from hocs import (
     NoiseSpec,
     TrajectoryEnsemble,
     build_problem,
+    central_moment,
     example_config,
     kpi,
     predicted_cost,
@@ -24,6 +25,9 @@ from hocs import (
     simulate_ensemble,
     solve,
 )
+from hocs.cli import main
+from hocs.config import render_config
+from hocs.simulate import _even_power
 
 
 def _solved_policy(spec):
@@ -37,7 +41,6 @@ def _hand_ensemble(states, controls, mean_path, mean_controls):
         controls=np.asarray(controls, dtype=float),
         mean_path=np.asarray(mean_path, dtype=float),
         mean_controls=np.asarray(mean_controls, dtype=float),
-        empirical_central_moments={},
         mean_mode="exact",
     )
 
@@ -110,11 +113,30 @@ def test_ensemble_arrays_are_read_only():
         ensemble.states[0, 0] = 99.0
 
 
-def test_moment_table_defaults_to_variance_and_risk_order():
+def test_moment_table_defaults_to_variance_and_risk_order(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(render_config(example_config(4, 3)), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out),
+                 "--paths", "10", "--seed", "0"]) == 0
+    header = (out / "moments.csv").read_text().splitlines()[0]
+    assert header == "k,central_2,central_6"
+
+
+def test_ensemble_columns_are_contiguous_and_read_only():
     spec = example_config(4, 3).problem
     _, policy = _solved_policy(spec)
-    ensemble = simulate_ensemble(spec, policy, n_paths=10, master_seed=0)
-    assert sorted(ensemble.empirical_central_moments) == [2, 6]
+    ensemble = simulate_ensemble(spec, policy, n_paths=50, master_seed=0)
+    assert ensemble.states.shape == (50, spec.n_steps + 1)
+    assert ensemble.controls.shape == (50, spec.n_steps)
+    for k in range(spec.n_steps):
+        for column in (ensemble.states[:, k], ensemble.controls[:, k]):
+            assert column.flags.c_contiguous
+            assert not column.flags.writeable
+    assert ensemble.states[:, spec.n_steps].flags.c_contiguous
+    for array in (ensemble.states, ensemble.controls):
+        with pytest.raises(ValueError):
+            array[0, 0] = 99.0
 
 
 # --------------------------------------------------------------------------
@@ -169,10 +191,9 @@ def test_mult_state_variance_tracks_theory():
     _, policy = _solved_policy(spec)
     _, gains = solve(spec)
     n_paths = 100_000
-    ensemble = simulate_ensemble(spec, policy, n_paths, master_seed=2024,
-                                 moment_orders=(2, 4))
-    m2_hat = ensemble.empirical_central_moments[2]
-    m4_hat = ensemble.empirical_central_moments[4]
+    ensemble = simulate_ensemble(spec, policy, n_paths, master_seed=2024)
+    m2_hat = central_moment(ensemble, 2)
+    m4_hat = central_moment(ensemble, 4)
 
     sigma2 = spec.noise.even_moment(2)
     var_theory = spec.initial.variance
@@ -182,6 +203,33 @@ def test_mult_state_variance_tracks_theory():
         if k < spec.n_steps:
             closed = spec.mean_dyn.a_bar[k] - spec.mean_dyn.b_bar[k] * gains.k_dev[k]
             var_theory *= closed ** 2 + sigma2
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+def test_even_power_matches_numpy_power(n):
+    x = np.random.default_rng(n).normal(0.0, 2.0, (500, 7))
+    expected = x ** n
+    np.testing.assert_allclose(_even_power(x, n), expected, rtol=1e-15, atol=0)
+    # Powering a buffer into itself must not square the running product.
+    buffer = x.copy()
+    result = _even_power(buffer, n, out=buffer)
+    assert result is buffer
+    np.testing.assert_allclose(buffer, expected, rtol=1e-15, atol=0)
+
+
+def test_central_moment_matches_exactly_summed_mean():
+    spec = example_config(3, 1).problem
+    _, policy = _solved_policy(spec)
+    n_paths = 100_000
+    ensemble = simulate_ensemble(spec, policy, n_paths, master_seed=42)
+    moments = central_moment(ensemble, 2)
+    assert moments.shape == (spec.n_steps + 1,)
+    for k in range(spec.n_steps + 1):
+        deviations = ensemble.states[:, k] - ensemble.mean_path[k]
+        exact = math.fsum(deviations * deviations) / n_paths
+        assert math.isclose(moments[k], exact, rel_tol=1e-15), k
+    with pytest.raises(ValueError):
+        central_moment(ensemble, 3)
 
 
 def test_mult_state_point_mass_initial_has_no_spread():
