@@ -291,20 +291,21 @@ def cmd_verify(args) -> int:
     spec, run = config.problem, config.run
     if not _validate_or_print(spec):
         return 1
-    tol = args.tol if args.tol is not None else run.oracle_tol
-    schedule, gains = solve(spec, literal_recursion=run.literal_recursion)
-
     if spec.problem_class is ProblemClass.DETERMINISTIC:
+        # The oracle solves for its own closed form; with no deviation
+        # channel, run.literal_recursion cannot change it.
         report = brute_force_deterministic(spec)
         print(f"closed-form cost     : {report.closed_form_cost:.12g}")
         print(f"oracle cost          : {report.oracle_cost:.12g} "
               f"({report.iterations} iterations)")
         print(f"relative gap         : {report.relative_gap:.3e}")
         print(f"control sup-norm gap : {report.control_max_abs_diff:.3e}")
+        tol = args.tol if args.tol is not None else run.oracle_tol
         ok = report.relative_gap <= tol and not report.discrepant
         print(f"verify: {'ok' if ok else 'FAILED'}")
         return 0 if ok else 2
 
+    schedule, gains = solve(spec, literal_recursion=run.literal_recursion)
     if run.mean_mode != "exact":
         print(f"note: verify ignores run.mean_mode {run.mean_mode!r} and simulates "
               "in exact mean mode", file=sys.stderr)

@@ -68,7 +68,7 @@ class InvalidPolicy(HocsError, ValueError):
 
 
 class NotConverged(HocsError, RuntimeError):
-    """An iterative oracle hit its iteration limit before its tolerance."""
+    """An iterative oracle stopped short: budget spent or arithmetic out of range."""
 
 
 # --------------------------------------------------------------------------

