@@ -16,6 +16,7 @@ place, so readers never observe a half-written file.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -44,7 +45,14 @@ from .model import (
 )
 from .oracle import brute_force_deterministic, local_optimality_probe, mc_validate
 from .recursion import CoefficientSchedule, GainSchedule, solve
-from .simulate import central_moment, kpi, predicted_cost, realized_cost, simulate_ensemble
+from .simulate import (
+    _common_draws,
+    central_moment,
+    kpi,
+    predicted_cost,
+    realized_cost,
+    simulate_ensemble,
+)
 
 __all__ = ["main", "read_schedule_csv", "run_kpi_study", "PROBE_GRID"]
 
@@ -261,9 +269,10 @@ def cmd_solve(args) -> int:
     schedule, gains = solve(
         config.problem, literal_recursion=config.run.literal_recursion
     )
+    price = predicted_cost(schedule, config.problem.initial)
     out = Path(args.out) if args.out else Path(config.run.out_dir) / "schedule.csv"
     _write_csv(out, _SCHEDULE_HEADER, _schedule_rows(schedule, gains))
-    print(f"predicted cost: {predicted_cost(schedule, config.problem.initial):.17g}")
+    print(f"predicted cost: {price:.17g}")
     print(f"wrote {out}")
     return 0
 
@@ -311,8 +320,9 @@ def cmd_verify(args) -> int:
               "in exact mean mode", file=sys.stderr)
     n_paths = _effective_paths(args, run)
     seed = _effective_seed(args, run)
-    report = mc_validate(spec, schedule, gains, n_paths, seed)
-    probe = local_optimality_probe(spec, schedule, gains, PROBE_GRID, n_paths, seed)
+    with _common_draws():
+        report = mc_validate(spec, schedule, gains, n_paths, seed)
+        probe = local_optimality_probe(spec, schedule, gains, PROBE_GRID, n_paths, seed)
     print(f"predicted cost       : {report.closed_form_cost:.12g}")
     print(f"monte-carlo cost     : {report.oracle_cost:.12g} "
           f"+/- {report.stderr:.3g} ({n_paths} paths)")
@@ -357,9 +367,10 @@ def run_kpi_study(
     The arena is the built-in example-4 problem with o = p = 3. Case 1 is the
     sign controller, Case 2 the linear-feedback controller, Case 3 the solved
     risk-aware feedback. Each master seed (base_seed + i) is one experiment:
-    all three cases consume identical initial and noise draws (common random
-    numbers), and the per-case performance indices are computed per seed for
-    each zeta. One path per case per seed by default, so a seed is a single
+    all three cases roll out on one shared draw of initial states and noise
+    (common random numbers, drawn once per seed and dropped before the next),
+    and the per-case performance indices are computed per seed for each
+    zeta. One path per case per seed by default, so a seed is a single
     realized experiment rather than an expectation.
 
     Returns:
@@ -381,10 +392,11 @@ def run_kpi_study(
     wins = {(zeta, case): 0 for zeta in zetas for case in cases}
     for i in range(n_seeds):
         seed = base_seed + i
-        ensembles = {
-            case: simulate_ensemble(spec, policy, n_paths, seed)
-            for case, policy in policies.items()
-        }
+        with _common_draws():
+            ensembles = {
+                case: simulate_ensemble(spec, policy, n_paths, seed)
+                for case, policy in policies.items()
+            }
         for zeta in zetas:
             totals = {}
             for case in cases:
@@ -427,7 +439,9 @@ def cmd_kpi(args) -> int:
 # Parser and entry point
 # --------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hocs",
         description="Solve, simulate, and verify scalar power-cost control problems.",

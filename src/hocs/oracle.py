@@ -15,7 +15,8 @@ Three routes, none of which reuse the backward recursions they are checking:
   feedback against the coefficient-based prediction, judged at three
   plug-in standard errors of the mean per-path moment cost.
 - Common-random-number perturbation probes that scale one gain channel at a
-  time and require the cost minimum at scale 1.
+  time, roll every grid point out on one reused draw of initial states and
+  noise, and require the cost minimum at scale 1.
 
 The direct route compares its optimum against the closed-form controls,
 rolled out by the simulator's mean channel; that reuse sits on the side
@@ -36,7 +37,15 @@ import numpy as np
 from .control import FeedbackPolicy
 from .model import NotConverged, ProblemSpec, ProblemClass
 from .recursion import CoefficientSchedule, GainSchedule, solve
-from .simulate import _deviation_term, _mean_channel, predicted_cost, realized_cost, simulate_ensemble
+from .simulate import (
+    _common_draws,
+    _deviation_term,
+    _mean_channel,
+    _mean_term,
+    predicted_cost,
+    realized_cost,
+    simulate_ensemble,
+)
 
 __all__ = [
     "OracleReport",
@@ -264,7 +273,7 @@ def mc_validate(
     report = realized_cost(spec, ensemble, schedule)
     closed_form, oracle = report.predicted, report.realized_mean
 
-    mean_predicted = schedule.alpha_bar[0] * spec.initial.mean ** (2 * schedule.p)
+    mean_predicted = _mean_term(schedule, spec.initial)
     mean_realized = report.breakdown["state_power"] + report.breakdown["control_power"]
     mean_ok = abs(mean_predicted - mean_realized) <= 1e-10 * max(abs(mean_predicted), 1.0)
 
@@ -322,9 +331,10 @@ def local_optimality_probe(
 ) -> ProbeReport:
     """Check that the solved gains are cost-minimizing along scaling rays.
 
-    Every grid point re-simulates with the same master seed (common random
-    numbers), so the cost curves are directly comparable; the minimum must
-    sit at scale 1.0, with three standard errors of slack on stochastic
+    Every grid point reuses one draw of initial states and noise (common
+    random numbers, the same draw a fresh ensemble with this master seed
+    would make), so the cost curves are directly comparable; the minimum
+    must sit at scale 1.0, with three standard errors of slack on stochastic
     classes (deterministic runs are exact).
 
     Args:
@@ -340,19 +350,20 @@ def local_optimality_probe(
     channels = ["mean"] if gains.k_dev is None else ["mean", "dev"]
     curves: dict[str, tuple[tuple[float, float, float], ...]] = {}
     ok = True
-    for channel in channels:
-        points = []
-        for factor in grid:
-            perturbed = _scaled_gains(gains, channel, factor)
-            ensemble = simulate_ensemble(spec, FeedbackPolicy(perturbed), n_paths, master_seed)
-            report = realized_cost(spec, ensemble, schedule)
-            points.append((factor, report.realized_mean, report.realized_stderr))
-        curves[channel] = tuple(points)
-        unit_cost, unit_err = next((c, e) for f, c, e in points if f == 1.0)
-        best_cost, best_err = min(((c, e) for _, c, e in points), key=lambda t: t[0])
-        slack = 3.0 * (unit_err + best_err) + 1e-12 * max(abs(unit_cost), 1.0)
-        if unit_cost > best_cost + slack:
-            ok = False
+    with _common_draws():
+        for channel in channels:
+            points = []
+            for factor in grid:
+                perturbed = _scaled_gains(gains, channel, factor)
+                ensemble = simulate_ensemble(spec, FeedbackPolicy(perturbed), n_paths, master_seed)
+                report = realized_cost(spec, ensemble, schedule)
+                points.append((factor, report.realized_mean, report.realized_stderr))
+            curves[channel] = tuple(points)
+            unit_cost, unit_err = next((c, e) for f, c, e in points if f == 1.0)
+            best_cost, best_err = min(((c, e) for _, c, e in points), key=lambda t: t[0])
+            slack = 3.0 * (unit_err + best_err) + 1e-12 * max(abs(unit_cost), 1.0)
+            if unit_cost > best_cost + slack:
+                ok = False
     return ProbeReport(curves=curves, min_at_unit=ok)
 
 

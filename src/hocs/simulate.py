@@ -15,12 +15,19 @@ sequence whose first child drives the initial draws and whose second child
 drives the noise matrix (one row per path, one column per step 1..N), so the
 initial state is independent of the noise and a rerun with the same master
 seed is bit-identical. Generation is vectorized across paths; no execution
-order enters the results.
+order enters the results. The draw depends only on the spec, the path count
+and the master seed, never on the policy, so callers that roll out several
+policies or gain scalings on one seed (common random numbers) open a
+``_common_draws()`` scope and every rollout inside it reuses one read-only
+(x0, eps) draw; outside a scope each ensemble draws afresh. Either way the
+numbers are the same.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -31,6 +38,7 @@ from .model import (
     InvalidPolicy,
     MissingMoment,
     NoiseKind,
+    NonFiniteCoefficient,
     ProblemClass,
     ProblemSpec,
     _check_even_order,
@@ -128,6 +136,49 @@ def _mean_channel(spec: ProblemSpec, policy: Policy) -> tuple[np.ndarray, np.nda
     return mean_path, mean_controls
 
 
+#: Draws kept by the open _common_draws() scope, or None outside every scope.
+_DRAWS: ContextVar[dict | None] = ContextVar("hocs_common_draws", default=None)
+
+
+@contextmanager
+def _common_draws():
+    """Within the block, ensembles with equal (spec, n_paths, master_seed)
+    share one (x0, eps) draw. A nested scope reuses the outer one; on exit,
+    normal or by exception, the outermost scope drops every stored draw.
+    """
+    if _DRAWS.get() is not None:
+        yield
+        return
+    token = _DRAWS.set({})
+    try:
+        yield
+    finally:
+        _DRAWS.reset(token)
+
+
+def _draw(spec: ProblemSpec, n_paths: int, master_seed: int):
+    """The read-only initial states and noise matrix of one seeded ensemble.
+
+    eps[:, k] realizes the step-(k+1) noise; eps is None without noise.
+    Inside a _common_draws() scope a repeated key returns the stored arrays.
+    """
+    store = _DRAWS.get()
+    key = (spec, n_paths, master_seed)
+    if store is not None and key in store:
+        return store[key]
+    init_seq, noise_seq = np.random.SeedSequence(master_seed).spawn(2)
+    x0 = spec.initial.sample(np.random.Generator(np.random.PCG64(init_seq)), n_paths)
+    x0.setflags(write=False)
+    eps = None
+    if spec.noise.kind is not NoiseKind.NONE:
+        noise_rng = np.random.Generator(np.random.PCG64(noise_seq))
+        eps = spec.noise.distribution.sample(noise_rng, (n_paths, spec.n_steps))
+        eps.setflags(write=False)
+    if store is not None:
+        store[key] = x0, eps
+    return x0, eps
+
+
 def simulate_ensemble(
     spec: ProblemSpec,
     policy: Policy,
@@ -163,18 +214,12 @@ def simulate_ensemble(
     if not spec.noise.samplable:
         raise MissingMoment("noise has no distribution to sample from")
 
-    init_seq, noise_seq = np.random.SeedSequence(master_seed).spawn(2)
-    init_rng = np.random.Generator(np.random.PCG64(init_seq))
-    noise_rng = np.random.Generator(np.random.PCG64(noise_seq))
-
+    x0, eps = _draw(spec, n_paths, master_seed)
     states = np.empty((n + 1, n_paths)).T
     controls = np.empty((n, n_paths)).T
-    states[:, 0] = spec.initial.sample(init_rng, n_paths)
+    states[:, 0] = x0
 
     klass = spec.problem_class
-    # eps[:, k] realizes the step-(k+1) noise; eps[0] = 0 never enters.
-    eps = (None if spec.noise.kind is NoiseKind.NONE
-           else spec.noise.distribution.sample(noise_rng, (n_paths, n)))
 
     exact = mean_mode == "exact"
     if exact:
@@ -286,9 +331,22 @@ def predicted_cost(schedule: CoefficientSchedule, initial) -> float:
 
     The mean term alpha_bar[0] xbar0**2p plus the deviation-channel term
     (see _deviation_term).
+
+    Raises:
+        NonFiniteCoefficient: If the price overflows (a huge initial mean).
     """
-    mean_term = schedule.alpha_bar[0] * initial.mean ** (2 * schedule.p)
-    return _deviation_term(schedule, initial) + mean_term
+    total = _deviation_term(schedule, initial) + _mean_term(schedule, initial)
+    if not math.isfinite(total):
+        raise NonFiniteCoefficient(f"predicted cost = {total} at step 0 is not finite")
+    return total
+
+
+def _mean_term(schedule: CoefficientSchedule, initial) -> float:
+    """The mean-channel part alpha_bar[0] xbar0**2p; inf where it overflows."""
+    try:
+        return schedule.alpha_bar[0] * initial.mean ** (2 * schedule.p)
+    except OverflowError:
+        return math.inf
 
 
 def _deviation_term(schedule: CoefficientSchedule, initial) -> float:

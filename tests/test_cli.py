@@ -9,9 +9,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hocs import example_config, riccati_lqr, solve
-from hocs.cli import main, read_schedule_csv
+from hocs import (
+    BaselineKind,
+    BaselinePolicy,
+    FeedbackPolicy,
+    cli,
+    example_config,
+    kpi,
+    oracle,
+    riccati_lqr,
+    simulate_ensemble,
+    solve,
+)
+from hocs.cli import main, read_schedule_csv, run_kpi_study
 from hocs.config import parse_config, render_config
+from hocs.simulate import _DRAWS
 
 # The built-in example problems are part of the artifact's contract: any
 # change to their constants or to the canonical serialization must be loud.
@@ -278,6 +290,21 @@ def test_verify_flags_moment_free_recursion_variant(tmp_path):
     assert main(["verify", "--config", str(default_path), "--paths", "20000"]) == 0
 
 
+def test_verify_serves_every_ensemble_from_one_draw(tmp_path, monkeypatch):
+    held = []
+    real_cost = oracle.realized_cost
+
+    def recording_cost(*args):
+        held.append(len(_DRAWS.get()))
+        return real_cost(*args)
+
+    monkeypatch.setattr(oracle, "realized_cost", recording_cost)
+    path = _write_example_config(tmp_path, 4, 3)
+    assert main(["verify", "--config", str(path), "--paths", "300", "--seed", "411"]) == 0
+    assert held == [1] * 11
+    assert _DRAWS.get() is None
+
+
 # --------------------------------------------------------------------------
 # example and kpi
 # --------------------------------------------------------------------------
@@ -314,6 +341,25 @@ def test_kpi_study_tables(tmp_path, capsys):
         assert math.isclose(sum(block), 1.0) or sum(block) <= 1.0
 
 
+@pytest.mark.parametrize("n_paths", [1, 6])
+def test_kpi_study_rows_equal_fresh_draw_loop(n_paths):
+    spec = example_config(4, 3).problem
+    policies = {
+        1: BaselinePolicy(BaselineKind.SIGN_CONTROLLER),
+        2: BaselinePolicy(BaselineKind.LINEAR_FEEDBACK),
+        3: FeedbackPolicy(solve(spec)[1]),
+    }
+    expected = []
+    for seed in range(3, 7):
+        for zeta in (1, 2, 3):
+            for case, policy in policies.items():
+                kpi_x, kpi_u = kpi(simulate_ensemble(spec, policy, n_paths, seed), zeta)
+                expected.append((seed, zeta, case, kpi_x, kpi_u, kpi_x + kpi_u))
+    rows, _ = run_kpi_study(4, base_seed=3, n_paths=n_paths)
+    assert rows == expected
+    assert _DRAWS.get() is None
+
+
 def test_kpi_rejects_bad_seed_count(tmp_path):
     assert main(["kpi", "--seeds", "0", "--out", str(tmp_path)]) == 3
 
@@ -344,6 +390,52 @@ def test_solve_overflow_is_a_recursion_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "recursion failure" in err and "at step" in err
     assert "Traceback" not in err
+
+
+def test_price_overflow_is_a_recursion_failure(tmp_path, capsys):
+    # The coefficients stay small; only xbar0**6 = 1e360 overflows.
+    document = {"problem": {
+        "class": "deterministic",
+        "horizon": {"n_steps": 2},
+        "mean_dynamics": {"a_bar": [1.0] * 2, "b_bar": [1.0] * 2},
+        "cost": {"p": 3, "q_bar": [1.0] * 2, "q_bar_terminal": 1.0, "r_bar": [1.0] * 2},
+        "initial": {"mean": 1e60},
+    }}
+    path = tmp_path / "huge_mean.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    out = tmp_path / "schedule.csv"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "recursion failure" in err and "at step 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "recursion failure" in err and "at step 0" in err
+    assert "Traceback" not in err
+
+
+def test_repeated_main_calls_share_the_parser_but_not_the_namespace(tmp_path, monkeypatch):
+    namespaces = []
+    real_check = cli._check_flags
+
+    def recording_check(args):
+        namespaces.append(dict(vars(args)))
+        real_check(args)
+
+    monkeypatch.setattr(cli, "_check_flags", recording_check)
+    monkeypatch.delenv("HOCS_SEED", raising=False)
+    assert main(["kpi", "--seeds", "2", "--paths", "3", "--seed", "5",
+                 "--out", str(tmp_path / "kpi")]) == 0
+    path = _write_example_config(tmp_path, 1, 2)
+    assert main(["verify", "--config", str(path)]) == 0
+    assert cli._build_parser() is cli._build_parser()
+    kpi_args, verify_args = namespaces
+    assert kpi_args["seed"] == 5 and kpi_args["paths"] == 3
+    assert verify_args == {
+        "command": "verify", "handler": cli.cmd_verify, "config": str(path),
+        "tol": None, "paths": None, "seed": None,
+    }
 
 
 @pytest.mark.parametrize("source", ["flag", "env", "config"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hocs import (
+    FeedbackPolicy,
     InitialLaw,
     NotConverged,
     build_problem,
@@ -14,8 +15,13 @@ from hocs import (
     example_config,
     local_optimality_probe,
     mc_validate,
+    oracle,
+    realized_cost,
+    simulate_ensemble,
     solve,
 )
+from hocs.oracle import _scaled_gains
+from hocs.simulate import _DRAWS, _common_draws
 
 PROBE_GRID = (0.5, 0.9, 1.0, 1.1, 2.0)
 
@@ -218,6 +224,55 @@ def test_probe_covers_both_channels_for_stochastic_classes():
                                     master_seed=7)
     assert set(report.curves) == {"mean", "dev"}
     assert report.min_at_unit
+
+
+@pytest.mark.parametrize("example_id,p,seed", [
+    (2, 2, 0), (2, 2, 411), (3, 1, 7), (3, 1, 12), (4, 3, 411), (4, 3, 3),
+])
+def test_shared_draw_reports_equal_fresh_draw_loop(example_id, p, seed):
+    spec = example_config(example_id, p).problem
+    schedule, gains = solve(spec)
+    n_paths = 300
+
+    def fresh_cost(policy_gains):
+        ensemble = simulate_ensemble(spec, FeedbackPolicy(policy_gains), n_paths, seed)
+        return realized_cost(spec, ensemble, schedule)
+
+    curves = {}
+    for channel in ("mean", "dev"):
+        points = []
+        for factor in PROBE_GRID:
+            report = fresh_cost(_scaled_gains(gains, channel, factor))
+            points.append((factor, report.realized_mean, report.realized_stderr))
+        curves[channel] = tuple(points)
+    unit = fresh_cost(gains)
+    unscoped = mc_validate(spec, schedule, gains, n_paths, seed)
+    with _common_draws():
+        first = mc_validate(spec, schedule, gains, n_paths, seed)
+        probe = local_optimality_probe(spec, schedule, gains, PROBE_GRID, n_paths, seed)
+        again = mc_validate(spec, schedule, gains, n_paths, seed)
+    assert _DRAWS.get() is None
+
+    assert probe.curves == curves
+    assert first == again == unscoped
+    assert (unscoped.closed_form_cost, unscoped.oracle_cost, unscoped.stderr) == (
+        unit.predicted, unit.realized_mean, unit.realized_stderr)
+
+
+def test_probe_drops_its_draw_when_it_raises(monkeypatch):
+    spec = example_config(4, 3).problem
+    schedule, gains = solve(spec)
+    held = []
+
+    def failing_cost(*args):
+        held.append(len(_DRAWS.get()))
+        raise RuntimeError("cost evaluation failed")
+
+    monkeypatch.setattr(oracle, "realized_cost", failing_cost)
+    with pytest.raises(RuntimeError):
+        local_optimality_probe(spec, schedule, gains, PROBE_GRID, n_paths=50, master_seed=1)
+    assert held == [1]
+    assert _DRAWS.get() is None
 
 
 def test_probe_requires_unit_scale_in_grid():

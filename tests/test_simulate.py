@@ -27,7 +27,7 @@ from hocs import (
 )
 from hocs.cli import main
 from hocs.config import render_config
-from hocs.simulate import _even_power
+from hocs.simulate import _DRAWS, _common_draws, _draw, _even_power
 
 
 def _solved_policy(spec):
@@ -137,6 +137,36 @@ def test_ensemble_columns_are_contiguous_and_read_only():
     for array in (ensemble.states, ensemble.controls):
         with pytest.raises(ValueError):
             array[0, 0] = 99.0
+
+
+# --------------------------------------------------------------------------
+# Common random numbers: one draw per scope
+# --------------------------------------------------------------------------
+
+def test_common_draws_scope_reuses_one_draw_and_forgets_it():
+    spec = example_config(4, 3).problem
+    _, policy = _solved_policy(spec)
+    assert _draw(spec, 32, 5)[1] is not _draw(spec, 32, 5)[1]
+    with _common_draws():
+        first = simulate_ensemble(spec, policy, n_paths=32, master_seed=5)
+        second = simulate_ensemble(spec, policy, n_paths=32, master_seed=5)
+        x0, eps = _draw(spec, 32, 5)
+        with _common_draws():
+            assert _draw(spec, 32, 5)[1] is eps
+        assert len(_DRAWS.get()) == 1
+        other_x0, other_eps = _draw(spec, 32, 6)
+        assert len(_DRAWS.get()) == 2
+    assert _DRAWS.get() is None
+    fresh = simulate_ensemble(spec, policy, n_paths=32, master_seed=5)
+
+    for ensemble in (second, fresh):
+        assert np.array_equal(ensemble.states, first.states)
+        assert np.array_equal(ensemble.controls, first.controls)
+    assert not np.shares_memory(first.states, second.states)
+    assert not np.shares_memory(first.controls, second.controls)
+    assert not (x0.flags.writeable or eps.flags.writeable)
+    assert not np.array_equal(other_x0, x0)
+    assert not np.array_equal(other_eps, eps)
 
 
 # --------------------------------------------------------------------------
