@@ -94,8 +94,11 @@ class RunSettings:
         if (not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool)
                 or self.master_seed < 0):
             raise ConfigError(f"run.master_seed must be an integer >= 0, got {self.master_seed!r}")
-        if not (isinstance(self.oracle_tol, (int, float)) and self.oracle_tol > 0):
+        object.__setattr__(self, "oracle_tol", _number(self.oracle_tol, "run.oracle_tol"))
+        if not self.oracle_tol > 0:
             raise ConfigError(f"run.oracle_tol must be > 0, got {self.oracle_tol!r}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError("run.out_dir must be a string")
         if self.mean_mode not in ("exact", "empirical"):
             raise ConfigError(f"run.mean_mode must be 'exact' or 'empirical', got {self.mean_mode!r}")
         if not isinstance(self.literal_recursion, bool):
@@ -302,30 +305,10 @@ def parse_config(text: str) -> RunConfig:
     if "problem" not in document:
         raise ConfigError("config is missing required key 'problem'")
     problem = _parse_problem(document["problem"])
-
-    run = RunSettings()
-    if "run" in document:
-        node = _require_map(document["run"], "run")
-        _check_keys(node, {"n_paths", "master_seed", "oracle_tol", "out_dir",
-                           "literal_recursion", "mean_mode"}, "run")
-        kwargs = {}
-        if "n_paths" in node:
-            kwargs["n_paths"] = node["n_paths"]
-        if "master_seed" in node:
-            kwargs["master_seed"] = node["master_seed"]
-        if "oracle_tol" in node:
-            kwargs["oracle_tol"] = _number(node["oracle_tol"], "run.oracle_tol")
-        if "out_dir" in node:
-            if not isinstance(node["out_dir"], str):
-                raise ConfigError("run.out_dir must be a string")
-            kwargs["out_dir"] = node["out_dir"]
-        if "literal_recursion" in node:
-            kwargs["literal_recursion"] = node["literal_recursion"]
-        if "mean_mode" in node:
-            kwargs["mean_mode"] = node["mean_mode"]
-        run = RunSettings(**kwargs)
-
-    return RunConfig(problem=problem, run=run)
+    node = _require_map(document.get("run", {}), "run")
+    _check_keys(node, {"n_paths", "master_seed", "oracle_tol", "out_dir",
+                       "literal_recursion", "mean_mode"}, "run")
+    return RunConfig(problem=problem, run=RunSettings(**node))
 
 
 def load_config(path) -> RunConfig:

@@ -134,6 +134,24 @@ def _odd_double_factorial(order: int) -> int:
     return math.prod(range(1, order, 2))
 
 
+def _scaled_power(coefficient: int, base: float, exponent: int) -> float:
+    """coefficient * base**exponent for base >= 0; inf past the float range.
+
+    As written where that stays in range, so those values keep their bits;
+    else from logarithms, as a huge (order - 1)!! times a tiny sigma**order
+    can still round to 0.0.
+    """
+    try:
+        return coefficient * base ** exponent
+    except OverflowError:
+        if base == 0.0:
+            return 0.0
+        try:
+            return math.exp(math.log(coefficient) + exponent * math.log(base))
+        except OverflowError:
+            return math.inf
+
+
 def _as_finite_floats(values: Sequence[float], name: str) -> tuple[float, ...]:
     out = tuple(float(v) for v in values)
     if not all(math.isfinite(v) for v in out):
@@ -226,7 +244,7 @@ class Gaussian(Distribution):
     def even_moment(self, order: int) -> float:
         # E[z**(2j)] = (2j - 1)!! sigma**(2j)
         _check_even_order(order)
-        return _odd_double_factorial(order) * self.sigma ** order
+        return _scaled_power(_odd_double_factorial(order), self.sigma, order)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.normal(0.0, self.sigma, size)
@@ -249,7 +267,7 @@ class GaussianVariance(Distribution):
 
     def even_moment(self, order: int) -> float:
         _check_even_order(order)
-        return _odd_double_factorial(order) * self.variance ** (order // 2)
+        return _scaled_power(_odd_double_factorial(order), self.variance, order // 2)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.normal(0.0, math.sqrt(self.variance), size)
@@ -267,7 +285,7 @@ class Rademacher(Distribution):
 
     def even_moment(self, order: int) -> float:
         _check_even_order(order)
-        return self.scale ** order
+        return _scaled_power(1, self.scale, order)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return self.scale * (2.0 * rng.integers(0, 2, size=size) - 1.0)
@@ -286,7 +304,7 @@ class UniformSymmetric(Distribution):
     def even_moment(self, order: int) -> float:
         # E[z**(2j)] = h**(2j) / (2j + 1)
         _check_even_order(order)
-        return self.halfwidth ** order / (order + 1)
+        return _scaled_power(1, self.halfwidth, order) / (order + 1)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.uniform(-self.halfwidth, self.halfwidth, size)
@@ -323,7 +341,10 @@ class Empirical(Distribution):
 
     def even_moment(self, order: int) -> float:
         _check_even_order(order)
-        return math.fsum(v ** order for v in self.samples) / len(self.samples)
+        try:
+            return math.fsum(v ** order for v in self.samples) / len(self.samples)
+        except OverflowError:
+            return math.inf
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         values = np.asarray(self.samples, dtype=float)

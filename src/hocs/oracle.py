@@ -66,12 +66,11 @@ BEAT_TOLERANCE = 1e-8
 class OracleReport:
     """Outcome of one closed-form-vs-oracle comparison.
 
-    ``converged`` means the oracle itself finished (a Newton update that no
-    longer moves the floats; the optimizer raises otherwise), or the MC gap
-    stayed within three standard errors. ``discrepant`` is the alarm bit:
-    the oracle found a strictly better cost than the closed form (or, for
-    the MC route, the gap exceeded its error budget). A discrepant report
-    never raises; callers decide.
+    ``discrepant`` is the one verdict bit: the oracle found a strictly
+    better cost than the closed form (or, for the MC route, the gap
+    exceeded its error budget). An oracle that does not finish raises
+    NotConverged instead of returning a report. A discrepant report never
+    raises; callers decide.
     """
 
     closed_form_cost: float
@@ -79,7 +78,6 @@ class OracleReport:
     relative_gap: float
     control_max_abs_diff: float
     iterations: int
-    converged: bool
     discrepant: bool = False
     stderr: float = 0.0
 
@@ -240,7 +238,6 @@ def brute_force_deterministic(spec: ProblemSpec, max_iter: int = 200) -> OracleR
         relative_gap=_relative_gap(closed_form, value),
         control_max_abs_diff=float(np.max(np.abs(u - closed_u))),
         iterations=updates + 1,
-        converged=True,
         discrepant=value < closed_form - BEAT_TOLERANCE * magnitude,
     )
 
@@ -260,8 +257,9 @@ def mc_validate(
     only random part, so they must match their prediction within three
     plug-in standard errors (see realized_cost), with a floor relative to
     the moment scale itself; a floor relative to the total would swallow the
-    moment channel whenever the mean cost dwarfs it. ``converged``
-    (equivalently, not ``discrepant``) means both channels agree.
+    moment channel whenever the mean cost dwarfs it. ``discrepant`` is set
+    unless both channels agree. The price comes before the rollout, so one
+    that overflows raises NonFiniteCoefficient without simulating a path.
 
     The gate assumes a near-normal sample mean. Sextic deviation powers are
     heavy-tailed, so at a few thousand paths the mean is skewed low and the
@@ -269,15 +267,15 @@ def mc_validate(
     p = 3, 4,000 paths: 4 of seeds 0-119, all below -3 standard errors, none
     above +3). More paths fix that; a better stderr does not.
     """
-    ensemble = simulate_ensemble(spec, FeedbackPolicy(gains), n_paths, master_seed)
-    report = realized_cost(spec, ensemble, schedule)
-    closed_form, oracle = report.predicted, report.realized_mean
-
+    closed_form = predicted_cost(schedule, spec.initial)
     mean_predicted = _mean_term(schedule, spec.initial)
+    moment_predicted = _deviation_term(schedule, spec.initial)
+    ensemble = simulate_ensemble(spec, FeedbackPolicy(gains), n_paths, master_seed)
+    report = realized_cost(spec, ensemble)
+
     mean_realized = report.breakdown["state_power"] + report.breakdown["control_power"]
     mean_ok = abs(mean_predicted - mean_realized) <= 1e-10 * max(abs(mean_predicted), 1.0)
 
-    moment_predicted = _deviation_term(schedule, spec.initial)
     moment_realized = report.breakdown["state_moment"] + report.breakdown["control_moment"]
     moment_budget = 3.0 * report.realized_stderr + 1e-10 * max(
         abs(moment_predicted), abs(moment_realized)
@@ -287,11 +285,10 @@ def mc_validate(
     agrees = mean_ok and moment_ok
     return OracleReport(
         closed_form_cost=closed_form,
-        oracle_cost=oracle,
-        relative_gap=_relative_gap(closed_form, oracle),
+        oracle_cost=report.realized_mean,
+        relative_gap=_relative_gap(closed_form, report.realized_mean),
         control_max_abs_diff=0.0,
         iterations=0,
-        converged=agrees,
         discrepant=not agrees,
         stderr=report.realized_stderr,
     )
@@ -323,7 +320,6 @@ def _scaled_gains(gains: GainSchedule, channel: str, factor: float) -> GainSched
 
 def local_optimality_probe(
     spec: ProblemSpec,
-    schedule: CoefficientSchedule,
     gains: GainSchedule,
     grid: tuple[float, ...],
     n_paths: int,
@@ -335,11 +331,11 @@ def local_optimality_probe(
     random numbers, the same draw a fresh ensemble with this master seed
     would make), so the cost curves are directly comparable; the minimum
     must sit at scale 1.0, with three standard errors of slack on stochastic
-    classes (deterministic runs are exact).
+    classes (deterministic runs are exact). It compares realized costs
+    with each other only, so it needs no price.
 
     Args:
         spec: The problem to probe.
-        schedule: The coefficients the gains were solved with.
         gains: Solved gains; scale 1.0 must be in the grid.
         grid: Multiplicative perturbations to apply per channel.
         n_paths: Paths per probe point.
@@ -356,7 +352,7 @@ def local_optimality_probe(
             for factor in grid:
                 perturbed = _scaled_gains(gains, channel, factor)
                 ensemble = simulate_ensemble(spec, FeedbackPolicy(perturbed), n_paths, master_seed)
-                report = realized_cost(spec, ensemble, schedule)
+                report = realized_cost(spec, ensemble)
                 points.append((factor, report.realized_mean, report.realized_stderr))
             curves[channel] = tuple(points)
             unit_cost, unit_err = next((c, e) for f, c, e in points if f == 1.0)

@@ -83,7 +83,7 @@ class TrajectoryEnsemble:
 
 @dataclass(frozen=True)
 class CostReport:
-    """Monte-Carlo cost estimate next to the coefficient-based prediction.
+    """Monte-Carlo estimate of an ensemble's expected cost; predicted_cost gives the price.
 
     ``breakdown`` splits realized_mean into its four term families
     (state_power, control_power, state_moment, control_moment); the entries
@@ -92,7 +92,6 @@ class CostReport:
 
     realized_mean: float
     realized_stderr: float
-    predicted: float
     breakdown: dict[str, float]
     n_paths: int
     # The stderr is closed-form, so no bootstrap resamples are ever drawn.
@@ -273,12 +272,8 @@ def central_moment(ensemble: TrajectoryEnsemble, order: int) -> np.ndarray:
     return _deviation_powers(ensemble.states, ensemble.mean_path, order).mean(axis=0)
 
 
-def realized_cost(
-    spec: ProblemSpec,
-    ensemble: TrajectoryEnsemble,
-    schedule: CoefficientSchedule,
-) -> CostReport:
-    """Evaluate the realized cost of an ensemble and compare to prediction.
+def realized_cost(spec: ProblemSpec, ensemble: TrajectoryEnsemble) -> CostReport:
+    """Estimate the expected cost of an ensemble; it prices nothing.
 
     The mean-channel terms (xbar**2p, ubar**2p) are deterministic given the
     ensemble's mean path; the moment terms are ensemble averages of per-path
@@ -290,7 +285,6 @@ def realized_cost(
     Args:
         spec: The problem the ensemble was generated from.
         ensemble: Simulated trajectories.
-        schedule: Coefficients for the predicted cost.
 
     Returns:
         A CostReport; its breakdown entries sum to realized_mean exactly.
@@ -320,7 +314,6 @@ def realized_cost(
     return CostReport(
         realized_mean=sum(breakdown.values()),
         realized_stderr=float(per_path.std()) / math.sqrt(n_paths),
-        predicted=predicted_cost(schedule, spec.initial),
         breakdown=breakdown,
         n_paths=n_paths,
     )

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hocs import (
     example_config,
     kpi,
     oracle,
+    predicted_cost,
     riccati_lqr,
     simulate_ensemble,
     solve,
@@ -87,6 +89,28 @@ def test_unknown_config_key_is_rejected(tmp_path):
     assert main(["validate", "--config", str(path)]) == 3
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("oracle_tol", True, "run.oracle_tol must be a number, got True"),
+    ("oracle_tol", "1e-6", "run.oracle_tol must be a number, got '1e-6'"),
+    ("oracle_tol", 0, "run.oracle_tol must be > 0, got 0.0"),
+    ("out_dir", 3, "run.out_dir must be a string"),
+])
+def test_bad_run_setting_is_a_config_error(tmp_path, capsys, key, value, message):
+    def mutate(doc):
+        doc["run"][key] = value
+
+    path = _write_example_config(tmp_path, 1, 1, mutate)
+    assert main(["validate", "--config", str(path)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_integer_oracle_tol_is_stored_as_float():
+    document = json.loads(render_config(example_config(1, 1)))
+    document["run"]["oracle_tol"] = 1
+    run = parse_config(json.dumps(document)).run
+    assert run.oracle_tol == 1.0 and isinstance(run.oracle_tol, float)
+
+
 def test_missing_config_file_is_a_config_error(tmp_path):
     assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 3
 
@@ -112,6 +136,17 @@ def test_readme_config_example_parses():
     assert block is not None, "README.md has no json block"
     # The README presents its example as the mean-field preset at p = 2.
     assert parse_config(block.group(1)).problem == example_config(4, 2).problem
+
+
+def test_readme_python_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert block is not None, "README.md has no python block"
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    realized, price, stderr = map(float, capsys.readouterr().out.split())
+    spec = example_config(4, 3).problem
+    assert price == predicted_cost(solve(spec)[0], spec.initial)
+    assert abs(realized - price) <= 3.0 * stderr + 1e-10 * price
 
 
 # --------------------------------------------------------------------------
@@ -413,6 +448,54 @@ def test_price_overflow_is_a_recursion_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "recursion failure" in err and "at step 0" in err
     assert "Traceback" not in err
+
+    # A stochastic spec is priced before its rollout, so the overflow stops
+    # the command before numpy could warn about the paths' powers.
+    def huge_mean(doc):
+        doc["problem"]["initial"]["mean"] = 1e60
+
+    path = _write_example_config(tmp_path, 2, 3, huge_mean)
+    out_dir = tmp_path / "D"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(path), "--paths", "100",
+                     "--out", str(out_dir)]) == 2
+        assert main(["verify", "--config", str(path), "--paths", "100"]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.count("recursion failure") == 2
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("o,sigma,initial_variance,command,code,expected", [
+    # (599)!! overflows a float while sigma**600 = 1: the moment is inf.
+    (300, 1.0, None, "validate", 1, ("noise moment of order 600", "fail  (value inf)")),
+    (2, 1e200, None, "validate", 1, ("noise moment of order 4", "fail  (value inf)")),
+    # The initial law's fourth moment 3e400 overflows only the price.
+    (2, 1.0, 1e200, "solve", 2, ("recursion failure", "at step 0")),
+    # (599)!! overflows, but the moment (599)!! * 0.01**600 rounds to 0.0.
+    (300, 0.01, None, "validate", 0, ("noise moment of order 600", "pass  (value 0.0)")),
+], ids=["order-600", "sigma-1e200", "initial-variance-1e200", "order-600-sigma-0.01"])
+def test_moment_overflow_keeps_the_exit_code_contract(
+    tmp_path, capsys, o, sigma, initial_variance, command, code, expected
+):
+    def mutate(doc):
+        problem = doc["problem"]
+        problem["cost"]["o"] = o
+        problem["noise"]["distribution"]["sigma"] = sigma
+        if initial_variance is not None:
+            problem["initial"]["law"] = {"kind": "gaussian", "variance": initial_variance}
+
+    path = _write_example_config(tmp_path, 4, 2, mutate)
+    out = tmp_path / "schedule.csv"
+    argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "solve" else [])
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    assert all(part in text for part in expected), text
+    assert "Traceback" not in text
+    assert not out.exists()
 
 
 def test_repeated_main_calls_share_the_parser_but_not_the_namespace(tmp_path, monkeypatch):

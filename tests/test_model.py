@@ -1,6 +1,7 @@
 """Tests for the problem-description layer: roots, moments, laws, validation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,6 +133,36 @@ def test_rademacher_and_uniform_moments():
     u = UniformSymmetric(halfwidth=h)
     assert math.isclose(u.even_moment(2), h ** 2 / 3.0, rel_tol=1e-15)
     assert math.isclose(u.even_moment(4), h ** 4 / 5.0, rel_tol=1e-15)
+
+
+def test_moments_in_float_range_keep_the_plain_formulas_bits():
+    for order in range(2, 201, 2):
+        double_factorial = math.prod(range(1, order, 2))
+        for scale in (0.3, 1.0, 1.7):
+            assert Gaussian(sigma=scale).even_moment(order) == (
+                double_factorial * scale ** order)
+            assert GaussianVariance(variance=scale).even_moment(order) == (
+                double_factorial * scale ** (order // 2))
+            assert Rademacher(scale=scale).even_moment(order) == scale ** order
+            assert UniformSymmetric(halfwidth=scale).even_moment(order) == (
+                scale ** order / (order + 1))
+
+
+def test_moments_past_float_range_are_inf():
+    assert Gaussian(sigma=1.0).even_moment(600) == math.inf
+    assert Gaussian(sigma=1e200).even_moment(4) == math.inf
+    assert GaussianVariance(variance=1e200).even_moment(4) == math.inf
+    assert Rademacher(scale=1e200).even_moment(4) == math.inf
+    assert UniformSymmetric(halfwidth=1e200).even_moment(4) == math.inf
+    assert Empirical(samples=(-1e200, 1e200)).even_moment(4) == math.inf
+
+
+def test_gaussian_moment_with_an_overflowing_double_factorial():
+    # (599)!! does not fit a float, yet the moments do (or round to 0.0).
+    assert Gaussian(sigma=0.01).even_moment(600) == 0.0
+    assert Gaussian(sigma=0.0).even_moment(600) == 0.0
+    exact = math.prod(range(1, 400, 2)) * Fraction(0.3) ** 400
+    assert math.isclose(Gaussian(sigma=0.3).even_moment(400), float(exact), rel_tol=1e-12)
 
 
 def test_dirac_moments_vanish():

@@ -16,6 +16,7 @@ from hocs import (
     local_optimality_probe,
     mc_validate,
     oracle,
+    predicted_cost,
     realized_cost,
     simulate_ensemble,
     solve,
@@ -54,7 +55,6 @@ def test_oracle_recovers_quartic_desk_solution():
     report = brute_force_deterministic(spec)
     assert math.isclose(report.oracle_cost, 0.125, rel_tol=1e-12)
     assert report.control_max_abs_diff < 1e-12
-    assert report.converged
     assert not report.discrepant
 
 
@@ -74,7 +74,6 @@ def test_oracle_zero_start_is_immediate():
 def test_oracle_agrees_with_closed_form_on_reference_problem(p):
     spec = example_config(1, p).problem
     report = brute_force_deterministic(spec)
-    assert report.converged
     assert not report.discrepant
     assert report.relative_gap < 1e-12
     assert report.control_max_abs_diff < 1e-8
@@ -84,7 +83,7 @@ def test_oracle_agrees_on_random_problems():
     rng = np.random.default_rng(31)
     for _ in range(30):
         report = brute_force_deterministic(_random_deterministic_spec(rng))
-        assert report.converged
+        assert not report.discrepant
         assert report.relative_gap < 1e-6
         assert report.control_max_abs_diff < 1e-5
         assert not report.discrepant
@@ -199,7 +198,6 @@ def test_mc_validation_accepts_solved_controller():
     spec = example_config(2, 1).problem
     schedule, gains = solve(spec)
     report = mc_validate(spec, schedule, gains, n_paths=20_000, master_seed=42)
-    assert report.converged
     assert not report.discrepant
     assert report.stderr > 0.0
     gap = abs(report.closed_form_cost - report.oracle_cost)
@@ -208,9 +206,8 @@ def test_mc_validation_accepts_solved_controller():
 
 def test_probe_finds_minimum_at_unit_scale_deterministically():
     spec = example_config(1, 2).problem
-    schedule, gains = solve(spec)
-    report = local_optimality_probe(spec, schedule, gains, PROBE_GRID, n_paths=1,
-                                    master_seed=0)
+    _, gains = solve(spec)
+    report = local_optimality_probe(spec, gains, PROBE_GRID, n_paths=1, master_seed=0)
     assert report.min_at_unit
     assert set(report.curves) == {"mean"}
     curve = dict((scale, cost) for scale, cost, _ in report.curves["mean"])
@@ -219,9 +216,8 @@ def test_probe_finds_minimum_at_unit_scale_deterministically():
 
 def test_probe_covers_both_channels_for_stochastic_classes():
     spec = example_config(3, 1).problem
-    schedule, gains = solve(spec)
-    report = local_optimality_probe(spec, schedule, gains, PROBE_GRID, n_paths=4000,
-                                    master_seed=7)
+    _, gains = solve(spec)
+    report = local_optimality_probe(spec, gains, PROBE_GRID, n_paths=4000, master_seed=7)
     assert set(report.curves) == {"mean", "dev"}
     assert report.min_at_unit
 
@@ -236,7 +232,7 @@ def test_shared_draw_reports_equal_fresh_draw_loop(example_id, p, seed):
 
     def fresh_cost(policy_gains):
         ensemble = simulate_ensemble(spec, FeedbackPolicy(policy_gains), n_paths, seed)
-        return realized_cost(spec, ensemble, schedule)
+        return realized_cost(spec, ensemble)
 
     curves = {}
     for channel in ("mean", "dev"):
@@ -249,19 +245,19 @@ def test_shared_draw_reports_equal_fresh_draw_loop(example_id, p, seed):
     unscoped = mc_validate(spec, schedule, gains, n_paths, seed)
     with _common_draws():
         first = mc_validate(spec, schedule, gains, n_paths, seed)
-        probe = local_optimality_probe(spec, schedule, gains, PROBE_GRID, n_paths, seed)
+        probe = local_optimality_probe(spec, gains, PROBE_GRID, n_paths, seed)
         again = mc_validate(spec, schedule, gains, n_paths, seed)
     assert _DRAWS.get() is None
 
     assert probe.curves == curves
     assert first == again == unscoped
     assert (unscoped.closed_form_cost, unscoped.oracle_cost, unscoped.stderr) == (
-        unit.predicted, unit.realized_mean, unit.realized_stderr)
+        predicted_cost(schedule, spec.initial), unit.realized_mean, unit.realized_stderr)
 
 
 def test_probe_drops_its_draw_when_it_raises(monkeypatch):
     spec = example_config(4, 3).problem
-    schedule, gains = solve(spec)
+    _, gains = solve(spec)
     held = []
 
     def failing_cost(*args):
@@ -270,16 +266,16 @@ def test_probe_drops_its_draw_when_it_raises(monkeypatch):
 
     monkeypatch.setattr(oracle, "realized_cost", failing_cost)
     with pytest.raises(RuntimeError):
-        local_optimality_probe(spec, schedule, gains, PROBE_GRID, n_paths=50, master_seed=1)
+        local_optimality_probe(spec, gains, PROBE_GRID, n_paths=50, master_seed=1)
     assert held == [1]
     assert _DRAWS.get() is None
 
 
 def test_probe_requires_unit_scale_in_grid():
     spec = example_config(1, 1).problem
-    schedule, gains = solve(spec)
+    _, gains = solve(spec)
     with pytest.raises(ValueError):
-        local_optimality_probe(spec, schedule, gains, (0.5, 2.0), n_paths=1, master_seed=0)
+        local_optimality_probe(spec, gains, (0.5, 2.0), n_paths=1, master_seed=0)
 
 
 def test_convexity_check_passes_and_counts():

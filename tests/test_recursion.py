@@ -475,3 +475,42 @@ def test_schedule_rejects_inconsistent_lengths():
 def test_gain_schedule_rejects_nonfinite_entries():
     with pytest.raises(ValueError):
         GainSchedule(k_mean=(float("nan"),))
+
+
+# --------------------------------------------------------------------------
+# The paper's headline claim on the presets, with its scope
+# --------------------------------------------------------------------------
+
+def _preset_gains(example_id):
+    return {p: solve(example_config(example_id, p).problem)[1] for p in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("example_id", [1, 2, 3, 4])
+def test_preset_mean_gains_shrink_with_p(example_id):
+    gains = _preset_gains(example_id)
+    n = len(gains[1].k_mean)
+    # ex4's last step ties across p (next test), so there it holds at 0..N-2.
+    for k in range(n - 1 if example_id == 4 else n):
+        first, second, third = (abs(gains[p].k_mean[k]) for p in (1, 2, 3))
+        assert first > second > third, k
+
+
+def test_ex4_last_mean_gain_ties_across_p():
+    # alpha_bar[N] b_bar / r_bar = 1, so c = 1 and the gain is 0.5 for every p.
+    gains = _preset_gains(4)
+    assert [gains[p].k_mean[9] for p in (1, 2, 3)] == [0.5, 0.5, 0.5]
+
+
+def test_ex4_deviation_gains_grow_with_o():
+    gains = _preset_gains(4)
+    for k in range(10):
+        first, second, third = (abs(gains[p].k_dev[k]) for p in (1, 2, 3))
+        assert first < second < third, k
+    assert [round(gains[p].k_dev[0], 4) for p in (1, 2, 3)] == [0.2361, 0.3678, 0.4287]
+
+
+@pytest.mark.parametrize("example_id", [2, 3])
+def test_unit_moment_power_deviation_gains_ignore_p(example_id):
+    # o = 1 on these presets, so p never reaches the deviation channel.
+    gains = _preset_gains(example_id)
+    assert gains[1].k_dev == gains[2].k_dev == gains[3].k_dev

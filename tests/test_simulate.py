@@ -75,7 +75,7 @@ def test_deterministic_paths_equal_mean_path():
     ensemble = simulate_ensemble(spec, policy, n_paths=3, master_seed=5)
     for row in ensemble.states:
         np.testing.assert_allclose(row, ensemble.mean_path, rtol=0, atol=0)
-    report = realized_cost(spec, ensemble, schedule)
+    report = realized_cost(spec, ensemble)
     expected = schedule.alpha_bar[0] * spec.initial.mean ** (2 * spec.cost.p)
     assert math.isclose(report.realized_mean, expected, rel_tol=1e-10)
     assert report.realized_stderr == 0.0
@@ -285,9 +285,9 @@ def test_mult_state_point_mass_initial_has_no_spread():
 
 def test_realized_cost_breakdown_sums_exactly():
     spec = example_config(2, 2).problem
-    schedule, policy = _solved_policy(spec)
+    _, policy = _solved_policy(spec)
     ensemble = simulate_ensemble(spec, policy, n_paths=300, master_seed=17)
-    report = realized_cost(spec, ensemble, schedule)
+    report = realized_cost(spec, ensemble)
     assert sum(report.breakdown.values()) == report.realized_mean
     assert set(report.breakdown) == {
         "state_power", "control_power", "state_moment", "control_moment",
@@ -299,9 +299,9 @@ def test_realized_cost_breakdown_sums_exactly():
 def test_realized_cost_without_bootstrap_has_no_stderr():
     # A single path has no spread to estimate, and no resamples are drawn.
     spec = example_config(2, 1).problem
-    schedule, policy = _solved_policy(spec)
+    _, policy = _solved_policy(spec)
     ensemble = simulate_ensemble(spec, policy, n_paths=1, master_seed=17)
-    report = realized_cost(spec, ensemble, schedule)
+    report = realized_cost(spec, ensemble)
     assert report.realized_stderr == 0.0
     assert report.n_bootstrap == 0
 
@@ -319,9 +319,9 @@ def _per_path_moment_costs(spec, ensemble):
 
 def test_realized_stderr_is_plug_in_standard_error():
     spec = example_config(3, 2).problem
-    schedule, policy = _solved_policy(spec)
+    _, policy = _solved_policy(spec)
     ensemble = simulate_ensemble(spec, policy, n_paths=300, master_seed=17)
-    report = realized_cost(spec, ensemble, schedule)
+    report = realized_cost(spec, ensemble)
     per_path = _per_path_moment_costs(spec, ensemble)
     assert math.isclose(report.realized_stderr, per_path.std() / math.sqrt(300),
                         rel_tol=1e-12)
@@ -330,10 +330,10 @@ def test_realized_stderr_is_plug_in_standard_error():
 @pytest.mark.parametrize("example_id,p", [(2, 1), (3, 1), (4, 1), (4, 2), (4, 3)])
 def test_realized_stderr_agrees_with_path_bootstrap(example_id, p):
     spec = example_config(example_id, p).problem
-    schedule, policy = _solved_policy(spec)
+    _, policy = _solved_policy(spec)
     n_paths = 20_000
     ensemble = simulate_ensemble(spec, policy, n_paths, master_seed=42)
-    report = realized_cost(spec, ensemble, schedule)
+    report = realized_cost(spec, ensemble)
     per_path = _per_path_moment_costs(spec, ensemble)
     rng = np.random.default_rng(0)
     resampled = [per_path[rng.integers(0, n_paths, n_paths)].mean() for _ in range(200)]
@@ -346,9 +346,10 @@ def test_additive_cost_matches_prediction_within_noise():
     spec = config.problem
     schedule, policy = _solved_policy(spec)
     ensemble = simulate_ensemble(spec, policy, n_paths=20_000, master_seed=42)
-    report = realized_cost(spec, ensemble, schedule)
+    report = realized_cost(spec, ensemble)
     assert report.realized_stderr > 0.0
-    assert abs(report.realized_mean - report.predicted) <= 3.0 * report.realized_stderr
+    predicted = predicted_cost(schedule, spec.initial)
+    assert abs(report.realized_mean - predicted) <= 3.0 * report.realized_stderr
 
 
 def test_predicted_cost_desk_values():
