@@ -162,7 +162,7 @@ def read_schedule_csv(path, problem_class: ProblemClass, p: int, o: int):
 # --------------------------------------------------------------------------
 
 def _check_flags(args) -> None:
-    """Reject out-of-range counts and seeds before any command runs.
+    """Reject out-of-range counts, seeds and tolerances before any command runs.
 
     For commands that take --seed, a set HOCS_SEED replaces the flag here.
     """
@@ -178,6 +178,9 @@ def _check_flags(args) -> None:
         value = getattr(args, flag, None)
         if value is not None and value < minimum:
             raise ConfigError(f"--{flag.replace('_', '-')} must be >= {minimum}, got {value}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not tol > 0:
+        raise ConfigError(f"--tol must be > 0, got {tol!r}")
 
 
 def _effective_seed(args, run: RunSettings) -> int:

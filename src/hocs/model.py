@@ -453,8 +453,9 @@ class MeanDynamics:
     """Mean-channel coefficients: xbar[k+1] = a_bar[k] xbar[k] + b_bar[k] ubar[k].
 
     A zero b_bar[k] makes step k uncontrollable in the mean and is rejected
-    unless ``allow_uncontrollable`` is set, in which case the solver forces
-    the mean gain to zero at that step.
+    unless ``allow_uncontrollable`` is set. The solver then needs no special
+    case: the completion constant is signed_root(0) = 0, so the mean gain at
+    that step is 0 (-0.0 when a_bar[k] < 0).
     """
 
     a_bar: tuple[float, ...]

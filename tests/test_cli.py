@@ -545,6 +545,15 @@ def test_negative_sample_paths_is_a_config_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_verify_tolerance_must_be_positive(tmp_path, capsys, tol):
+    path = _write_example_config(tmp_path, 1, 1)
+    assert main(["verify", "--config", str(path), "--tol", tol]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: --tol must be > 0")
+
+
 def test_read_schedule_csv_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")

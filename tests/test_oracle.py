@@ -91,8 +91,8 @@ def test_oracle_agrees_on_random_problems():
 
 def test_oracle_resolves_flat_controls_on_stiff_spec():
     # A criterion-2-family spec (the benchmark's oracle_det workload, seed 204,
-    # op 96, slot 1) whose late controls are too flat for the float loop:
-    # only the exact-gradient Newton finish brings them within the gate.
+    # op 96, slot 1) whose late controls were too flat for Newton over the
+    # controls on the float gradient.
     spec = build_problem(
         "deterministic", 9,
         a_bar=[0.5634618390061549, -0.8350976410486041, 2.936635580986845,
@@ -132,6 +132,27 @@ def test_oracle_finishes_p1_crawl_spec_in_a_few_newton_steps():
     assert not report.discrepant
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("zeros", [[0], [2, 3], list(range(6))], ids=["first", "interior", "all"])
+def test_oracle_agrees_on_uncontrollable_steps(p, zeros):
+    # A step with b_bar = 0 moves no state: the oracle pins its control at 0
+    # and the closed form's gain there is 0 as well.
+    b_bar = [0.0 if k in zeros else b for k, b in enumerate([1.3, -0.7, 2.1, 0.9, -1.6, 0.4])]
+    spec = build_problem(
+        "deterministic", 6,
+        a_bar=[1.2, -0.8, 1.5, 0.6, -1.1, 0.9], b_bar=b_bar,
+        q_bar=[1.0, 0.5, 2.0, 1.5, 0.8, 1.2], q_bar_terminal=2.5,
+        r_bar=[0.7, 1.4, 0.9, 2.2, 1.1, 0.6],
+        p=p,
+        initial=InitialLaw(mean=1.7),
+        allow_uncontrollable=True,
+    )
+    report = brute_force_deterministic(spec)
+    assert report.relative_gap < 1e-6
+    assert report.control_max_abs_diff < 1e-5
+    assert not report.discrepant
+
+
 def _wide_deterministic_spec(rng):
     # Criterion 2's generator with longer horizons, p up to 4 and
     # coefficients down to 1e-3 in magnitude; same draw order.
@@ -155,8 +176,9 @@ def _wide_deterministic_spec(rng):
 
 def test_oracle_is_never_silently_wrong_on_wide_specs():
     # Outside criterion 2's family an answer may be out of reach, but then
-    # the oracle must raise: specs 6, 8, 12, 13 and 16 of this draw (16 with
-    # a control gap of 7.1) once came back outside the gates.
+    # the oracle must raise: specs 6, 8, 13 and 19 of this draw (all p >= 3)
+    # raise, and specs 6, 8, 12, 13 and 16 (16 with a control gap of 7.1)
+    # once came back outside the gates.
     rng = np.random.default_rng(12)
     for index in range(20):
         spec = _wide_deterministic_spec(rng)
@@ -169,9 +191,25 @@ def test_oracle_is_never_silently_wrong_on_wide_specs():
         assert not report.discrepant, index
 
 
+@pytest.mark.parametrize("index,n_steps", [(12, 16), (16, 20)])
+def test_oracle_settles_on_wide_quadratic_specs(index, n_steps):
+    # Two p = 1 specs of the wide seed-12 draw. Newton over the controls ran
+    # out of its budget on both, although the closed form is right.
+    rng = np.random.default_rng(12)
+    for _ in range(index):
+        _wide_deterministic_spec(rng)
+    spec = _wide_deterministic_spec(rng)
+    assert (spec.cost.p, spec.n_steps) == (1, n_steps)
+    report = brute_force_deterministic(spec)
+    assert report.relative_gap < 1e-6
+    assert report.control_max_abs_diff < 1e-5
+    assert not report.discrepant
+
+
 def test_oracle_overflow_is_not_converged():
     # b_bar = 1e-100 leaves the control almost no leverage: the first Newton
-    # update from zero lands near -3e99, and its fourth power overflows.
+    # update from zero moves it to near -3e99, and the Hessian's control
+    # term, of order u**2 / b_bar**2, overflows.
     spec = build_problem(
         "deterministic", 1,
         a_bar=1.0, b_bar=1e-100, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=2,
