@@ -206,12 +206,11 @@ def _simulation_bundle(
     out_dir: Path,
     n_paths: int,
     seed: int,
-    mean_mode: str,
     sample_cap: int,
 ) -> None:
     """Price, then write mean_path/paths/moments/kpi/cost CSVs for one solved problem."""
     price = predicted_cost(schedule, spec.initial)
-    ensemble = simulate_ensemble(spec, FeedbackPolicy(gains), n_paths, seed, mean_mode=mean_mode)
+    ensemble = simulate_ensemble(spec, FeedbackPolicy(gains), n_paths, seed)
     report = realized_cost(spec, ensemble)
     n = ensemble.n_steps
 
@@ -292,7 +291,6 @@ def cmd_simulate(args) -> int:
         spec, schedule, gains, out_dir,
         n_paths=_effective_paths(args, run),
         seed=_effective_seed(args, run),
-        mean_mode=run.mean_mode,
         sample_cap=args.sample_paths,
     )
     print(f"wrote {out_dir}")
@@ -319,9 +317,6 @@ def cmd_verify(args) -> int:
         return 0 if ok else 2
 
     schedule, gains = solve(spec, literal_recursion=run.literal_recursion)
-    if run.mean_mode != "exact":
-        print(f"note: verify ignores run.mean_mode {run.mean_mode!r} and simulates "
-              "in exact mean mode", file=sys.stderr)
     n_paths = _effective_paths(args, run)
     seed = _effective_seed(args, run)
     with _common_draws():
@@ -353,7 +348,6 @@ def cmd_example(args) -> int:
             spec, schedule, gains, out_dir,
             n_paths=_effective_paths(args, run),
             seed=_effective_seed(args, run),
-            mean_mode=run.mean_mode,
             sample_cap=args.sample_paths,
         )
         print(f"wrote {out_dir}")

@@ -19,8 +19,7 @@ A run is described by one JSON document with two top-level maps::
         "initial": {"mean": 20.25, "law": {"kind": "dirac"}}
       },
       "run": {"n_paths": 100000, "master_seed": 42, "oracle_tol": 1e-06,
-              "out_dir": ".", "literal_recursion": false,
-              "mean_mode": "exact"}
+              "out_dir": ".", "literal_recursion": false}
     }
 
 Per-step values (dynamics coefficients and running weights) accept either a
@@ -86,7 +85,6 @@ class RunSettings:
     oracle_tol: float = 1e-6
     out_dir: str = "."
     literal_recursion: bool = False
-    mean_mode: str = "exact"
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_paths, int) or isinstance(self.n_paths, bool) or self.n_paths < 1:
@@ -99,8 +97,6 @@ class RunSettings:
             raise ConfigError(f"run.oracle_tol must be > 0, got {self.oracle_tol!r}")
         if not isinstance(self.out_dir, str):
             raise ConfigError("run.out_dir must be a string")
-        if self.mean_mode not in ("exact", "empirical"):
-            raise ConfigError(f"run.mean_mode must be 'exact' or 'empirical', got {self.mean_mode!r}")
         if not isinstance(self.literal_recursion, bool):
             raise ConfigError("run.literal_recursion must be a boolean")
 
@@ -307,7 +303,7 @@ def parse_config(text: str) -> RunConfig:
     problem = _parse_problem(document["problem"])
     node = _require_map(document.get("run", {}), "run")
     _check_keys(node, {"n_paths", "master_seed", "oracle_tol", "out_dir",
-                       "literal_recursion", "mean_mode"}, "run")
+                       "literal_recursion"}, "run")
     return RunConfig(problem=problem, run=RunSettings(**node))
 
 
@@ -385,7 +381,6 @@ def config_to_dict(config: RunConfig) -> dict:
             "oracle_tol": run.oracle_tol,
             "out_dir": run.out_dir,
             "literal_recursion": run.literal_recursion,
-            "mean_mode": run.mean_mode,
         },
     }
 

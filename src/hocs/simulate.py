@@ -4,11 +4,8 @@ The mean channel is deterministic for every problem class,
 
     xbar[k+1] = a_bar[k] xbar[k] + b_bar[k] ubar[k],
 
-so by default ("exact" mean mode) it is propagated once by applying the
-policy at the mean and every path measures its deviation against that path.
-The alternative "empirical" mean mode replaces xbar/ubar by ensemble averages
-recomputed at each step; it exists to quantify finite-ensemble bias and is
-never the default.
+so it is propagated once by applying the policy at the mean and every path
+measures its deviation against that path.
 
 Randomness is laid out for reproducibility: a master seed feeds a seed
 sequence whose first child drives the initial draws and whose second child
@@ -63,14 +60,13 @@ class TrajectoryEnsemble:
     ``states`` is n_paths x (N+1), ``controls`` n_paths x N, both stored
     time-major (transposed views of step x path arrays) so that the column
     ``[:, k]`` of one step is contiguous. ``mean_path`` and ``mean_controls``
-    hold xbar/ubar per the ensemble's mean mode. All arrays are read-only.
+    hold the exactly propagated xbar/ubar. All arrays are read-only.
     """
 
     states: np.ndarray
     controls: np.ndarray
     mean_path: np.ndarray
     mean_controls: np.ndarray
-    mean_mode: str
 
     @property
     def n_paths(self) -> int:
@@ -179,12 +175,7 @@ def _draw(spec: ProblemSpec, n_paths: int, master_seed: int):
 
 
 def simulate_ensemble(
-    spec: ProblemSpec,
-    policy: Policy,
-    n_paths: int,
-    master_seed: int,
-    *,
-    mean_mode: str = "exact",
+    spec: ProblemSpec, policy: Policy, n_paths: int, master_seed: int
 ) -> TrajectoryEnsemble:
     """Roll out the closed-loop system along seeded Monte-Carlo paths.
 
@@ -193,8 +184,6 @@ def simulate_ensemble(
         policy: Any Policy (solved feedback or a reference controller).
         n_paths: Number of paths (>= 1).
         master_seed: Seed for the run; reruns are bit-identical.
-        mean_mode: "exact" (default) propagates xbar deterministically;
-            "empirical" recomputes xbar/ubar as ensemble averages per step.
 
     Returns:
         A read-only TrajectoryEnsemble, stored time-major (see its class).
@@ -205,8 +194,6 @@ def simulate_ensemble(
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if mean_mode not in ("exact", "empirical"):
-        raise ValueError(f"mean_mode must be 'exact' or 'empirical', got {mean_mode!r}")
     n = spec.n_steps
     if policy.n_steps is not None and policy.n_steps != n:
         raise InvalidPolicy(f"policy solved for horizon {policy.n_steps}, problem has {n}")
@@ -219,24 +206,13 @@ def simulate_ensemble(
     states[:, 0] = x0
 
     klass = spec.problem_class
-
-    exact = mean_mode == "exact"
-    if exact:
-        mean_path, mean_controls = _mean_channel(spec, policy)
-    else:
-        mean_path, mean_controls = np.empty(n + 1), np.empty(n)
-
+    mean_path, mean_controls = _mean_channel(spec, policy)
     a_bar, b_bar = spec.mean_dyn.a_bar, spec.mean_dyn.b_bar
     a_dev, b_dev = spec.dev_dyn.a, spec.dev_dyn.b
 
     for k in range(n):
-        x = states[:, k]
-        if not exact:
-            mean_path[k] = x.mean()
-        u = controls[:, k] = np.asarray(policy.control(k, x, mean_path[k]))
-        if not exact:
-            mean_controls[k] = u.mean()
-        x_bar, u_bar = mean_path[k], mean_controls[k]
+        x, x_bar, u_bar = states[:, k], mean_path[k], mean_controls[k]
+        u = controls[:, k] = np.asarray(policy.control(k, x, x_bar))
 
         if klass is ProblemClass.DETERMINISTIC:
             states[:, k + 1] = a_bar[k] * x + b_bar[k] * u
@@ -251,19 +227,10 @@ def simulate_ensemble(
                 + (a_dev[k] * (x - x_bar) + b_dev[k] * (u - u_bar)) * eps[:, k]
             )
 
-    if not exact:
-        mean_path[n] = states[:, n].mean()
-
     for arr in (states, controls, mean_path, mean_controls):
         arr.setflags(write=False)
 
-    return TrajectoryEnsemble(
-        states=states,
-        controls=controls,
-        mean_path=mean_path,
-        mean_controls=mean_controls,
-        mean_mode=mean_mode,
-    )
+    return TrajectoryEnsemble(states, controls, mean_path, mean_controls)
 
 
 def central_moment(ensemble: TrajectoryEnsemble, order: int) -> np.ndarray:
@@ -279,8 +246,7 @@ def realized_cost(spec: ProblemSpec, ensemble: TrajectoryEnsemble) -> CostReport
     ensemble's mean path; the moment terms are ensemble averages of per-path
     deviation powers. The standard error covers the moment terms: the
     plug-in s/sqrt(n) of the per-path moment costs, with s the population
-    standard deviation. It holds the mean path fixed, so under the empirical
-    mean mode it leaves out the noise of the averaged mean path.
+    standard deviation.
 
     Args:
         spec: The problem the ensemble was generated from.

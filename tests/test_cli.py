@@ -30,18 +30,18 @@ from hocs.simulate import _DRAWS
 # The built-in example problems are part of the artifact's contract: any
 # change to their constants or to the canonical serialization must be loud.
 GOLDEN_CONFIG_SHA256 = {
-    (1, 1): "e3d986bdd4658c7e5ce95a954ff27d75ed5d72090856c2c8bbeae4c06148f65c",
-    (1, 2): "42ef9f28447600c907aa8063eada93709ae084cbf681ed52f04d2cfe54e0a42a",
-    (1, 3): "a6ed59873978c8dc5b6ab1ad418204b81cc4d54d0d47a720af160014d6e30f71",
-    (2, 1): "ae1e925dda9639c12c933a3df009fdfae9c050801d049c12a0bff41c5f7a064f",
-    (2, 2): "288b360135f0778c12187e50edbfd23330be5ad31d3731396b25a3fc975065ad",
-    (2, 3): "40ccaf3f7193047125de510ee467f7fa594b3af7c95382963bb2f2afc473c7ca",
-    (3, 1): "852843c787e8cd71d839bdd97d5cd2e926bd93b2d6ec5f41c971037ab4b0afd2",
-    (3, 2): "14f5f72e46768d1debcde706e1447c6474d4818781ee3f7eee9429bfa175283b",
-    (3, 3): "dca47fdbb8bf4e5b95036fdf9261f5743005bb0e00c11bc32322c0ed563305b1",
-    (4, 1): "382310a1e886fbc89fb1f5742281ecc21ca1f48ae1a194fdd38456127bb12c2a",
-    (4, 2): "6b5022b8b86d33301882446c8698c5dd500cf9b8bac59a9b473fdd288671c433",
-    (4, 3): "ef7d228ce8ba8b15faba48ee300d6bc80edea2185460f8d9941b1e57731d04b7",
+    (1, 1): "6f262af48abd7eeecece5a0a5c5b90a1885797708266e300ea25f8ac88ec6886",
+    (1, 2): "3936cf1e47183231179c4ac09484509268c2da2721ca90de2ac55337397400b0",
+    (1, 3): "d7077d81f98361cae9f4980d5e9aa94016f4421939b3fe47f0c358d19e3bab2d",
+    (2, 1): "821ce4ded0ba55a8e0d089abe9faa727c2ca7b12a8fb4ffa770abf06eb66bf7e",
+    (2, 2): "01cb1ff6c35f53c395cd414724eeb08125d51b25e2c346c872c7c323ad2a3efe",
+    (2, 3): "a46b630549d1b6b3dd3f799cfef696e0e8e9868832df4ec73938ab1bb65639fa",
+    (3, 1): "f9497099fcea59b39ee4774a17f597efd3479fdc467df2efe0e7d22aa1efe7f4",
+    (3, 2): "4d0d60736b57fe4d0c576fecf742cbdd638230506f0c357aa5fff986cc64b690",
+    (3, 3): "8e05393a85aeac4bda5213886c17bd117c166da1ce27d16c4a2c7c08ea9fece1",
+    (4, 1): "6bc1814618fdf56980af12300e961533c13d98594e6c28cb77bcff7de9bee34f",
+    (4, 2): "975ab1f794e6126472b62d6a0de016f25ada8a0674af1bac3c3ea1b9d3918e4e",
+    (4, 3): "6aaf195b67f33580dfcb5b227373fd69bbf3c0bd020ee64911ba304a33667b68",
 }
 
 
@@ -94,6 +94,7 @@ def test_unknown_config_key_is_rejected(tmp_path):
     ("oracle_tol", "1e-6", "run.oracle_tol must be a number, got '1e-6'"),
     ("oracle_tol", 0, "run.oracle_tol must be > 0, got 0.0"),
     ("out_dir", 3, "run.out_dir must be a string"),
+    ("mean_mode", "exact", "unknown keys ['mean_mode'] in run"),
 ])
 def test_bad_run_setting_is_a_config_error(tmp_path, capsys, key, value, message):
     def mutate(doc):
@@ -283,23 +284,6 @@ def test_verify_stochastic_reference(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "probe minimum at 1.0 : yes" in out
     assert "verify: ok" in out
-
-
-def test_verify_notes_that_it_ignores_empirical_mean_mode(tmp_path, capsys):
-    def empirical(doc):
-        doc["run"]["mean_mode"] = "empirical"
-
-    argv = ["verify", "--config", str(tmp_path / "config.json"), "--paths", "500"]
-    _write_example_config(tmp_path, 2, 1)
-    exact_code = main(argv)
-    exact = capsys.readouterr()
-    _write_example_config(tmp_path, 2, 1, empirical)
-    assert main(argv) == exact_code
-    noted = capsys.readouterr()
-    assert exact.err == ""
-    assert "exact mean mode" in noted.err
-    assert len(noted.err.splitlines()) == 1
-    assert noted.out == exact.out
 
 
 def test_verify_zero_noise_stochastic_config(tmp_path):

@@ -177,8 +177,9 @@ def _wide_deterministic_spec(rng):
 def test_oracle_is_never_silently_wrong_on_wide_specs():
     # Outside criterion 2's family an answer may be out of reach, but then
     # the oracle must raise: specs 6, 8, 13 and 19 of this draw (all p >= 3)
-    # raise, and specs 6, 8, 12, 13 and 16 (16 with a control gap of 7.1)
-    # once came back outside the gates.
+    # raised while the Newton solve carried a 1e-12 ridge, and specs 6, 8,
+    # 12, 13 and 16 (16 with a control gap of 7.1) once came back outside
+    # the gates. None of them raises now.
     rng = np.random.default_rng(12)
     for index in range(20):
         spec = _wide_deterministic_spec(rng)
@@ -191,15 +192,22 @@ def test_oracle_is_never_silently_wrong_on_wide_specs():
         assert not report.discrepant, index
 
 
-@pytest.mark.parametrize("index,n_steps", [(12, 16), (16, 20)])
-def test_oracle_settles_on_wide_quadratic_specs(index, n_steps):
-    # Two p = 1 specs of the wide seed-12 draw. Newton over the controls ran
-    # out of its budget on both, although the closed form is right.
-    rng = np.random.default_rng(12)
+@pytest.mark.parametrize("seed,index,p,n_steps", [
+    (12, 12, 1, 16),
+    (12, 16, 1, 20),
+    (11, 4, 4, 12),
+    (12, 6, 4, 11),
+])
+def test_oracle_settles_on_wide_specs(seed, index, p, n_steps):
+    # Specs of the wide draws that once ran out of budget although the
+    # closed form is right: the two p = 1 specs under Newton over the
+    # controls, the two p = 4 specs while a 1e-12 ridge on the equilibrated
+    # Hessian shrank the step along its weakest direction.
+    rng = np.random.default_rng(seed)
     for _ in range(index):
         _wide_deterministic_spec(rng)
     spec = _wide_deterministic_spec(rng)
-    assert (spec.cost.p, spec.n_steps) == (1, n_steps)
+    assert (spec.cost.p, spec.n_steps) == (p, n_steps)
     report = brute_force_deterministic(spec)
     assert report.relative_gap < 1e-6
     assert report.control_max_abs_diff < 1e-5

@@ -41,7 +41,6 @@ def _hand_ensemble(states, controls, mean_path, mean_controls):
         controls=np.asarray(controls, dtype=float),
         mean_path=np.asarray(mean_path, dtype=float),
         mean_controls=np.asarray(mean_controls, dtype=float),
-        mean_mode="exact",
     )
 
 
@@ -92,17 +91,6 @@ def test_propagate_mean_geometric_decay():
     np.testing.assert_allclose(
         ensemble.mean_path, [8.0, 4.0, 2.0, 1.0, 0.5], rtol=0, atol=0
     )
-
-
-def test_empirical_mean_mode_matches_column_means():
-    spec = example_config(3, 1).problem
-    _, policy = _solved_policy(spec)
-    ensemble = simulate_ensemble(spec, policy, n_paths=500, master_seed=3,
-                                 mean_mode="empirical")
-    np.testing.assert_allclose(ensemble.mean_path, ensemble.states.mean(axis=0),
-                               rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(ensemble.mean_controls, ensemble.controls.mean(axis=0),
-                               rtol=1e-12, atol=1e-12)
 
 
 def test_ensemble_arrays_are_read_only():
@@ -178,8 +166,6 @@ def test_simulate_rejects_bad_arguments():
     _, policy = _solved_policy(spec)
     with pytest.raises(ValueError):
         simulate_ensemble(spec, policy, n_paths=0, master_seed=0)
-    with pytest.raises(ValueError):
-        simulate_ensemble(spec, policy, n_paths=1, master_seed=0, mean_mode="typo")
 
 
 def test_simulate_rejects_policy_with_wrong_horizon():
