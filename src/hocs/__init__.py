@@ -19,7 +19,6 @@ Typical use::
 from .model import (
     COMPATIBLE_NOISE,
     CostSpec,
-    DenominatorNotPositive,
     DeviationDynamics,
     Dirac,
     Distribution,

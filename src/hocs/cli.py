@@ -1,8 +1,8 @@
 """Command-line front end: validate, solve, simulate, verify, example, kpi.
 
 Exit codes are part of the contract: 0 success, 1 a validity check failed,
-2 a recursion or verification failure (bad denominator, non-positive or
-non-finite coefficient, missing moment, oracle disagreement), 3 an
+2 a recursion or verification failure (a weight of the wrong sign, a
+non-finite coefficient, a missing moment, oracle disagreement), 3 an
 unreadable config, an out-of-range flag or an I/O problem. The environment
 variable HOCS_SEED overrides --seed when set.
 
@@ -34,7 +34,6 @@ from .config import (
 )
 from .control import BaselineKind, BaselinePolicy, FeedbackPolicy
 from .model import (
-    DenominatorNotPositive,
     MissingMoment,
     NonFiniteCoefficient,
     NonPositiveCoefficient,
@@ -269,9 +268,7 @@ def cmd_solve(args) -> int:
     config = load_config(args.config)
     if not _validate_or_print(config.problem):
         return 1
-    schedule, gains = solve(
-        config.problem, literal_recursion=config.run.literal_recursion
-    )
+    schedule, gains = solve(config.problem)
     price = predicted_cost(schedule, config.problem.initial)
     out = Path(args.out) if args.out else Path(config.run.out_dir) / "schedule.csv"
     _write_csv(out, _SCHEDULE_HEADER, _schedule_rows(schedule, gains))
@@ -285,7 +282,7 @@ def cmd_simulate(args) -> int:
     spec, run = config.problem, config.run
     if not _validate_or_print(spec):
         return 1
-    schedule, gains = solve(spec, literal_recursion=run.literal_recursion)
+    schedule, gains = solve(spec)
     out_dir = Path(args.out) if args.out else Path(run.out_dir)
     _simulation_bundle(
         spec, schedule, gains, out_dir,
@@ -303,8 +300,6 @@ def cmd_verify(args) -> int:
     if not _validate_or_print(spec):
         return 1
     if spec.problem_class is ProblemClass.DETERMINISTIC:
-        # The oracle solves for its own closed form; with no deviation
-        # channel, run.literal_recursion cannot change it.
         report = brute_force_deterministic(spec)
         print(f"closed-form cost     : {report.closed_form_cost:.12g}")
         print(f"oracle cost          : {report.oracle_cost:.12g} "
@@ -316,7 +311,7 @@ def cmd_verify(args) -> int:
         print(f"verify: {'ok' if ok else 'FAILED'}")
         return 0 if ok else 2
 
-    schedule, gains = solve(spec, literal_recursion=run.literal_recursion)
+    schedule, gains = solve(spec)
     n_paths = _effective_paths(args, run)
     seed = _effective_seed(args, run)
     with _common_draws():
@@ -506,7 +501,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (DenominatorNotPositive, NonPositiveCoefficient, NonFiniteCoefficient) as exc:
+    except (NonPositiveCoefficient, NonFiniteCoefficient) as exc:
         print(f"recursion failure: {exc}", file=sys.stderr)
         return 2
     except (MissingMoment, NotConverged) as exc:

@@ -19,7 +19,7 @@ A run is described by one JSON document with two top-level maps::
         "initial": {"mean": 20.25, "law": {"kind": "dirac"}}
       },
       "run": {"n_paths": 100000, "master_seed": 42, "oracle_tol": 1e-06,
-              "out_dir": ".", "literal_recursion": false}
+              "out_dir": "."}
     }
 
 Per-step values (dynamics coefficients and running weights) accept either a
@@ -84,7 +84,6 @@ class RunSettings:
     master_seed: int = 42
     oracle_tol: float = 1e-6
     out_dir: str = "."
-    literal_recursion: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_paths, int) or isinstance(self.n_paths, bool) or self.n_paths < 1:
@@ -97,8 +96,6 @@ class RunSettings:
             raise ConfigError(f"run.oracle_tol must be > 0, got {self.oracle_tol!r}")
         if not isinstance(self.out_dir, str):
             raise ConfigError("run.out_dir must be a string")
-        if not isinstance(self.literal_recursion, bool):
-            raise ConfigError("run.literal_recursion must be a boolean")
 
 
 @dataclass(frozen=True)
@@ -279,8 +276,6 @@ def _parse_problem(node: Any) -> ProblemSpec:
             initial=initial_law,
             allow_uncontrollable=allow_uncontrollable,
         )
-    except HocsError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from None
 
@@ -302,8 +297,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("config is missing required key 'problem'")
     problem = _parse_problem(document["problem"])
     node = _require_map(document.get("run", {}), "run")
-    _check_keys(node, {"n_paths", "master_seed", "oracle_tol", "out_dir",
-                       "literal_recursion"}, "run")
+    _check_keys(node, {"n_paths", "master_seed", "oracle_tol", "out_dir"}, "run")
     return RunConfig(problem=problem, run=RunSettings(**node))
 
 
@@ -380,7 +374,6 @@ def config_to_dict(config: RunConfig) -> dict:
             "master_seed": run.master_seed,
             "oracle_tol": run.oracle_tol,
             "out_dir": run.out_dir,
-            "literal_recursion": run.literal_recursion,
         },
     }
 

@@ -43,12 +43,8 @@ class LengthMismatch(HocsError, ValueError):
     """A sequence does not have the length the horizon requires."""
 
 
-class DenominatorNotPositive(HocsError, ArithmeticError):
-    """A gain denominator (1 + c b or r + alpha b^2) is not positive."""
-
-
 class NonPositiveCoefficient(HocsError, ArithmeticError):
-    """A mean-channel coefficient alpha_bar[k] came out non-positive."""
+    """A cost weight has a sign the backward recursion cannot take."""
 
 
 class NonFiniteCoefficient(HocsError, ValueError):
@@ -632,7 +628,6 @@ def build_problem(
 
 PASS = "pass"
 FAIL = "fail"
-DEFERRED = "deferred-to-recursion"
 
 
 @dataclass(frozen=True)
@@ -680,9 +675,8 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     """Run every static validity check on a spec and report pass/fail.
 
     Nothing is raised here; the report lists each condition so a caller can
-    print all failures at once. The two denominator conditions depend on the
-    solved coefficients and are marked deferred: the backward solvers raise
-    DenominatorNotPositive if they end up violated.
+    print all failures at once. The weight checks imply the sign rule that
+    solve() enforces, under which every gain denominator 1 + c b is >= 1.
 
     Args:
         spec: A fully populated problem description.
@@ -752,9 +746,5 @@ def validate(spec: ProblemSpec) -> ValidationReport:
                 f"noise moment of order {order} available", PASS if ok else FAIL,
                 f"value {moment!r}",
             ))
-
-    checks.append(ValidationCheck("mean-gain denominator 1 + c b_bar > 0", DEFERRED))
-    if has_deviation_channel:
-        checks.append(ValidationCheck("deviation-gain denominator positive", DEFERRED))
 
     return ValidationReport(checks=tuple(checks))

@@ -128,7 +128,7 @@ def _free_state_maps(
     return T, t, C, c
 
 
-def brute_force_deterministic(spec: ProblemSpec, max_iter: int = 200) -> OracleReport:
+def brute_force_deterministic(spec: ProblemSpec, max_iter: int = 300) -> OracleReport:
     """Minimize the deterministic cost over the free states.
 
     Each controllable step frees its next state and fixes its control by the

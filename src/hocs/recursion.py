@@ -19,11 +19,12 @@ data and m = l = 1, d = 0, for every class. The deviation channel
 - higher moment: s = o on the deviation dynamics (a, b) with
   m = l = E[eps^(2o)].
 
-Denominator positivity (1 + c b > 0) and the sign and finiteness of the
-solved coefficients depend on the pass itself, so they are checked here
-rather than in validate(): violations raise DenominatorNotPositive,
-NonPositiveCoefficient (mean channel only) or NonFiniteCoefficient, each
-naming the step.
+solve() checks the weight signs once, before either pass: in every channel
+it solves, each control weight r > 0 and each state weight q >= 0, and the
+mean channel's terminal weight is > 0. The noise moments are >= 0 by
+construction. Then alpha[k+1] >= 0 gives c[k] b[k] >= 0 in floats, so
+1 + c b >= 1 and alpha[k] >= 0, and the pass itself only checks finiteness:
+an overflow raises NonFiniteCoefficient naming the step.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 from .model import (
-    DenominatorNotPositive,
     NonFiniteCoefficient,
     NonPositiveCoefficient,
     ProblemClass,
@@ -117,7 +117,7 @@ class GainSchedule:
 def _power_channel(
     a, b, q, q_terminal: float, r, power: int, *,
     m: float = 1.0, loop_scale: float = 1.0, offset: float = 0.0,
-    name: str = "alpha", positive: bool = False,
+    name: str = "alpha",
 ) -> tuple[list[float], list[float]]:
     """One convex-completion backward pass (see the module docstring).
 
@@ -129,7 +129,6 @@ def _power_channel(
         loop_scale: Factor on the propagated closed-loop term.
         offset: Per-step additive term, scaled by alpha[k+1].
         name: Coefficient name used in error messages.
-        positive: Require every coefficient to be > 0 (the mean channel).
 
     Returns:
         The coefficients alpha[0..N] and the gains gain[0..N-1].
@@ -140,15 +139,10 @@ def _power_channel(
     alpha = [0.0] * (n + 1)
     gains = [0.0] * n
     alpha[n] = q_terminal
-    if positive and q_terminal <= 0.0:
-        raise NonPositiveCoefficient(f"{name}[{n}] = {q_terminal} (terminal weight)")
 
     for k in reversed(range(n)):
         c = signed_root(alpha[k + 1] * b[k] * m / r[k], root_order)
-        denom = 1.0 + c * b[k]
-        if denom <= 0.0:
-            raise DenominatorNotPositive(f"1 + c b = {denom} in {name} at step {k}")
-        gain = c * a[k] / denom
+        gain = c * a[k] / (1.0 + c * b[k])
         closed_loop = a[k] - b[k] * gain
         try:
             value = (
@@ -161,12 +155,26 @@ def _power_channel(
             value = math.inf
         if not (math.isfinite(gain) and math.isfinite(value)):
             raise NonFiniteCoefficient(f"{name}[{k}] = {value}, gain {gain} at step {k}")
-        if positive and value <= 0.0:
-            raise NonPositiveCoefficient(f"{name}[{k}] = {value}")
         alpha[k] = value
         gains[k] = gain
 
     return alpha, gains
+
+
+def _check_signs(spec: ProblemSpec) -> None:
+    """Raise NonPositiveCoefficient naming the first weight of the wrong sign."""
+    cost = spec.cost
+    weights = [("q_bar", cost.q_bar, False), ("q_bar_terminal", (cost.q_bar_terminal,), True),
+               ("r_bar", cost.r_bar, True)]
+    if spec.problem_class is not ProblemClass.DETERMINISTIC:
+        weights += [("q", cost.q, False), ("q_terminal", (cost.q_terminal,), False),
+                    ("r", cost.r, True)]
+    for name, values, strict in weights:
+        for k, value in enumerate(values):
+            if value < 0.0 or (strict and value == 0.0):
+                where = "" if name.endswith("terminal") else f"[{k}]"
+                raise NonPositiveCoefficient(
+                    f"{name}{where} = {value}; solve needs {'> 0' if strict else '>= 0'}")
 
 
 def solve(
@@ -187,16 +195,17 @@ def solve(
         The coefficient schedule and the feedback gains.
 
     Raises:
+        NonPositiveCoefficient: If a weight has the wrong sign (see the
+            module docstring); checked before either pass.
         MissingMoment: If a required noise moment is unavailable.
-        DenominatorNotPositive: If a gain denominator is not positive.
-        NonPositiveCoefficient: If some alpha_bar[k] <= 0.
         NonFiniteCoefficient: If a coefficient or gain overflows.
     """
+    _check_signs(spec)
     cost, klass = spec.cost, spec.problem_class
     a_bar, b_bar = spec.mean_dyn.a_bar, spec.mean_dyn.b_bar
     alpha_bar, k_mean = _power_channel(
         a_bar, b_bar, cost.q_bar, cost.q_bar_terminal, cost.r_bar, cost.p,
-        name="alpha_bar", positive=True,
+        name="alpha_bar",
     )
     alpha = k_dev = gamma_bar = None
     if klass is ProblemClass.HIGHER_MOMENT:

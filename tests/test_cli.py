@@ -30,18 +30,18 @@ from hocs.simulate import _DRAWS
 # The built-in example problems are part of the artifact's contract: any
 # change to their constants or to the canonical serialization must be loud.
 GOLDEN_CONFIG_SHA256 = {
-    (1, 1): "6f262af48abd7eeecece5a0a5c5b90a1885797708266e300ea25f8ac88ec6886",
-    (1, 2): "3936cf1e47183231179c4ac09484509268c2da2721ca90de2ac55337397400b0",
-    (1, 3): "d7077d81f98361cae9f4980d5e9aa94016f4421939b3fe47f0c358d19e3bab2d",
-    (2, 1): "821ce4ded0ba55a8e0d089abe9faa727c2ca7b12a8fb4ffa770abf06eb66bf7e",
-    (2, 2): "01cb1ff6c35f53c395cd414724eeb08125d51b25e2c346c872c7c323ad2a3efe",
-    (2, 3): "a46b630549d1b6b3dd3f799cfef696e0e8e9868832df4ec73938ab1bb65639fa",
-    (3, 1): "f9497099fcea59b39ee4774a17f597efd3479fdc467df2efe0e7d22aa1efe7f4",
-    (3, 2): "4d0d60736b57fe4d0c576fecf742cbdd638230506f0c357aa5fff986cc64b690",
-    (3, 3): "8e05393a85aeac4bda5213886c17bd117c166da1ce27d16c4a2c7c08ea9fece1",
-    (4, 1): "6bc1814618fdf56980af12300e961533c13d98594e6c28cb77bcff7de9bee34f",
-    (4, 2): "975ab1f794e6126472b62d6a0de016f25ada8a0674af1bac3c3ea1b9d3918e4e",
-    (4, 3): "6aaf195b67f33580dfcb5b227373fd69bbf3c0bd020ee64911ba304a33667b68",
+    (1, 1): "986d2d6eac0baf4bf3e91ce353fdc69218afdf62142005708587d813bb57530e",
+    (1, 2): "3b3c5d6ae2804db36e2678a222b89740d3c45d1825bf7820f781d49f18d2e384",
+    (1, 3): "f133461d9ff86ec8371f3051e7008b369aea3c5c74bd2cade2fa35b7dc54687f",
+    (2, 1): "c6a555662edd4d3943fa7bd522fff7ef2639a1fa7007736d8ffeffc32eedfbba",
+    (2, 2): "96c5e4f91db663cc21b1037b8563567bcc870fa05db6b20add130c7eedba3ee7",
+    (2, 3): "01f4d5fd1aaa5519aa0851edc891e41e38b256064cd5daa67f745de182cf15d1",
+    (3, 1): "d7a5623dede616784b8101593496a55c6530b3d0d343fdbb6a03fa54115ea483",
+    (3, 2): "c8d13c50daa0affc1d6d8389dde3173bd1c9334ad7672b3988053a4c3b3b1340",
+    (3, 3): "05e8c903cbf5223010f91c41055d72fb3abe9bf24775c696e28f1d2b3677fa69",
+    (4, 1): "6ee56a26d16b45ea44fe3dcc477ea079a423ddc7306e1b019b9e50fd61b95fb2",
+    (4, 2): "ce6b946f57e47bcd7e83119188745d3ff6e27e324ffc8b33adc147e60a90905d",
+    (4, 3): "1d6c862630de710253b6985259f0e9eb6e815c770566196773d767eeed32f7ac",
 }
 
 
@@ -81,6 +81,18 @@ def test_truncated_config_is_a_config_error(tmp_path):
     assert main(["validate", "--config", str(path)]) == 3
 
 
+@pytest.mark.parametrize("command", ["validate", "solve", "simulate", "verify"])
+def test_wrong_length_list_is_a_config_error(tmp_path, capsys, command):
+    def mutate(doc):
+        doc["problem"]["mean_dynamics"]["a_bar"] = [2.0] * 9  # n_steps is 10
+
+    path = _write_example_config(tmp_path, 2, 1, mutate)
+    assert main([command, "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_config_key_is_rejected(tmp_path):
     def mutate(doc):
         doc["problem"]["surprise"] = 1
@@ -95,6 +107,7 @@ def test_unknown_config_key_is_rejected(tmp_path):
     ("oracle_tol", 0, "run.oracle_tol must be > 0, got 0.0"),
     ("out_dir", 3, "run.out_dir must be a string"),
     ("mean_mode", "exact", "unknown keys ['mean_mode'] in run"),
+    ("literal_recursion", False, "unknown keys ['literal_recursion'] in run"),
 ])
 def test_bad_run_setting_is_a_config_error(tmp_path, capsys, key, value, message):
     def mutate(doc):
@@ -294,19 +307,16 @@ def test_verify_zero_noise_stochastic_config(tmp_path):
     assert main(["verify", "--config", str(path), "--paths", "50"]) == 0
 
 
-def test_verify_flags_moment_free_recursion_variant(tmp_path):
+def test_verify_flags_moment_free_recursion_variant():
     # The recursion variant that drops the noise moment from the deviation
     # channel misprices the cost whenever E[eps**2o] != 1, and the
-    # Monte-Carlo check must notice.
-    def literal(doc):
-        doc["run"]["literal_recursion"] = True
-        doc["run"]["master_seed"] = 42
+    # Monte-Carlo check that verify runs must notice.
+    spec = example_config(4, 2).problem
+    literal_schedule, literal_gains = solve(spec, literal_recursion=True)
+    assert oracle.mc_validate(spec, literal_schedule, literal_gains, 20_000, 42).discrepant
 
-    path = _write_example_config(tmp_path, 4, 2, literal)
-    assert main(["verify", "--config", str(path), "--paths", "20000"]) == 2
-
-    default_path = _write_example_config(tmp_path, 4, 2)
-    assert main(["verify", "--config", str(default_path), "--paths", "20000"]) == 0
+    schedule, gains = solve(spec)
+    assert not oracle.mc_validate(spec, schedule, gains, 20_000, 42).discrepant
 
 
 def test_verify_serves_every_ensemble_from_one_draw(tmp_path, monkeypatch):

@@ -1,11 +1,15 @@
 """Tests for the backward coefficient recursions and gain schedules."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hocs import (
+    COMPATIBLE_NOISE,
     CoefficientSchedule,
     GainSchedule,
     Gaussian,
@@ -20,6 +24,7 @@ from hocs import (
     example_config,
     riccati_lqr,
     solve,
+    validate,
 )
 
 
@@ -78,6 +83,80 @@ def test_zero_terminal_weight_raises():
     )
     with pytest.raises(NonPositiveCoefficient):
         solve(spec)
+
+
+def _sign_gate_spec(**overrides):
+    weights = dict(q_bar=2.0, q_bar_terminal=2.0, r_bar=3.0, q=4.0, q_terminal=4.0, r=5.0)
+    weights.update(overrides)
+    return build_problem(
+        "additive", 3, a_bar=2.0, b_bar=3.0, p=2,
+        noise=NoiseSpec(kind=NoiseKind.ADDITIVE, distribution=Gaussian(sigma=1.0)),
+        initial=InitialLaw(mean=1.0),
+        **{key: value for key, value in weights.items() if value is not None},
+    )
+
+
+@pytest.mark.parametrize("overrides,label", [
+    ({"r": 0.0}, "r[0]"),
+    ({"r": None}, "r[0]"),  # build_problem's default r = 0.0
+    ({"r_bar": [3.0, -1.0, 3.0]}, "r_bar[1]"),
+    ({"q_bar": [2.0, 2.0, -1.0]}, "q_bar[2]"),
+    ({"q": -0.01}, "q[0]"),
+    ({"q_terminal": -0.5}, "q_terminal"),
+])
+def test_weight_of_the_wrong_sign_raises_before_the_pass(overrides, label):
+    with pytest.raises(NonPositiveCoefficient, match=rf"^{re.escape(label)} = "):
+        solve(_sign_gate_spec(**overrides))
+
+
+def test_zero_state_weight_over_a_zero_step_gives_a_zero_coefficient():
+    # q_bar[1] = a_bar[1] = 0: nothing after step 1 costs anything, so
+    # alpha_bar[1] = 0 is the true cost-to-go and step 0 applies no control.
+    spec = _det_spec(2, [1.0, 0.0], 1.0, [1.0, 0.0], 1.0, 1.0, p=1)
+    schedule, gains = solve(spec)
+    assert schedule.alpha_bar == (1.0, 0.0, 1.0)
+    assert gains.k_mean == (0.0, 0.0)
+
+
+@st.composite
+def _validated_specs(draw):
+    klass = draw(st.sampled_from(list(ProblemClass)))
+    n = draw(st.integers(1, 6))
+    weight = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+    signed = st.tuples(st.floats(-5.0, 5.0), st.sampled_from([-1.0, 1.0]))
+    dynamic = signed.map(lambda t: t[1] * 10.0 ** t[0])
+
+    def sequence(element):
+        return draw(st.lists(element, min_size=n, max_size=n))
+
+    kwargs = dict(
+        a_bar=sequence(dynamic), b_bar=sequence(dynamic), q_bar=sequence(weight),
+        q_bar_terminal=draw(weight), r_bar=sequence(weight), p=draw(st.integers(1, 4)),
+        initial=InitialLaw(mean=1.0),
+    )
+    if klass is not ProblemClass.DETERMINISTIC:
+        sigma = draw(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+        kwargs.update(
+            q=sequence(weight), q_terminal=draw(weight), r=sequence(weight),
+            noise=NoiseSpec(kind=COMPATIBLE_NOISE[klass], distribution=Gaussian(sigma=sigma)),
+        )
+    if klass is ProblemClass.HIGHER_MOMENT:
+        kwargs.update(a=sequence(dynamic), b=sequence(dynamic), o=draw(st.integers(1, 4)))
+    return build_problem(klass, n, **kwargs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_validated_specs())
+def test_validated_spec_solves_or_overflows(spec):
+    # validate()'s weight checks imply solve()'s sign rule, so the pass can
+    # only stop on an overflow.
+    assert validate(spec).ok
+    try:
+        schedule, _ = solve(spec)
+    except NonFiniteCoefficient:
+        return
+    assert min(schedule.alpha_bar) >= 0.0
+    assert schedule.alpha is None or min(schedule.alpha) >= 0.0
 
 
 def test_power_one_matches_riccati_on_random_problems():
@@ -493,6 +572,37 @@ def test_preset_mean_gains_shrink_with_p(example_id):
     for k in range(n - 1 if example_id == 4 else n):
         first, second, third = (abs(gains[p].k_mean[k]) for p in (1, 2, 3))
         assert first > second > third, k
+
+
+def test_mean_gain_shrinks_with_p_exactly_when_the_completion_constant_does():
+    # |gain| = |a| |c| / (1 + |c| |b|) grows with |c|, so on random
+    # deterministic specs (criterion 2's ranges) the mean gain shrinks from
+    # p = 1 to p at step k exactly when c_p < c_1, where
+    # c_p = |alpha_bar_p[k+1] b_bar / r_bar| ** (1 / (2p - 1)).
+    rng = np.random.default_rng(2026)
+    shrinks = steps = 0
+    for _ in range(2000):
+        n = int(rng.integers(1, 11))
+        p = int(rng.integers(2, 4))
+        a_bar, b_bar = (list(rng.uniform(0.1, 5.0, n) * rng.choice([-1.0, 1.0], n))
+                        for _ in range(2))
+        data = dict(q_bar=list(rng.uniform(0.1, 5.0, n)),
+                    q_bar_terminal=float(rng.uniform(0.1, 5.0)),
+                    r_bar=list(rng.uniform(0.1, 5.0, n)))
+        schedules = {power: solve(_det_spec(n, a_bar, b_bar, p=power, **data))
+                     for power in (1, p)}
+        for k in range(n):
+            ratio = {power: abs(schedule.alpha_bar[k + 1] * b_bar[k] / data["r_bar"][k])
+                     for power, (schedule, _) in schedules.items()}
+            c_1, c_p = ratio[1], ratio[p] ** (1.0 / (2 * p - 1))
+            if math.isclose(c_p, c_1, rel_tol=1e-12):
+                continue
+            gain_1, gain_p = (abs(schedules[power][1].k_mean[k]) for power in (1, p))
+            assert (gain_p < gain_1) == (c_p < c_1), (n, p, k)
+            steps += 1
+            shrinks += gain_p < gain_1
+    # Both directions occur: the claim holds at most steps, not all.
+    assert 0.5 * steps < shrinks < steps
 
 
 def test_ex4_last_mean_gain_ties_across_p():
