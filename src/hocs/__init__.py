@@ -17,7 +17,6 @@ Typical use::
 """
 
 from .model import (
-    COMPATIBLE_NOISE,
     CostSpec,
     DeviationDynamics,
     Dirac,
@@ -33,8 +32,7 @@ from .model import (
     LengthMismatch,
     MeanDynamics,
     MissingMoment,
-    NoiseKind,
-    NoiseSpec,
+    Moments,
     NonFiniteCoefficient,
     NonPositiveCoefficient,
     NotConverged,

@@ -22,6 +22,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from .config import (
     ConfigError,
     RunConfig,
@@ -494,7 +496,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_flags(args)
-        return args.handler(args)
+        # A path, cost or KPI past the float range is an output (inf or nan), not a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

@@ -13,9 +13,8 @@ A run is described by one JSON document with two top-level maps::
         "cost": {"p": 1, "o": 1,
                  "q_bar": 2.0, "q_bar_terminal": 2.0, "r_bar": 3.0,
                  "q": 4.0, "q_terminal": 4.0, "r": 5.0},
-        "noise": {"kind": "additive",
-                  "distribution": {"kind": "gaussian", "sigma": 1.0},
-                  "moment_override": {"2": 1.0}},        # optional
+        "noise": {"kind": "gaussian", "sigma": 1.0},     # absent for the
+                                                         # deterministic class
         "initial": {"mean": 20.25, "law": {"kind": "dirac"}}
       },
       "run": {"n_paths": 100000, "master_seed": 42, "oracle_tol": 1e-06,
@@ -23,16 +22,19 @@ A run is described by one JSON document with two top-level maps::
     }
 
 Per-step values (dynamics coefficients and running weights) accept either a
-scalar, broadcast over the horizon, or a list of length n_steps. Distribution
-kinds are dirac, gaussian, rademacher, uniform_symmetric, and empirical; a
-noise gaussian takes "sigma" while an initial-law gaussian takes "variance"
-(the spread of x0 is naturally a variance). Empirical samples are offsets
-that get centered automatically, with the subtracted mean kept in "shift".
+scalar, broadcast over the horizon, or a list of length n_steps. The noise is
+just the per-step law of eps: the class says how it enters. Distribution
+kinds are dirac, gaussian, rademacher, uniform_symmetric, empirical, and
+moments; a noise gaussian takes "sigma" while an initial-law gaussian takes
+"variance" (the spread of x0 is naturally a variance). Empirical samples are
+offsets that get centered automatically, with the subtracted mean kept in
+"shift". A moments law lists even moments by order, e.g. {"kind": "moments",
+"values": {"2": 1.0}}; it prices but cannot be sampled.
 
 Unknown keys are rejected everywhere. Rendering emits a canonical full form
-(every field present, sequences as length-N lists, shortest float repr), so
-parse(render(config)) reproduces the config exactly and the rendered presets
-can be pinned by checksum.
+(every field present but an absent noise law, sequences as length-N lists,
+shortest float repr), so parse(render(config)) reproduces the config exactly
+and the rendered presets can be pinned by checksum.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ from .model import (
     GaussianVariance,
     HocsError,
     InitialLaw,
-    NoiseKind,
-    NoiseSpec,
+    Moments,
     ProblemClass,
     ProblemSpec,
     Rademacher,
@@ -168,41 +169,19 @@ def _parse_distribution(node: Any, context: str, *, initial_law: bool) -> Distri
                 samples=tuple(_number(v, f"{context}.samples[{i}]") for i, v in enumerate(samples)),
                 shift=_number(node.get("shift", 0.0), f"{context}.shift"),
             )
+        if kind == "moments":
+            _check_keys(node, {"kind", "values"}, context)
+            values = _require_map(node["values"], f"{context}.values")
+            return Moments({int(order): _number(value, f"{context}.values[{order}]")
+                            for order, value in values.items()})
     except KeyError as exc:
         raise ConfigError(f"{context} is missing required key {exc.args[0]!r}") from None
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from None
     raise ConfigError(f"{context}.kind must be one of dirac, gaussian, rademacher, "
-                      f"uniform_symmetric, empirical; got {kind!r}")
-
-
-def _parse_noise(node: Any) -> NoiseSpec:
-    node = _require_map(node, "problem.noise")
-    _check_keys(node, {"kind", "distribution", "moment_override"}, "problem.noise")
-    kind_name = node.get("kind")
-    try:
-        kind = NoiseKind(kind_name)
-    except ValueError:
-        valid = ", ".join(k.value for k in NoiseKind)
-        raise ConfigError(f"problem.noise.kind must be one of {valid}; got {kind_name!r}") from None
-    distribution = None
-    if "distribution" in node:
-        distribution = _parse_distribution(node["distribution"], "problem.noise.distribution",
-                                           initial_law=False)
-    override = None
-    if "moment_override" in node:
-        raw = _require_map(node["moment_override"], "problem.noise.moment_override")
-        override = {}
-        for key, value in raw.items():
-            try:
-                order = int(key)
-            except (TypeError, ValueError):
-                raise ConfigError(f"moment_override key {key!r} is not an integer order") from None
-            override[order] = _number(value, f"problem.noise.moment_override[{key}]")
-    try:
-        return NoiseSpec(kind=kind, distribution=distribution, moment_override=override)
-    except ValueError as exc:
-        raise ConfigError(f"problem.noise: {exc}") from None
+                      f"uniform_symmetric, empirical, moments; got {kind!r}")
 
 
 def _parse_problem(node: Any) -> ProblemSpec:
@@ -254,7 +233,8 @@ def _parse_problem(node: Any) -> ProblemSpec:
     except ValueError as exc:
         raise ConfigError(f"problem.initial: {exc}") from None
 
-    noise = _parse_noise(node["noise"]) if "noise" in node else NoiseSpec.none()
+    noise = (_parse_distribution(node["noise"], "problem.noise", initial_law=False)
+             if "noise" in node else None)
 
     try:
         return build_problem(
@@ -328,18 +308,15 @@ def _render_distribution(dist: Distribution) -> dict:
         return {"kind": "uniform_symmetric", "halfwidth": dist.halfwidth}
     if isinstance(dist, Empirical):
         return {"kind": "empirical", "samples": list(dist.samples), "shift": dist.shift}
+    if isinstance(dist, Moments):
+        return {"kind": "moments", "values": {str(order): value for order, value in dist.values}}
     raise ConfigError(f"cannot render distribution {dist!r}")
 
 
 def config_to_dict(config: RunConfig) -> dict:
     """Canonical full-form dictionary of a config (JSON-ready)."""
     spec, run = config.problem, config.run
-    noise: dict[str, Any] = {"kind": spec.noise.kind.value}
-    if spec.noise.distribution is not None:
-        noise["distribution"] = _render_distribution(spec.noise.distribution)
-    if spec.noise.moment_override is not None:
-        noise["moment_override"] = {str(order): value
-                                    for order, value in spec.noise.moment_override}
+    noise = {} if spec.noise is None else {"noise": _render_distribution(spec.noise)}
     return {
         "problem": {
             "class": spec.problem_class.value,
@@ -363,7 +340,7 @@ def config_to_dict(config: RunConfig) -> dict:
                 "q_terminal": spec.cost.q_terminal,
                 "r": list(spec.cost.r),
             },
-            "noise": noise,
+            **noise,
             "initial": {
                 "mean": spec.initial.mean,
                 "law": _render_distribution(spec.initial.law),
@@ -421,7 +398,7 @@ def example_config(example_id: int, p: int) -> RunConfig:
             ProblemClass.ADDITIVE, 10,
             a_bar=2.0, b_bar=3.0, q_bar=2.0, q_bar_terminal=2.0, r_bar=3.0, p=p,
             q=4.0, q_terminal=4.0, r=5.0,
-            noise=NoiseSpec(kind=NoiseKind.ADDITIVE, distribution=Gaussian(sigma=1.0)),
+            noise=Gaussian(sigma=1.0),
             initial=InitialLaw(mean=20.25),
         )
     elif example_id == 3:
@@ -429,7 +406,7 @@ def example_config(example_id: int, p: int) -> RunConfig:
             ProblemClass.MULT_STATE, 10,
             a_bar=7.0, b_bar=6.0, q_bar=4.0, q_bar_terminal=4.0, r_bar=3.0, p=p,
             q=2.0, q_terminal=2.0, r=1.0,
-            noise=NoiseSpec(kind=NoiseKind.MULT_STATE, distribution=Gaussian(sigma=1.0)),
+            noise=Gaussian(sigma=1.0),
             initial=InitialLaw(mean=15.3, law=Empirical(samples=(-0.3, 0.3))),
         )
     elif example_id == 4:
@@ -437,7 +414,7 @@ def example_config(example_id: int, p: int) -> RunConfig:
             ProblemClass.HIGHER_MOMENT, 10,
             a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=p,
             a=0.5, b=0.5, q=1.0, q_terminal=1.0, r=1.0, o=p,
-            noise=NoiseSpec(kind=NoiseKind.MULT_MEAN_FIELD, distribution=Gaussian(sigma=1.0)),
+            noise=Gaussian(sigma=1.0),
             initial=InitialLaw(mean=20.01, law=Empirical(samples=(-0.01, 0.01))),
         )
     else:

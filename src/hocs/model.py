@@ -15,6 +15,9 @@ by how noise enters the dynamics:
 
 where xbar[k] = E[x[k]] and ubar[k] = E[u[k]]. The noise eps is i.i.d. across
 steps with mean zero (eps[0] = 0 by convention; draws happen for steps 1..N).
+The class alone says how eps enters, so the noise is just its per-step law:
+a Distribution, or None for the deterministic class. A ``Moments`` law lists
+the even moments only; it prices but has nothing to sample.
 
 This module houses the domain types, scalar-to-sequence broadcasting, the
 signed odd root used by the gain formulas, the moment tables of the noise and
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -80,24 +83,6 @@ class ProblemClass(Enum):
     HIGHER_MOMENT = "higher_moment"
 
 
-class NoiseKind(Enum):
-    """How the noise enters the transition (NONE means no noise at all)."""
-
-    NONE = "none"
-    ADDITIVE = "additive"
-    MULT_STATE = "mult_state"
-    MULT_MEAN_FIELD = "mult_mean_field"
-
-
-#: The noise kind each problem class requires.
-COMPATIBLE_NOISE: dict[ProblemClass, NoiseKind] = {
-    ProblemClass.DETERMINISTIC: NoiseKind.NONE,
-    ProblemClass.ADDITIVE: NoiseKind.ADDITIVE,
-    ProblemClass.MULT_STATE: NoiseKind.MULT_STATE,
-    ProblemClass.HIGHER_MOMENT: NoiseKind.MULT_MEAN_FIELD,
-}
-
-
 # --------------------------------------------------------------------------
 # Small numeric helpers
 # --------------------------------------------------------------------------
@@ -125,27 +110,32 @@ def _check_even_order(order: int) -> None:
         raise ValueError(f"moment order must be an even integer >= 2, got {order}")
 
 
-def _odd_double_factorial(order: int) -> int:
-    # (order - 1)!! = 1 * 3 * 5 * ... * (order - 1) for even order
-    return math.prod(range(1, order, 2))
-
-
-def _scaled_power(coefficient: int, base: float, exponent: int) -> float:
-    """coefficient * base**exponent for base >= 0; inf past the float range.
-
-    As written where that stays in range, so those values keep their bits;
-    else from logarithms, as a huge (order - 1)!! times a tiny sigma**order
-    can still round to 0.0.
-    """
+def _power(base: float, exponent: int) -> float:
+    """base**exponent for base >= 0; inf past the float range."""
     try:
-        return coefficient * base ** exponent
+        return base ** exponent
     except OverflowError:
-        if base == 0.0:
-            return 0.0
-        try:
-            return math.exp(math.log(coefficient) + exponent * math.log(base))
-        except OverflowError:
-            return math.inf
+        return math.inf
+
+
+def _gaussian_moment(order: int, base: float, exponent: int) -> float:
+    """(order - 1)!! * base**exponent for even order and base >= 0; inf past the float range.
+
+    As written while the integer (order - 1)!! is a finite double (up to order
+    300), so those moments keep their bits; past that from logarithms, with
+    log (2j - 1)!! = log (2j)! - j log 2 - log j!, since the integer takes
+    seconds to build at huge orders and a tiny base**exponent can offset it.
+    """
+    if order <= 300:
+        return math.prod(range(1, order, 2)) * _power(base, exponent)
+    if base == 0.0:
+        return 0.0
+    half = order // 2
+    try:
+        return math.exp(math.lgamma(order + 1) - half * math.log(2.0) - math.lgamma(half + 1)
+                        + exponent * math.log(base))
+    except OverflowError:
+        return math.inf
 
 
 def _as_finite_floats(values: Sequence[float], name: str) -> tuple[float, ...]:
@@ -170,7 +160,9 @@ class Horizon:
             raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps}")
 
 
-def broadcast(value: Union[float, Sequence[float]], horizon: Horizon) -> tuple[float, ...]:
+def broadcast(
+    value: Union[float, Sequence[float]], horizon: Horizon, name: str = "value"
+) -> tuple[float, ...]:
     """Broadcast a scalar (or length-1 sequence) to a length-N tuple.
 
     Sequences already of length N pass through unchanged; anything else is a
@@ -179,6 +171,7 @@ def broadcast(value: Union[float, Sequence[float]], horizon: Horizon) -> tuple[f
     Args:
         value: A real number, a length-1 sequence, or a length-N sequence.
         horizon: Target horizon (N = horizon.n_steps).
+        name: The field the value belongs to, named in the error.
 
     Returns:
         A tuple of N floats.
@@ -194,12 +187,21 @@ def broadcast(value: Union[float, Sequence[float]], horizon: Horizon) -> tuple[f
         return seq
     if len(seq) == 1:
         return seq * n
-    raise LengthMismatch(f"expected a scalar or a sequence of length {n}, got length {len(seq)}")
+    raise LengthMismatch(
+        f"{name}: expected a scalar or a sequence of length {n}, got length {len(seq)}")
 
 
 # --------------------------------------------------------------------------
-# Zero-mean distributions (shared by the noise model and the initial law)
+# Noise and initial-state laws: zero-mean distributions, and the law of x[0]
 # --------------------------------------------------------------------------
+
+def _check_spread(law: "Distribution", name: str) -> None:
+    """Finite and >= 0; -0.0 is stored as 0.0, which numpy's samplers accept."""
+    value = getattr(law, name)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    object.__setattr__(law, name, abs(value))
+
 
 class Distribution:
     """A zero-mean scalar law with a known table of even moments.
@@ -234,13 +236,12 @@ class Gaussian(Distribution):
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        _check_spread(self, "sigma")
 
     def even_moment(self, order: int) -> float:
         # E[z**(2j)] = (2j - 1)!! sigma**(2j)
         _check_even_order(order)
-        return _scaled_power(_odd_double_factorial(order), self.sigma, order)
+        return _gaussian_moment(order, self.sigma, order)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.normal(0.0, self.sigma, size)
@@ -258,12 +259,11 @@ class GaussianVariance(Distribution):
     variance: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.variance) and self.variance >= 0.0):
-            raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
+        _check_spread(self, "variance")
 
     def even_moment(self, order: int) -> float:
         _check_even_order(order)
-        return _scaled_power(_odd_double_factorial(order), self.variance, order // 2)
+        return _gaussian_moment(order, self.variance, order // 2)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.normal(0.0, math.sqrt(self.variance), size)
@@ -276,12 +276,11 @@ class Rademacher(Distribution):
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.scale) and self.scale >= 0.0):
-            raise ValueError(f"scale must be finite and >= 0, got {self.scale}")
+        _check_spread(self, "scale")
 
     def even_moment(self, order: int) -> float:
         _check_even_order(order)
-        return _scaled_power(1, self.scale, order)
+        return _power(self.scale, order)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return self.scale * (2.0 * rng.integers(0, 2, size=size) - 1.0)
@@ -294,13 +293,12 @@ class UniformSymmetric(Distribution):
     halfwidth: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.halfwidth) and self.halfwidth >= 0.0):
-            raise ValueError(f"halfwidth must be finite and >= 0, got {self.halfwidth}")
+        _check_spread(self, "halfwidth")
 
     def even_moment(self, order: int) -> float:
         # E[z**(2j)] = h**(2j) / (2j + 1)
         _check_even_order(order)
-        return _scaled_power(1, self.halfwidth, order) / (order + 1)
+        return _power(self.halfwidth, order) / (order + 1)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.uniform(-self.halfwidth, self.halfwidth, size)
@@ -347,68 +345,31 @@ class Empirical(Distribution):
         return rng.choice(values, size=size)
 
 
-# --------------------------------------------------------------------------
-# Noise and initial-state laws
-# --------------------------------------------------------------------------
-
 @dataclass(frozen=True)
-class NoiseSpec:
-    """Noise model: where the noise enters and what it looks like per step.
+class Moments(Distribution):
+    """A law known only by some even moments, e.g. Moments({2: 1.0}), stored
+    as sorted (order, moment) pairs. It prices, but has nothing to sample."""
 
-    ``kind`` fixes how eps multiplies into the transition (see the module
-    docstring). ``distribution`` is the common per-step law; it may be left
-    out when only moments are needed (solving without simulating), in which
-    case ``moment_override`` must supply E[eps**order] for every order the
-    solver asks for. Overrides win over the distribution's own moments.
-    """
-
-    kind: NoiseKind
-    distribution: Distribution | None = None
-    moment_override: Mapping[int, float] | None = None
+    values: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, NoiseKind):
-            raise ValueError(f"kind must be a NoiseKind, got {self.kind!r}")
-        if self.kind is NoiseKind.NONE:
-            if self.distribution is not None or self.moment_override:
-                raise ValueError("kind NONE admits no distribution or moment override")
-            object.__setattr__(self, "moment_override", None)
-            return
-        if self.moment_override is not None:
-            items = []
-            for order, value in dict(self.moment_override).items():
-                _check_even_order(int(order))
-                value = float(value)
-                if not (math.isfinite(value) and value >= 0.0):
-                    raise ValueError(f"moment of order {order} must be finite and >= 0, got {value}")
-                items.append((int(order), value))
-            object.__setattr__(self, "moment_override", tuple(sorted(items)))
-
-    @classmethod
-    def none(cls) -> "NoiseSpec":
-        return cls(kind=NoiseKind.NONE)
+        values = tuple(sorted((int(order), float(value))
+                              for order, value in dict(self.values).items()))
+        for order, value in values:
+            _check_even_order(order)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"moment of order {order} must be finite and >= 0, got {value}")
+        object.__setattr__(self, "values", values)
 
     def even_moment(self, order: int) -> float:
-        """E[eps**order] for even order, honoring overrides.
-
-        Raises:
-            MissingMoment: If neither an override nor a distribution covers
-                the requested order.
-        """
         _check_even_order(order)
-        if self.kind is NoiseKind.NONE:
-            return 0.0
-        if self.moment_override is not None:
-            for stored_order, value in self.moment_override:
-                if stored_order == order:
-                    return value
-        if self.distribution is not None:
-            return self.distribution.even_moment(order)
-        raise MissingMoment(f"no distribution and no override for moment order {order}")
+        try:
+            return dict(self.values)[order]
+        except KeyError:
+            raise MissingMoment(f"the moments law has no moment of order {order}") from None
 
-    @property
-    def samplable(self) -> bool:
-        return self.kind is NoiseKind.NONE or self.distribution is not None
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        raise MissingMoment("a moments law has nothing to sample from")
 
 
 @dataclass(frozen=True)
@@ -538,9 +499,10 @@ class ProblemSpec:
     """One fully specified control problem.
 
     Construction enforces structural consistency (every per-step sequence has
-    length horizon.n_steps); semantic validity (positive weights, class/noise
-    compatibility, ...) is reported by validate() rather than raised, so that
-    deliberately broken specs can be built and inspected.
+    length horizon.n_steps); semantic validity (positive weights, a noise law
+    exactly on the stochastic classes, ...) is reported by validate() rather
+    than raised, so that deliberately broken specs can be built and inspected.
+    ``noise`` is the per-step law of eps; the class says how eps enters.
     """
 
     problem_class: ProblemClass
@@ -548,7 +510,7 @@ class ProblemSpec:
     mean_dyn: MeanDynamics
     dev_dyn: DeviationDynamics
     cost: CostSpec
-    noise: NoiseSpec
+    noise: Distribution | None
     initial: InitialLaw
 
     def __post_init__(self) -> None:
@@ -565,6 +527,12 @@ class ProblemSpec:
     @property
     def n_steps(self) -> int:
         return self.horizon.n_steps
+
+    def noise_moment(self, order: int) -> float:
+        """E[eps**order]; MissingMoment if there is no noise law or it lacks the order."""
+        if self.noise is None:
+            raise MissingMoment(f"class {self.problem_class.value} has no noise law")
+        return self.noise.even_moment(order)
 
 
 def build_problem(
@@ -584,30 +552,32 @@ def build_problem(
     q_terminal: float = 0.0,
     r=0.0,
     o: int = 1,
-    noise: NoiseSpec | None = None,
+    noise: Distribution | None = None,
     allow_uncontrollable: bool = False,
 ) -> ProblemSpec:
     """Assemble a ProblemSpec from scalars or sequences, broadcasting as needed.
 
     Deviation dynamics (a, b) default to the mean dynamics; deviation weights
     default to zero, which only makes sense for the DETERMINISTIC class where
-    they are unused. Noise defaults to NONE.
+    they are unused. Noise defaults to no law, which only the DETERMINISTIC
+    class admits.
     """
     horizon = Horizon(n_steps)
     mean_dyn = MeanDynamics(
-        broadcast(a_bar, horizon), broadcast(b_bar, horizon), allow_uncontrollable
+        broadcast(a_bar, horizon, "a_bar"), broadcast(b_bar, horizon, "b_bar"),
+        allow_uncontrollable,
     )
     dev_dyn = DeviationDynamics(
-        broadcast(a if a is not None else mean_dyn.a_bar, horizon),
-        broadcast(b if b is not None else mean_dyn.b_bar, horizon),
+        broadcast(a if a is not None else mean_dyn.a_bar, horizon, "a"),
+        broadcast(b if b is not None else mean_dyn.b_bar, horizon, "b"),
     )
     cost = CostSpec(
-        q=broadcast(q, horizon),
+        q=broadcast(q, horizon, "q"),
         q_terminal=q_terminal,
-        q_bar=broadcast(q_bar, horizon),
+        q_bar=broadcast(q_bar, horizon, "q_bar"),
         q_bar_terminal=q_bar_terminal,
-        r=broadcast(r, horizon),
-        r_bar=broadcast(r_bar, horizon),
+        r=broadcast(r, horizon, "r"),
+        r_bar=broadcast(r_bar, horizon, "r_bar"),
         p=p,
         o=o,
     )
@@ -617,7 +587,7 @@ def build_problem(
         mean_dyn=mean_dyn,
         dev_dyn=dev_dyn,
         cost=cost,
-        noise=noise if noise is not None else NoiseSpec.none(),
+        noise=noise,
         initial=initial,
     )
 
@@ -705,11 +675,11 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     # the report covers every static condition in one place.
     checks.append(ValidationCheck("dynamics finite", PASS, "enforced at construction"))
 
-    expected = COMPATIBLE_NOISE[klass]
-    ok = spec.noise.kind is expected
+    ok = (spec.noise is not None) == has_deviation_channel
+    need = "needs a" if has_deviation_channel else "admits no"
     checks.append(ValidationCheck(
         "class/noise compatibility", PASS if ok else FAIL,
-        "" if ok else f"class {klass.value} requires noise kind {expected.value}, got {spec.noise.kind.value}",
+        "" if ok else f"class {klass.value} {need} noise law",
     ))
 
     if klass is not ProblemClass.HIGHER_MOMENT:
@@ -731,20 +701,16 @@ def validate(spec: ProblemSpec) -> ValidationReport:
             "" if ok else "the deterministic class admits no initial spread",
         ))
 
-    if has_deviation_channel:
+    if has_deviation_channel and spec.noise is not None:
         order = 2 * cost.o if klass is ProblemClass.HIGHER_MOMENT else 2
         try:
-            moment = spec.noise.even_moment(order)
+            moment = spec.noise_moment(order)
         except MissingMoment:
-            checks.append(ValidationCheck(
-                f"noise moment of order {order} available", FAIL,
-                "provide a distribution or a moment override",
-            ))
-        else:
-            ok = math.isfinite(moment) and moment >= 0.0
-            checks.append(ValidationCheck(
-                f"noise moment of order {order} available", PASS if ok else FAIL,
-                f"value {moment!r}",
-            ))
+            moment = None
+        ok = moment is not None and math.isfinite(moment) and moment >= 0.0
+        checks.append(ValidationCheck(
+            f"noise moment of order {order} available", PASS if ok else FAIL,
+            "the moments law lacks this order" if moment is None else f"value {moment!r}",
+        ))
 
     return ValidationReport(checks=tuple(checks))

@@ -28,6 +28,7 @@ underpins the global-optimality claim of the direct route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -331,7 +332,9 @@ def local_optimality_probe(
                 perturbed = _scaled_gains(gains, channel, factor)
                 ensemble = simulate_ensemble(spec, FeedbackPolicy(perturbed), n_paths, master_seed)
                 report = realized_cost(spec, ensemble)
-                points.append((factor, report.realized_mean, report.realized_stderr))
+                # Paths that left the float range cost inf, also where they met as nan.
+                cost = math.inf if math.isnan(report.realized_mean) else report.realized_mean
+                points.append((factor, cost, report.realized_stderr))
             curves[channel] = tuple(points)
             unit_cost, unit_err = next((c, e) for f, c, e in points if f == 1.0)
             best_cost, best_err = min(((c, e) for _, c, e in points), key=lambda t: t[0])

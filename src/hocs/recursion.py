@@ -209,13 +209,13 @@ def solve(
     )
     alpha = k_dev = gamma_bar = None
     if klass is ProblemClass.HIGHER_MOMENT:
-        m = spec.noise.even_moment(2 * cost.o)
+        m = spec.noise_moment(2 * cost.o)
         alpha, k_dev = _power_channel(
             spec.dev_dyn.a, spec.dev_dyn.b, cost.q, cost.q_terminal, cost.r, cost.o,
             m=m, loop_scale=1.0 if literal_recursion else m,
         )
     elif klass is not ProblemClass.DETERMINISTIC:
-        m2 = spec.noise.even_moment(2)
+        m2 = spec.noise_moment(2)
         alpha, k_dev = _power_channel(
             a_bar, b_bar, cost.q, cost.q_terminal, cost.r, 1,
             offset=m2 if klass is ProblemClass.MULT_STATE else 0.0,

@@ -11,8 +11,10 @@ Randomness is laid out for reproducibility: a master seed feeds a seed
 sequence whose first child drives the initial draws and whose second child
 drives the noise matrix (one row per path, one column per step 1..N), so the
 initial state is independent of the noise and a rerun with the same master
-seed is bit-identical. Generation is vectorized across paths; no execution
-order enters the results. The draw depends only on the spec, the path count
+seed is bit-identical. The matrix is drawn from the spec's noise law, and the
+problem class alone decides how it enters the step; the deterministic class
+draws none. Generation is vectorized across paths; no execution order enters
+the results. The draw depends only on the spec, the path count
 and the master seed, never on the policy, so callers that roll out several
 policies or gain scalings on one seed (common random numbers) open a
 ``_common_draws()`` scope and every rollout inside it reuses one read-only
@@ -34,7 +36,6 @@ from .control import Policy
 from .model import (
     InvalidPolicy,
     MissingMoment,
-    NoiseKind,
     NonFiniteCoefficient,
     ProblemClass,
     ProblemSpec,
@@ -154,8 +155,9 @@ def _common_draws():
 def _draw(spec: ProblemSpec, n_paths: int, master_seed: int):
     """The read-only initial states and noise matrix of one seeded ensemble.
 
-    eps[:, k] realizes the step-(k+1) noise; eps is None without noise.
-    Inside a _common_draws() scope a repeated key returns the stored arrays.
+    eps[:, k] realizes the step-(k+1) noise; eps is None for the
+    deterministic class. Inside a _common_draws() scope a repeated key
+    returns the stored arrays.
     """
     store = _DRAWS.get()
     key = (spec, n_paths, master_seed)
@@ -165,9 +167,11 @@ def _draw(spec: ProblemSpec, n_paths: int, master_seed: int):
     x0 = spec.initial.sample(np.random.Generator(np.random.PCG64(init_seq)), n_paths)
     x0.setflags(write=False)
     eps = None
-    if spec.noise.kind is not NoiseKind.NONE:
+    if spec.problem_class is not ProblemClass.DETERMINISTIC:
+        if spec.noise is None:
+            raise MissingMoment(f"class {spec.problem_class.value} has no noise law to sample")
         noise_rng = np.random.Generator(np.random.PCG64(noise_seq))
-        eps = spec.noise.distribution.sample(noise_rng, (n_paths, spec.n_steps))
+        eps = spec.noise.sample(noise_rng, (n_paths, spec.n_steps))
         eps.setflags(write=False)
     if store is not None:
         store[key] = x0, eps
@@ -190,15 +194,13 @@ def simulate_ensemble(
 
     Raises:
         InvalidPolicy: If the policy pins a different horizon.
-        MissingMoment: If the noise has no samplable distribution.
+        MissingMoment: If the noise or initial law has nothing to sample.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     n = spec.n_steps
     if policy.n_steps is not None and policy.n_steps != n:
         raise InvalidPolicy(f"policy solved for horizon {policy.n_steps}, problem has {n}")
-    if not spec.noise.samplable:
-        raise MissingMoment("noise has no distribution to sample from")
 
     x0, eps = _draw(spec, n_paths, master_seed)
     states = np.empty((n + 1, n_paths)).T

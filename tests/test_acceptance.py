@@ -15,8 +15,7 @@ import numpy as np
 from hocs import (
     GaussianVariance,
     InitialLaw,
-    NoiseKind,
-    NoiseSpec,
+    Moments,
     brute_force_deterministic,
     build_problem,
     convexity_check,
@@ -208,7 +207,7 @@ def test_criterion_06_noise_vanishing_limit(capsys):
             stochastic = build_problem(
                 "mult_state", n, a, b, q_bar, q_bar, r_bar, p,
                 q=q, q_terminal=q, r=r,
-                noise=NoiseSpec(NoiseKind.MULT_STATE, moment_override={2: 0.0}),
+                noise=Moments({2: 0.0}),
                 initial=InitialLaw(mean=mean0, law=GaussianVariance(var0)),
             )
             deterministic = build_problem(

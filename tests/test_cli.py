@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import time
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hocs import (
     BaselineKind,
     BaselinePolicy,
     FeedbackPolicy,
+    Moments,
     cli,
     example_config,
     kpi,
@@ -30,18 +32,18 @@ from hocs.simulate import _DRAWS
 # The built-in example problems are part of the artifact's contract: any
 # change to their constants or to the canonical serialization must be loud.
 GOLDEN_CONFIG_SHA256 = {
-    (1, 1): "986d2d6eac0baf4bf3e91ce353fdc69218afdf62142005708587d813bb57530e",
-    (1, 2): "3b3c5d6ae2804db36e2678a222b89740d3c45d1825bf7820f781d49f18d2e384",
-    (1, 3): "f133461d9ff86ec8371f3051e7008b369aea3c5c74bd2cade2fa35b7dc54687f",
-    (2, 1): "c6a555662edd4d3943fa7bd522fff7ef2639a1fa7007736d8ffeffc32eedfbba",
-    (2, 2): "96c5e4f91db663cc21b1037b8563567bcc870fa05db6b20add130c7eedba3ee7",
-    (2, 3): "01f4d5fd1aaa5519aa0851edc891e41e38b256064cd5daa67f745de182cf15d1",
-    (3, 1): "d7a5623dede616784b8101593496a55c6530b3d0d343fdbb6a03fa54115ea483",
-    (3, 2): "c8d13c50daa0affc1d6d8389dde3173bd1c9334ad7672b3988053a4c3b3b1340",
-    (3, 3): "05e8c903cbf5223010f91c41055d72fb3abe9bf24775c696e28f1d2b3677fa69",
-    (4, 1): "6ee56a26d16b45ea44fe3dcc477ea079a423ddc7306e1b019b9e50fd61b95fb2",
-    (4, 2): "ce6b946f57e47bcd7e83119188745d3ff6e27e324ffc8b33adc147e60a90905d",
-    (4, 3): "1d6c862630de710253b6985259f0e9eb6e815c770566196773d767eeed32f7ac",
+    (1, 1): "8d6f92fd7780f0eff2d529ad11a1b4fadd67df2a16678d948b26c75a443396cf",
+    (1, 2): "868af5f45c6f9bdd51b6dd1c712e93c65e993a04ca7e676c97b9b3c0bd963312",
+    (1, 3): "7afa456cec940d8d81150cb98a59d2da19b2e783066c419ed059dfcccb8065f4",
+    (2, 1): "05c03b54fc85d323603181d1eedb2bb9cef43840b2d69f4100470a4fdc82e147",
+    (2, 2): "b1861cf14c7c4b7b8e09d4cd5099c2f7503aeb1c83e56fbff1ea14916fc78617",
+    (2, 3): "2aed4c0cec1b1236249ba60899b67b00da230addaebd6242067418cde0be3f49",
+    (3, 1): "951b363f506182fac845409789c0024d129b7fed78d7b5b0ccaf55cc52532bee",
+    (3, 2): "d7a3a23c02cd825cf6333f268d8cd238048cfce222964096cfa9ca5a499c3eac",
+    (3, 3): "b4b2b88d36a6a09c17eca765dadcf3efe68aea03186b2f43eee5954a527da48a",
+    (4, 1): "1777216cd9f039377d0ae57042c8ed1e2c80c2815538bdf11fbf64289d2a79e9",
+    (4, 2): "c8f63dca92611afbf5ab45add0bd46e408d51de9c1312857ad437a37b3db1889",
+    (4, 3): "5df63a45da8ab32676952fe7758a6cda03924e04874c8f3a81b1419e5c79864d",
 }
 
 
@@ -89,7 +91,8 @@ def test_wrong_length_list_is_a_config_error(tmp_path, capsys, command):
     path = _write_example_config(tmp_path, 2, 1, mutate)
     assert main([command, "--config", str(path)]) == 3
     err = capsys.readouterr().err
-    assert "config error" in err
+    assert "config error: problem: a_bar: expected a scalar or a sequence of length 10, " \
+        "got length 9" in err
     assert "Traceback" not in err
 
 
@@ -217,13 +220,57 @@ def test_solve_rejects_invalid_problem(tmp_path):
 def test_unsamplable_noise_is_a_verification_failure(tmp_path):
     # Moment-only noise is fine for solving but has nothing to draw from.
     def mutate(doc):
-        doc["problem"]["noise"] = {"kind": "additive", "moment_override": {"2": 1.0}}
+        doc["problem"]["noise"] = {"kind": "moments", "values": {"2": 1.0}}
 
     path = _write_example_config(tmp_path, 2, 1, mutate)
     out = tmp_path / "schedule.csv"
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run"),
                  "--paths", "10"]) == 2
+
+
+@pytest.mark.parametrize("example_id,noise,command,code,message", [
+    (2, {"kind": "additive", "distribution": {"kind": "gaussian", "sigma": 1.0}}, "validate", 3,
+     "config error: problem.noise.kind must be one of"),
+    (2, {"kind": "none"}, "validate", 3, "config error: problem.noise.kind must be one of"),
+    (2, {"kind": "moments", "values": {"two": 1.0}}, "validate", 3,
+     "config error: problem.noise: invalid literal for int() with base 10: 'two'"),
+    (2, None, "validate", 1, "fail  (class additive needs a noise law)"),
+    (2, None, "solve", 1, "invalid: class/noise compatibility (class additive needs a noise law)"),
+    (1, {"kind": "gaussian", "sigma": 1.0}, "validate", 1,
+     "fail  (class deterministic admits no noise law)"),
+    (2, {"kind": "moments", "values": {"2": 1.0}}, "verify", 2,
+     "verification failure: a moments law has nothing to sample from"),
+], ids=["old-format", "old-none", "bad-order", "stochastic-without-law",
+        "solve-without-law", "deterministic-with-law", "moments-verify"])
+def test_noise_node_exit_codes(tmp_path, capsys, example_id, noise, command, code, message):
+    def mutate(doc):
+        if noise is None:
+            del doc["problem"]["noise"]
+        else:
+            doc["problem"]["noise"] = noise
+
+    path = _write_example_config(tmp_path, example_id, 1, mutate)
+    argv = [command, "--config", str(path)]
+    argv += ["--out", str(tmp_path / "s.csv")] if command == "solve" else []
+    argv += ["--paths", "10"] if command == "verify" else []
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_moments_laws_round_trip():
+    document = json.loads(render_config(example_config(3, 2)))
+    document["problem"]["noise"] = {"kind": "moments", "values": {"4": 3.0, "2": 1.0}}
+    document["problem"]["initial"]["law"] = {"kind": "moments", "values": {"2": 0.09}}
+    config = parse_config(json.dumps(document))
+    assert config.problem.noise == Moments({2: 1.0, 4: 3.0})
+    assert parse_config(render_config(config)) == config
+    # The moments law prices exactly as the Gaussian preset it stands in for.
+    preset = example_config(3, 2).problem
+    assert predicted_cost(solve(config.problem)[0], preset.initial) == predicted_cost(
+        solve(preset)[0], preset.initial)
 
 
 # --------------------------------------------------------------------------
@@ -301,7 +348,7 @@ def test_verify_stochastic_reference(tmp_path, capsys):
 
 def test_verify_zero_noise_stochastic_config(tmp_path):
     def mutate(doc):
-        doc["problem"]["noise"]["distribution"]["sigma"] = 0.0
+        doc["problem"]["noise"]["sigma"] = 0.0
 
     path = _write_example_config(tmp_path, 2, 1, mutate)
     assert main(["verify", "--config", str(path), "--paths", "50"]) == 0
@@ -470,21 +517,26 @@ def test_price_overflow_is_a_recursion_failure(tmp_path, capsys):
     (2, 1.0, 1e200, "solve", 2, ("recursion failure", "at step 0")),
     # (599)!! overflows, but the moment (599)!! * 0.01**600 rounds to 0.0.
     (300, 0.01, None, "validate", 0, ("noise moment of order 600", "pass  (value 0.0)")),
-], ids=["order-600", "sigma-1e200", "initial-variance-1e200", "order-600-sigma-0.01"])
+    # (1999999)!! has millions of digits; validate takes its logarithm instead.
+    (1_000_000, 1.0, None, "validate", 1, ("noise moment of order 2000000", "fail  (value inf)")),
+], ids=["order-600", "sigma-1e200", "initial-variance-1e200", "order-600-sigma-0.01",
+        "order-2000000"])
 def test_moment_overflow_keeps_the_exit_code_contract(
     tmp_path, capsys, o, sigma, initial_variance, command, code, expected
 ):
     def mutate(doc):
         problem = doc["problem"]
         problem["cost"]["o"] = o
-        problem["noise"]["distribution"]["sigma"] = sigma
+        problem["noise"]["sigma"] = sigma
         if initial_variance is not None:
             problem["initial"]["law"] = {"kind": "gaussian", "variance": initial_variance}
 
     path = _write_example_config(tmp_path, 4, 2, mutate)
     out = tmp_path / "schedule.csv"
     argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "solve" else [])
+    start = time.perf_counter()
     assert main(argv) == code
+    assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     text = captured.out + captured.err
     assert all(part in text for part in expected), text

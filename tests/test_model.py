@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 from hocs import (
     Dirac,
     Empirical,
+    FeedbackPolicy,
+    GainSchedule,
     Gaussian,
     GaussianVariance,
     Horizon,
     InitialLaw,
     LengthMismatch,
     MissingMoment,
-    NoiseKind,
-    NoiseSpec,
+    Moments,
     ProblemClass,
     Rademacher,
     UniformSymmetric,
@@ -26,6 +27,8 @@ from hocs import (
     build_problem,
     example_config,
     signed_root,
+    simulate_ensemble,
+    solve,
     validate,
 )
 
@@ -81,6 +84,8 @@ def test_broadcast_full_length_passes_through():
 def test_broadcast_wrong_length_raises():
     with pytest.raises(LengthMismatch):
         broadcast([1.0, 2.0], Horizon(3))
+    with pytest.raises(LengthMismatch, match="^q_bar: expected .* length 3, got length 2$"):
+        broadcast([1.0, 2.0], Horizon(3), "q_bar")
 
 
 def test_broadcast_is_idempotent():
@@ -136,7 +141,8 @@ def test_rademacher_and_uniform_moments():
 
 
 def test_moments_in_float_range_keep_the_plain_formulas_bits():
-    for order in range(2, 201, 2):
+    # Up to order 300, the last whose (order - 1)!! is a finite double.
+    for order in range(2, 301, 2):
         double_factorial = math.prod(range(1, order, 2))
         for scale in (0.3, 1.0, 1.7):
             assert Gaussian(sigma=scale).even_moment(order) == (
@@ -150,6 +156,7 @@ def test_moments_in_float_range_keep_the_plain_formulas_bits():
 
 def test_moments_past_float_range_are_inf():
     assert Gaussian(sigma=1.0).even_moment(600) == math.inf
+    assert GaussianVariance(variance=1.0).even_moment(2_000_000) == math.inf
     assert Gaussian(sigma=1e200).even_moment(4) == math.inf
     assert GaussianVariance(variance=1e200).even_moment(4) == math.inf
     assert Rademacher(scale=1e200).even_moment(4) == math.inf
@@ -160,9 +167,23 @@ def test_moments_past_float_range_are_inf():
 def test_gaussian_moment_with_an_overflowing_double_factorial():
     # (599)!! does not fit a float, yet the moments do (or round to 0.0).
     assert Gaussian(sigma=0.01).even_moment(600) == 0.0
+    assert Gaussian(sigma=1e-3).even_moment(2_000_000) == 0.0
     assert Gaussian(sigma=0.0).even_moment(600) == 0.0
     exact = math.prod(range(1, 400, 2)) * Fraction(0.3) ** 400
     assert math.isclose(Gaussian(sigma=0.3).even_moment(400), float(exact), rel_tol=1e-12)
+    exact = math.prod(range(1, 302, 2)) * Fraction(0.5) ** 302
+    assert math.isclose(Gaussian(sigma=0.5).even_moment(302), float(exact), rel_tol=1e-12)
+    exact = math.prod(range(1, 302, 2)) * Fraction(0.25) ** 151
+    assert math.isclose(GaussianVariance(variance=0.25).even_moment(302), float(exact),
+                        rel_tol=1e-12)
+
+
+def test_negative_zero_spread_samples_as_zero():
+    rng = np.random.default_rng(0)
+    for law in (Gaussian(sigma=-0.0), GaussianVariance(variance=-0.0),
+                Rademacher(scale=-0.0), UniformSymmetric(halfwidth=-0.0)):
+        assert np.all(law.sample(rng, 3) == 0.0)
+        assert law.even_moment(2) == 0.0
 
 
 def test_dirac_moments_vanish():
@@ -205,33 +226,22 @@ def test_empirical_needs_samples():
 
 
 # --------------------------------------------------------------------------
-# NoiseSpec
+# Moments
 # --------------------------------------------------------------------------
 
-def test_noise_none_rejects_distribution_and_override():
-    with pytest.raises(ValueError):
-        NoiseSpec(kind=NoiseKind.NONE, distribution=Gaussian(sigma=1.0))
-    with pytest.raises(ValueError):
-        NoiseSpec(kind=NoiseKind.NONE, moment_override={2: 1.0})
-
-
-def test_noise_override_wins_over_distribution():
-    spec = NoiseSpec(
-        kind=NoiseKind.ADDITIVE,
-        distribution=Gaussian(sigma=1.0),
-        moment_override={2: 7.0},
-    )
-    assert spec.even_moment(2) == 7.0
-    # Orders without an override fall back to the distribution.
-    assert spec.even_moment(4) == 3.0
-
-
 def test_noise_missing_moment_raises():
-    spec = NoiseSpec(kind=NoiseKind.ADDITIVE, moment_override={2: 1.0})
+    law = Moments({2: 1.0})
+    assert law.even_moment(2) == 1.0
     with pytest.raises(MissingMoment):
-        spec.even_moment(4)
-    assert not spec.samplable
-    assert NoiseSpec(kind=NoiseKind.ADDITIVE, distribution=Gaussian(sigma=1.0)).samplable
+        law.even_moment(4)
+    with pytest.raises(MissingMoment):
+        law.sample(np.random.default_rng(0), 3)
+
+
+@pytest.mark.parametrize("values", [{3: 1.0}, {0: 1.0}, {2: -1.0}, {2: math.inf}])
+def test_moments_law_rejects_bad_entries(values):
+    with pytest.raises(ValueError):
+        Moments(values)
 
 
 # --------------------------------------------------------------------------
@@ -286,15 +296,34 @@ def test_validate_flags_nonpositive_mean_weight():
 
 
 def test_validate_flags_incompatible_noise():
+    # A stochastic class needs a noise law; the deterministic class admits none.
+    for klass, noise in (("additive", None), ("deterministic", Gaussian(sigma=1.0))):
+        spec = build_problem(
+            klass, 2,
+            a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
+            q=1.0, q_terminal=1.0, r=1.0, noise=noise,
+            initial=InitialLaw(mean=1.0),
+        )
+        report = validate(spec)
+        assert any(c.name == "class/noise compatibility" for c in report.failures), klass
+
+
+@pytest.mark.parametrize("klass", ["additive", "mult_state", "higher_moment"])
+def test_missing_noise_law_raises_missing_moment(klass):
     spec = build_problem(
-        "additive", 2,
+        klass, 2,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=1.0, q_terminal=1.0, r=1.0,
-        noise=NoiseSpec(kind=NoiseKind.NONE),
         initial=InitialLaw(mean=1.0),
     )
-    report = validate(spec)
-    assert any(c.name == "class/noise compatibility" for c in report.failures)
+    assert spec.noise is None
+    with pytest.raises(MissingMoment):
+        spec.noise_moment(2)
+    with pytest.raises(MissingMoment):
+        solve(spec)
+    policy = FeedbackPolicy(GainSchedule(k_mean=(0.1, 0.1), k_dev=(0.1, 0.1)))
+    with pytest.raises(MissingMoment):
+        simulate_ensemble(spec, policy, n_paths=2, master_seed=0)
 
 
 def test_validate_flags_random_initial_state_for_deterministic_class():
@@ -312,7 +341,7 @@ def test_validate_requires_unit_moment_power_outside_higher_moment_class():
         "mult_state", 2,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=1.0, q_terminal=1.0, r=1.0, o=2,
-        noise=NoiseSpec(kind=NoiseKind.MULT_STATE, distribution=Gaussian(sigma=1.0)),
+        noise=Gaussian(sigma=1.0),
         initial=InitialLaw(mean=1.0),
     )
     report = validate(spec)
@@ -324,7 +353,7 @@ def test_validate_flags_missing_noise_moment():
         "higher_moment", 2,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=2,
         a=0.5, b=0.5, q=1.0, q_terminal=1.0, r=1.0, o=2,
-        noise=NoiseSpec(kind=NoiseKind.MULT_MEAN_FIELD, moment_override={2: 1.0}),
+        noise=Moments({2: 1.0}),
         initial=InitialLaw(mean=1.0),
     )
     report = validate(spec)

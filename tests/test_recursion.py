@@ -9,13 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hocs import (
-    COMPATIBLE_NOISE,
     CoefficientSchedule,
     GainSchedule,
     Gaussian,
     InitialLaw,
-    NoiseKind,
-    NoiseSpec,
+    Moments,
     NonFiniteCoefficient,
     NonPositiveCoefficient,
     ProblemClass,
@@ -90,7 +88,7 @@ def _sign_gate_spec(**overrides):
     weights.update(overrides)
     return build_problem(
         "additive", 3, a_bar=2.0, b_bar=3.0, p=2,
-        noise=NoiseSpec(kind=NoiseKind.ADDITIVE, distribution=Gaussian(sigma=1.0)),
+        noise=Gaussian(sigma=1.0),
         initial=InitialLaw(mean=1.0),
         **{key: value for key, value in weights.items() if value is not None},
     )
@@ -138,7 +136,7 @@ def _validated_specs(draw):
         sigma = draw(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
         kwargs.update(
             q=sequence(weight), q_terminal=draw(weight), r=sequence(weight),
-            noise=NoiseSpec(kind=COMPATIBLE_NOISE[klass], distribution=Gaussian(sigma=sigma)),
+            noise=Gaussian(sigma=sigma),
         )
     if klass is ProblemClass.HIGHER_MOMENT:
         kwargs.update(a=sequence(dynamic), b=sequence(dynamic), o=draw(st.integers(1, 4)))
@@ -246,7 +244,7 @@ def _additive_spec(n, q, q_terminal, r, sigma=1.0, **mean_kwargs):
     defaults.update(mean_kwargs)
     return build_problem(
         "additive", n, q=q, q_terminal=q_terminal, r=r,
-        noise=NoiseSpec(kind=NoiseKind.ADDITIVE, distribution=Gaussian(sigma=sigma)),
+        noise=Gaussian(sigma=sigma),
         initial=InitialLaw(mean=1.0), **defaults,
     )
 
@@ -265,7 +263,7 @@ def test_additive_offset_vanishes_without_noise_power():
         "additive", 4,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=1.0, q_terminal=1.0, r=1.0,
-        noise=NoiseSpec(kind=NoiseKind.ADDITIVE, moment_override={2: 0.0}),
+        noise=Moments({2: 0.0}),
         initial=InitialLaw(mean=1.0),
     )
     schedule, _ = solve(spec)
@@ -303,7 +301,7 @@ def test_mult_state_one_step_desk_value():
         "mult_state", 1,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=[2.0], q_terminal=1.0, r=[1.0],
-        noise=NoiseSpec(kind=NoiseKind.MULT_STATE, distribution=Gaussian(sigma=1.0)),
+        noise=Gaussian(sigma=1.0),
         initial=InitialLaw(mean=1.0),
     )
     schedule, gains = solve(spec)
@@ -320,12 +318,12 @@ def test_mult_state_with_zero_noise_power_matches_additive():
     )
     mult = build_problem(
         "mult_state", 5,
-        noise=NoiseSpec(kind=NoiseKind.MULT_STATE, moment_override={2: 0.0}),
+        noise=Moments({2: 0.0}),
         **kwargs,
     )
     add = build_problem(
         "additive", 5,
-        noise=NoiseSpec(kind=NoiseKind.ADDITIVE, moment_override={2: 0.0}),
+        noise=Moments({2: 0.0}),
         **kwargs,
     )
     mult_schedule, mult_gains = solve(mult)
@@ -339,7 +337,7 @@ def test_mult_state_zero_deviation_weights_stay_zero():
         "mult_state", 4,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=0.0, q_terminal=0.0, r=1.0,
-        noise=NoiseSpec(kind=NoiseKind.MULT_STATE, distribution=Gaussian(sigma=1.0)),
+        noise=Gaussian(sigma=1.0),
         initial=InitialLaw(mean=1.0),
     )
     schedule, gains = solve(spec)
@@ -355,7 +353,7 @@ def _higher_spec(n, o, dist, p=2, **overrides):
     kwargs = dict(
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=p,
         a=0.5, b=0.5, q=1.0, q_terminal=1.0, r=1.0, o=o,
-        noise=NoiseSpec(kind=NoiseKind.MULT_MEAN_FIELD, distribution=dist),
+        noise=dist,
         initial=InitialLaw(mean=1.0),
     )
     kwargs.update(overrides)
@@ -463,7 +461,7 @@ def _mult_state_desk_spec():
         "mult_state", 1,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=[2.0], q_terminal=1.0, r=[1.0],
-        noise=NoiseSpec(kind=NoiseKind.MULT_STATE, distribution=Gaussian(sigma=1.0)),
+        noise=Gaussian(sigma=1.0),
         initial=InitialLaw(mean=1.0),
     )
 

@@ -13,8 +13,7 @@ from hocs import (
     InitialLaw,
     InvalidPolicy,
     MissingMoment,
-    NoiseKind,
-    NoiseSpec,
+    Moments,
     TrajectoryEnsemble,
     build_problem,
     central_moment,
@@ -180,7 +179,7 @@ def test_simulate_needs_a_samplable_noise_law():
         "additive", 2,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=1.0, q_terminal=1.0, r=1.0,
-        noise=NoiseSpec(kind=NoiseKind.ADDITIVE, moment_override={2: 1.0}),
+        noise=Moments({2: 1.0}),
         initial=InitialLaw(mean=1.0),
     )
     _, policy = _solved_policy(spec)
@@ -201,7 +200,7 @@ def test_mult_state_variance_tracks_theory():
         "mult_state", 6,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=1.0, q_terminal=1.0, r=1.0,
-        noise=NoiseSpec(kind=NoiseKind.MULT_STATE, distribution=Gaussian(sigma=0.3)),
+        noise=Gaussian(sigma=0.3),
         initial=InitialLaw(mean=2.0, law=Empirical(samples=(-0.3, 0.3))),
     )
     _, policy = _solved_policy(spec)
@@ -253,7 +252,7 @@ def test_mult_state_point_mass_initial_has_no_spread():
         "mult_state", 5,
         a_bar=1.2, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=1.0, q_terminal=1.0, r=1.0,
-        noise=NoiseSpec(kind=NoiseKind.MULT_STATE, distribution=Gaussian(sigma=1.0)),
+        noise=Gaussian(sigma=1.0),
         initial=InitialLaw(mean=4.0),
     )
     _, policy = _solved_policy(spec)
@@ -352,7 +351,7 @@ def test_predicted_cost_desk_values():
         "additive", 3,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=1.0, q_terminal=1.0, r=1.0,
-        noise=NoiseSpec(kind=NoiseKind.ADDITIVE, distribution=Gaussian(sigma=1.0)),
+        noise=Gaussian(sigma=1.0),
         initial=InitialLaw(mean=0.0),
     )
     schedule, _ = solve(offset_only)
