@@ -17,20 +17,16 @@ Typical use::
 """
 
 from .model import (
-    CostSpec,
-    DeviationDynamics,
     Dirac,
     Distribution,
     Empirical,
     Gaussian,
     GaussianVariance,
     HocsError,
-    Horizon,
     IndexOutOfRange,
     InitialLaw,
     InvalidPolicy,
     LengthMismatch,
-    MeanDynamics,
     MissingMoment,
     Moments,
     NonFiniteCoefficient,

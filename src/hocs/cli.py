@@ -227,7 +227,7 @@ def _simulation_bundle(
         ("k", *(f"path{j}" for j in range(shown))),
         ((k, *ensemble.states[:shown, k]) for k in range(n + 1)),
     )
-    orders = sorted({2, 2 * spec.cost.o})
+    orders = sorted({2, 2 * spec.o})
     moments = [central_moment(ensemble, order) for order in orders]
     _write_csv(
         out_dir / "moments.csv",

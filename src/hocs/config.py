@@ -320,25 +320,22 @@ def config_to_dict(config: RunConfig) -> dict:
     return {
         "problem": {
             "class": spec.problem_class.value,
-            "horizon": {"n_steps": spec.horizon.n_steps},
+            "horizon": {"n_steps": spec.n_steps},
             "mean_dynamics": {
-                "a_bar": list(spec.mean_dyn.a_bar),
-                "b_bar": list(spec.mean_dyn.b_bar),
-                "allow_uncontrollable": spec.mean_dyn.allow_uncontrollable,
+                "a_bar": list(spec.a_bar),
+                "b_bar": list(spec.b_bar),
+                "allow_uncontrollable": spec.allow_uncontrollable,
             },
-            "deviation_dynamics": {
-                "a": list(spec.dev_dyn.a),
-                "b": list(spec.dev_dyn.b),
-            },
+            "deviation_dynamics": {"a": list(spec.a), "b": list(spec.b)},
             "cost": {
-                "p": spec.cost.p,
-                "o": spec.cost.o,
-                "q_bar": list(spec.cost.q_bar),
-                "q_bar_terminal": spec.cost.q_bar_terminal,
-                "r_bar": list(spec.cost.r_bar),
-                "q": list(spec.cost.q),
-                "q_terminal": spec.cost.q_terminal,
-                "r": list(spec.cost.r),
+                "p": spec.p,
+                "o": spec.o,
+                "q_bar": list(spec.q_bar),
+                "q_bar_terminal": spec.q_bar_terminal,
+                "r_bar": list(spec.r_bar),
+                "q": list(spec.q),
+                "q_terminal": spec.q_terminal,
+                "r": list(spec.r),
             },
             **noise,
             "initial": {

@@ -19,9 +19,13 @@ The class alone says how eps enters, so the noise is just its per-step law:
 a Distribution, or None for the deterministic class. A ``Moments`` law lists
 the even moments only; it prices but has nothing to sample.
 
-This module houses the domain types, scalar-to-sequence broadcasting, the
-signed odd root used by the gain formulas, the moment tables of the noise and
-initial laws, and the static validity checks consumed by the backward solvers.
+One problem is one flat, frozen ProblemSpec record: the dynamics (a_bar,
+b_bar, a, b), the weights (q, q_bar, r, r_bar and the two terminal weights),
+the powers (p, o), the noise law and the initial law; the horizon N is the
+shared length of its per-step fields. This module also houses
+scalar-to-sequence broadcasting, the signed odd root used by the gain
+formulas, the moment tables of the noise and initial laws, and the static
+validity checks consumed by the backward solvers.
 """
 
 from __future__ import annotations
@@ -146,22 +150,11 @@ def _as_finite_floats(values: Sequence[float], name: str) -> tuple[float, ...]:
 
 
 # --------------------------------------------------------------------------
-# Horizon and broadcasting
+# Broadcasting
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Horizon:
-    """Finite horizon: states at k = 0..n_steps, controls at k = 0..n_steps-1."""
-
-    n_steps: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n_steps, int) or self.n_steps < 1:
-            raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps}")
-
-
 def broadcast(
-    value: Union[float, Sequence[float]], horizon: Horizon, name: str = "value"
+    value: Union[float, Sequence[float]], n_steps: int, name: str = "value"
 ) -> tuple[float, ...]:
     """Broadcast a scalar (or length-1 sequence) to a length-N tuple.
 
@@ -170,7 +163,7 @@ def broadcast(
 
     Args:
         value: A real number, a length-1 sequence, or a length-N sequence.
-        horizon: Target horizon (N = horizon.n_steps).
+        n_steps: The horizon N.
         name: The field the value belongs to, named in the error.
 
     Returns:
@@ -179,16 +172,15 @@ def broadcast(
     Raises:
         LengthMismatch: If a sequence of length other than N or 1 is given.
     """
-    n = horizon.n_steps
     if isinstance(value, (int, float, np.integer, np.floating)):
-        return (float(value),) * n
+        return (float(value),) * n_steps
     seq = tuple(float(v) for v in value)
-    if len(seq) == n:
+    if len(seq) == n_steps:
         return seq
     if len(seq) == 1:
-        return seq * n
+        return seq * n_steps
     raise LengthMismatch(
-        f"{name}: expected a scalar or a sequence of length {n}, got length {len(seq)}")
+        f"{name}: expected a scalar or a sequence of length {n_steps}, got length {len(seq)}")
 
 
 # --------------------------------------------------------------------------
@@ -329,10 +321,6 @@ class Empirical(Distribution):
         else:
             object.__setattr__(self, "samples", raw)
 
-    @property
-    def was_centered(self) -> bool:
-        return self.shift != 0.0
-
     def even_moment(self, order: int) -> float:
         _check_even_order(order)
         try:
@@ -393,79 +381,53 @@ class InitialLaw:
         """E[(x0 - mean)**order] for even order."""
         return self.law.even_moment(order)
 
-    @property
-    def variance(self) -> float:
-        return self.central_moment(2)
-
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return self.mean + self.law.sample(rng, size)
 
 
 # --------------------------------------------------------------------------
-# Dynamics and cost
+# The problem
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MeanDynamics:
-    """Mean-channel coefficients: xbar[k+1] = a_bar[k] xbar[k] + b_bar[k] ubar[k].
-
-    A zero b_bar[k] makes step k uncontrollable in the mean and is rejected
-    unless ``allow_uncontrollable`` is set. The solver then needs no special
-    case: the completion constant is signed_root(0) = 0, so the mean gain at
-    that step is 0 (-0.0 when a_bar[k] < 0).
-    """
-
-    a_bar: tuple[float, ...]
-    b_bar: tuple[float, ...]
-    allow_uncontrollable: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a_bar", _as_finite_floats(self.a_bar, "a_bar"))
-        object.__setattr__(self, "b_bar", _as_finite_floats(self.b_bar, "b_bar"))
-        if len(self.a_bar) != len(self.b_bar):
-            raise LengthMismatch(
-                f"a_bar and b_bar lengths differ: {len(self.a_bar)} vs {len(self.b_bar)}"
-            )
-        if not self.allow_uncontrollable and any(v == 0.0 for v in self.b_bar):
-            raise ValueError("b_bar contains a zero entry; set allow_uncontrollable to permit it")
+#: The fields that hold one value per step k = 0..N-1.
+_PER_STEP_FIELDS = ("a_bar", "b_bar", "a", "b", "q", "q_bar", "r", "r_bar")
 
 
 @dataclass(frozen=True)
-class DeviationDynamics:
-    """Deviation-channel coefficients a[k], b[k].
+class ProblemSpec:
+    """One fully specified control problem: dynamics, weights, powers and laws.
 
-    Classes other than HIGHER_MOMENT use a single coefficient pair for both
-    channels, so there a must equal a_bar and b must equal b_bar; validate()
-    reports a mismatch.
-    """
-
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _as_finite_floats(self.a, "a"))
-        object.__setattr__(self, "b", _as_finite_floats(self.b, "b"))
-        if len(self.a) != len(self.b):
-            raise LengthMismatch(f"a and b lengths differ: {len(self.a)} vs {len(self.b)}")
-
-
-@dataclass(frozen=True)
-class CostSpec:
-    """Stage and terminal cost weights together with the two half-powers.
-
-    The running cost at step k is
+    The mean channel moves as xbar[k+1] = a_bar[k] xbar[k] + b_bar[k] ubar[k];
+    (a, b) are the deviation-channel coefficients, which only the
+    HIGHER_MOMENT class may set apart from (a_bar, b_bar). The running cost
+    at step k is
 
         q[k] E[(x - xbar)**(2o)] + q_bar[k] xbar**(2p)
         + r[k] E[(u - ubar)**(2o)] + r_bar[k] ubar**(2p)
 
     plus the terminal term q_terminal E[(x_N - xbar_N)**(2o)]
     + q_bar_terminal xbar_N**(2p). Deviation weights (q, q_terminal, r) are
-    ignored by the DETERMINISTIC class.
+    ignored by the DETERMINISTIC class. ``noise`` is the per-step law of
+    eps; the class says how eps enters.
 
-    Construction checks structure only (lengths, finiteness, integer powers);
-    the positivity conditions the solvers rely on are validate()'s business.
+    A zero b_bar[k] makes step k uncontrollable in the mean and is rejected
+    unless ``allow_uncontrollable`` is set. The solver then needs no special
+    case: the completion constant is signed_root(0) = 0, so the mean gain at
+    that step is 0 (-0.0 when a_bar[k] < 0).
+
+    Construction checks structure only: every per-step field is finite and
+    has the one shared length N = len(a_bar) >= 1, the terminal weights are
+    finite, and p and o are integers >= 1. Semantic validity (positive
+    weights, a noise law exactly on the stochastic classes, ...) is reported
+    by validate() rather than raised, so that deliberately broken specs can
+    be built and inspected.
     """
 
+    problem_class: ProblemClass
+    a_bar: tuple[float, ...]
+    b_bar: tuple[float, ...]
+    a: tuple[float, ...]
+    b: tuple[float, ...]
     q: tuple[float, ...]
     q_terminal: float
     q_bar: tuple[float, ...]
@@ -473,60 +435,36 @@ class CostSpec:
     r: tuple[float, ...]
     r_bar: tuple[float, ...]
     p: int
-    o: int = 1
+    o: int
+    noise: Distribution | None
+    initial: InitialLaw
+    allow_uncontrollable: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", _as_finite_floats(self.q, "q"))
-        object.__setattr__(self, "q_bar", _as_finite_floats(self.q_bar, "q_bar"))
-        object.__setattr__(self, "r", _as_finite_floats(self.r, "r"))
-        object.__setattr__(self, "r_bar", _as_finite_floats(self.r_bar, "r_bar"))
+        n = len(self.a_bar)
+        if n < 1:
+            raise LengthMismatch("a_bar must have at least one step")
+        for name in _PER_STEP_FIELDS:
+            values = _as_finite_floats(getattr(self, name), name)
+            if len(values) != n:
+                raise LengthMismatch(
+                    f"{name}: expected length n_steps={n} (that of a_bar), got length {len(values)}")
+            object.__setattr__(self, name, values)
         for name in ("q_terminal", "q_bar_terminal"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
-        lengths = {len(self.q), len(self.q_bar), len(self.r), len(self.r_bar)}
-        if len(lengths) != 1:
-            raise LengthMismatch(f"weight sequences have differing lengths: {sorted(lengths)}")
         for name in ("p", "o"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """One fully specified control problem.
-
-    Construction enforces structural consistency (every per-step sequence has
-    length horizon.n_steps); semantic validity (positive weights, a noise law
-    exactly on the stochastic classes, ...) is reported by validate() rather
-    than raised, so that deliberately broken specs can be built and inspected.
-    ``noise`` is the per-step law of eps; the class says how eps enters.
-    """
-
-    problem_class: ProblemClass
-    horizon: Horizon
-    mean_dyn: MeanDynamics
-    dev_dyn: DeviationDynamics
-    cost: CostSpec
-    noise: Distribution | None
-    initial: InitialLaw
-
-    def __post_init__(self) -> None:
-        n = self.horizon.n_steps
-        lengths = {
-            "mean_dyn.a_bar": len(self.mean_dyn.a_bar),
-            "dev_dyn.a": len(self.dev_dyn.a),
-            "cost.q": len(self.cost.q),
-        }
-        bad = {name: length for name, length in lengths.items() if length != n}
-        if bad:
-            raise LengthMismatch(f"sequences must have length n_steps={n}: {bad}")
+        if not self.allow_uncontrollable and any(v == 0.0 for v in self.b_bar):
+            raise ValueError("b_bar contains a zero entry; set allow_uncontrollable to permit it")
 
     @property
     def n_steps(self) -> int:
-        return self.horizon.n_steps
+        return len(self.a_bar)
 
     def noise_moment(self, order: int) -> float:
         """E[eps**order]; MissingMoment if there is no noise law or it lacks the order."""
@@ -562,33 +500,25 @@ def build_problem(
     they are unused. Noise defaults to no law, which only the DETERMINISTIC
     class admits.
     """
-    horizon = Horizon(n_steps)
-    mean_dyn = MeanDynamics(
-        broadcast(a_bar, horizon, "a_bar"), broadcast(b_bar, horizon, "b_bar"),
-        allow_uncontrollable,
-    )
-    dev_dyn = DeviationDynamics(
-        broadcast(a if a is not None else mean_dyn.a_bar, horizon, "a"),
-        broadcast(b if b is not None else mean_dyn.b_bar, horizon, "b"),
-    )
-    cost = CostSpec(
-        q=broadcast(q, horizon, "q"),
-        q_terminal=q_terminal,
-        q_bar=broadcast(q_bar, horizon, "q_bar"),
-        q_bar_terminal=q_bar_terminal,
-        r=broadcast(r, horizon, "r"),
-        r_bar=broadcast(r_bar, horizon, "r_bar"),
-        p=p,
-        o=o,
-    )
+    if not isinstance(n_steps, int) or n_steps < 1:
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps}")
     return ProblemSpec(
         problem_class=ProblemClass(problem_class),
-        horizon=horizon,
-        mean_dyn=mean_dyn,
-        dev_dyn=dev_dyn,
-        cost=cost,
+        a_bar=broadcast(a_bar, n_steps, "a_bar"),
+        b_bar=broadcast(b_bar, n_steps, "b_bar"),
+        a=broadcast(a_bar if a is None else a, n_steps, "a"),
+        b=broadcast(b_bar if b is None else b, n_steps, "b"),
+        q=broadcast(q, n_steps, "q"),
+        q_terminal=q_terminal,
+        q_bar=broadcast(q_bar, n_steps, "q_bar"),
+        q_bar_terminal=q_bar_terminal,
+        r=broadcast(r, n_steps, "r"),
+        r_bar=broadcast(r_bar, n_steps, "r_bar"),
+        p=p,
+        o=o,
         noise=noise,
         initial=initial,
+        allow_uncontrollable=allow_uncontrollable,
     )
 
 
@@ -655,17 +585,17 @@ def validate(spec: ProblemSpec) -> ValidationReport:
         A ValidationReport whose ``ok`` property is True iff no check failed.
     """
     checks: list[ValidationCheck] = []
-    cost, klass = spec.cost, spec.problem_class
+    klass = spec.problem_class
     has_deviation_channel = klass is not ProblemClass.DETERMINISTIC
 
-    ok = _positive(cost.q_bar, cost.q_bar_terminal) and _positive(cost.r_bar)
+    ok = _positive(spec.q_bar, spec.q_bar_terminal) and _positive(spec.r_bar)
     checks.append(ValidationCheck(
         "mean weights strictly positive", PASS if ok else FAIL,
         "" if ok else "q_bar, q_bar_terminal, r_bar must all be > 0",
     ))
 
     if has_deviation_channel:
-        ok = _positive(cost.q, cost.q_terminal) and _positive(cost.r)
+        ok = _positive(spec.q, spec.q_terminal) and _positive(spec.r)
         checks.append(ValidationCheck(
             "deviation weights strictly positive", PASS if ok else FAIL,
             "" if ok else "q, q_terminal, r must all be > 0",
@@ -683,15 +613,15 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     ))
 
     if klass is not ProblemClass.HIGHER_MOMENT:
-        ok = spec.dev_dyn.a == spec.mean_dyn.a_bar and spec.dev_dyn.b == spec.mean_dyn.b_bar
+        ok = spec.a == spec.a_bar and spec.b == spec.b_bar
         checks.append(ValidationCheck(
             "deviation dynamics equal mean dynamics", PASS if ok else FAIL,
             "" if ok else "distinct (a, b) are legal only for the higher-moment class",
         ))
-        ok = cost.o == 1
+        ok = spec.o == 1
         checks.append(ValidationCheck(
             "moment power o = 1", PASS if ok else FAIL,
-            "" if ok else f"class {klass.value} penalizes the variance only, got o={cost.o}",
+            "" if ok else f"class {klass.value} penalizes the variance only, got o={spec.o}",
         ))
 
     if klass is ProblemClass.DETERMINISTIC:
@@ -702,7 +632,7 @@ def validate(spec: ProblemSpec) -> ValidationReport:
         ))
 
     if has_deviation_channel and spec.noise is not None:
-        order = 2 * cost.o if klass is ProblemClass.HIGHER_MOMENT else 2
+        order = 2 * spec.o if klass is ProblemClass.HIGHER_MOMENT else 2
         try:
             moment = spec.noise_moment(order)
         except MissingMoment:

@@ -163,12 +163,11 @@ def _power_channel(
 
 def _check_signs(spec: ProblemSpec) -> None:
     """Raise NonPositiveCoefficient naming the first weight of the wrong sign."""
-    cost = spec.cost
-    weights = [("q_bar", cost.q_bar, False), ("q_bar_terminal", (cost.q_bar_terminal,), True),
-               ("r_bar", cost.r_bar, True)]
+    weights = [("q_bar", spec.q_bar, False), ("q_bar_terminal", (spec.q_bar_terminal,), True),
+               ("r_bar", spec.r_bar, True)]
     if spec.problem_class is not ProblemClass.DETERMINISTIC:
-        weights += [("q", cost.q, False), ("q_terminal", (cost.q_terminal,), False),
-                    ("r", cost.r, True)]
+        weights += [("q", spec.q, False), ("q_terminal", (spec.q_terminal,), False),
+                    ("r", spec.r, True)]
     for name, values, strict in weights:
         for k, value in enumerate(values):
             if value < 0.0 or (strict and value == 0.0):
@@ -201,23 +200,23 @@ def solve(
         NonFiniteCoefficient: If a coefficient or gain overflows.
     """
     _check_signs(spec)
-    cost, klass = spec.cost, spec.problem_class
-    a_bar, b_bar = spec.mean_dyn.a_bar, spec.mean_dyn.b_bar
+    klass = spec.problem_class
+    a_bar, b_bar = spec.a_bar, spec.b_bar
     alpha_bar, k_mean = _power_channel(
-        a_bar, b_bar, cost.q_bar, cost.q_bar_terminal, cost.r_bar, cost.p,
+        a_bar, b_bar, spec.q_bar, spec.q_bar_terminal, spec.r_bar, spec.p,
         name="alpha_bar",
     )
     alpha = k_dev = gamma_bar = None
     if klass is ProblemClass.HIGHER_MOMENT:
-        m = spec.noise_moment(2 * cost.o)
+        m = spec.noise_moment(2 * spec.o)
         alpha, k_dev = _power_channel(
-            spec.dev_dyn.a, spec.dev_dyn.b, cost.q, cost.q_terminal, cost.r, cost.o,
+            spec.a, spec.b, spec.q, spec.q_terminal, spec.r, spec.o,
             m=m, loop_scale=1.0 if literal_recursion else m,
         )
     elif klass is not ProblemClass.DETERMINISTIC:
         m2 = spec.noise_moment(2)
         alpha, k_dev = _power_channel(
-            a_bar, b_bar, cost.q, cost.q_terminal, cost.r, 1,
+            a_bar, b_bar, spec.q, spec.q_terminal, spec.r, 1,
             offset=m2 if klass is ProblemClass.MULT_STATE else 0.0,
         )
         if klass is ProblemClass.ADDITIVE:
@@ -226,7 +225,7 @@ def solve(
                 gamma_bar[k] = gamma_bar[k + 1] + alpha[k + 1] * m2
 
     schedule = CoefficientSchedule(
-        problem_class=klass, p=cost.p, o=cost.o,
+        problem_class=klass, p=spec.p, o=spec.o,
         alpha_bar=alpha_bar, alpha=alpha, gamma_bar=gamma_bar,
     )
     return schedule, GainSchedule(k_mean=k_mean, k_dev=k_dev)
@@ -239,23 +238,22 @@ def riccati_lqr(spec: ProblemSpec) -> CoefficientSchedule:
     (r_bar[k] + alpha_bar[k+1] b_bar[k]^2) directly, without reusing the
     general-power solver, to cross-check the p = 1 reduction.
     """
-    if spec.cost.p != 1:
-        raise ValueError(f"the Riccati reference applies to p = 1 only, got p={spec.cost.p}")
+    if spec.p != 1:
+        raise ValueError(f"the Riccati reference applies to p = 1 only, got p={spec.p}")
     n = spec.n_steps
-    cost = spec.cost
-    a_bar, b_bar = spec.mean_dyn.a_bar, spec.mean_dyn.b_bar
+    a_bar, b_bar, q_bar, r_bar = spec.a_bar, spec.b_bar, spec.q_bar, spec.r_bar
 
     alpha_bar = [0.0] * (n + 1)
-    alpha_bar[n] = cost.q_bar_terminal
+    alpha_bar[n] = spec.q_bar_terminal
     for k in reversed(range(n)):
-        alpha_bar[k] = cost.q_bar[k] + (
-            alpha_bar[k + 1] * a_bar[k] ** 2 * cost.r_bar[k]
-            / (cost.r_bar[k] + alpha_bar[k + 1] * b_bar[k] ** 2)
+        alpha_bar[k] = q_bar[k] + (
+            alpha_bar[k + 1] * a_bar[k] ** 2 * r_bar[k]
+            / (r_bar[k] + alpha_bar[k + 1] * b_bar[k] ** 2)
         )
 
     return CoefficientSchedule(
         problem_class=spec.problem_class,
-        p=cost.p,
-        o=cost.o,
+        p=spec.p,
+        o=spec.o,
         alpha_bar=tuple(alpha_bar),
     )

@@ -115,14 +115,14 @@ def test_criterion_03_riccati_reduction(capsys):
         rng = np.random.default_rng(31415)
         for _ in range(50):
             spec = _random_deterministic_spec(rng)
-            if spec.cost.p != 1:
+            if spec.p != 1:
                 spec = build_problem(
-                    "deterministic", spec.horizon.n_steps,
-                    a_bar=spec.mean_dyn.a_bar,
-                    b_bar=spec.mean_dyn.b_bar,
-                    q_bar=spec.cost.q_bar,
-                    q_bar_terminal=spec.cost.q_bar_terminal,
-                    r_bar=spec.cost.r_bar,
+                    "deterministic", spec.n_steps,
+                    a_bar=spec.a_bar,
+                    b_bar=spec.b_bar,
+                    q_bar=spec.q_bar,
+                    q_bar_terminal=spec.q_bar_terminal,
+                    r_bar=spec.r_bar,
                     p=1,
                     initial=spec.initial,
                 )

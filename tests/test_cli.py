@@ -179,7 +179,7 @@ def test_solve_writes_schedule_and_round_trips(tmp_path, capsys):
     spec = example_config(3, 2).problem
     schedule, gains = solve(spec)
     re_schedule, re_gains = read_schedule_csv(
-        out, spec.problem_class, spec.cost.p, spec.cost.o
+        out, spec.problem_class, spec.p, spec.o
     )
     assert re_schedule == schedule
     assert re_gains == gains
@@ -352,6 +352,34 @@ def test_verify_zero_noise_stochastic_config(tmp_path):
 
     path = _write_example_config(tmp_path, 2, 1, mutate)
     assert main(["verify", "--config", str(path), "--paths", "50"]) == 0
+
+
+def test_verify_with_an_infinite_moment_budget_is_discrepant(tmp_path, capsys):
+    # Per-path moment costs near 1e155 square to inf in the plug-in stderr,
+    # so the 3-stderr budget is inf; that must not count as agreement.
+    def mutate(doc):
+        doc["problem"]["initial"]["law"] = {"kind": "gaussian", "variance": 1e155}
+
+    path = _write_example_config(tmp_path, 2, 1, mutate)
+    assert main(["verify", "--config", str(path), "--paths", "50"]) == 2
+    captured = capsys.readouterr()
+    assert "+/- inf (50 paths)" in captured.out
+    assert "prediction agreement : DISCREPANT" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_simulate_time_is_logarithmic_in_the_moment_power(tmp_path):
+    # Rademacher noise keeps every moment at 1.0, so o = 20000 is a valid
+    # spec; its 40000th powers must not cost one pass per order.
+    def mutate(doc):
+        doc["problem"]["noise"] = {"kind": "rademacher", "scale": 1.0}
+        doc["problem"]["cost"]["o"] = 20_000
+
+    path = _write_example_config(tmp_path, 4, 1, mutate)
+    start = time.perf_counter()
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--paths", "10000"]) == 0
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verify_flags_moment_free_recursion_variant():

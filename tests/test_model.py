@@ -15,12 +15,12 @@ from hocs import (
     GainSchedule,
     Gaussian,
     GaussianVariance,
-    Horizon,
     InitialLaw,
     LengthMismatch,
     MissingMoment,
     Moments,
     ProblemClass,
+    ProblemSpec,
     Rademacher,
     UniformSymmetric,
     broadcast,
@@ -71,32 +71,24 @@ def test_signed_root_inverts_odd_power(x, n, sign):
 # --------------------------------------------------------------------------
 
 def test_broadcast_scalar_and_short_list():
-    h = Horizon(4)
-    assert broadcast(2.5, h) == (2.5, 2.5, 2.5, 2.5)
-    assert broadcast([2.5], h) == (2.5, 2.5, 2.5, 2.5)
+    assert broadcast(2.5, 4) == (2.5, 2.5, 2.5, 2.5)
+    assert broadcast([2.5], 4) == (2.5, 2.5, 2.5, 2.5)
 
 
 def test_broadcast_full_length_passes_through():
-    h = Horizon(3)
-    assert broadcast([1.0, 2.0, 3.0], h) == (1.0, 2.0, 3.0)
+    assert broadcast([1.0, 2.0, 3.0], 3) == (1.0, 2.0, 3.0)
 
 
 def test_broadcast_wrong_length_raises():
     with pytest.raises(LengthMismatch):
-        broadcast([1.0, 2.0], Horizon(3))
+        broadcast([1.0, 2.0], 3)
     with pytest.raises(LengthMismatch, match="^q_bar: expected .* length 3, got length 2$"):
-        broadcast([1.0, 2.0], Horizon(3), "q_bar")
+        broadcast([1.0, 2.0], 3, "q_bar")
 
 
 def test_broadcast_is_idempotent():
-    h = Horizon(5)
-    once = broadcast(1.5, h)
-    assert broadcast(once, h) == once
-
-
-def test_horizon_must_be_positive():
-    with pytest.raises(ValueError):
-        Horizon(0)
+    once = broadcast(1.5, 5)
+    assert broadcast(once, 5) == once
 
 
 # --------------------------------------------------------------------------
@@ -200,7 +192,7 @@ def test_odd_moment_order_rejected():
 
 def test_empirical_centers_and_records_shift():
     e = Empirical(samples=(1.0, 2.0, 3.0))
-    assert e.was_centered
+    assert e.shift != 0.0
     assert math.isclose(e.shift, 2.0, rel_tol=1e-15)
     assert math.fsum(e.samples) == 0.0
     assert math.isclose(e.even_moment(2), 2.0 / 3.0, rel_tol=1e-15)
@@ -215,7 +207,7 @@ def test_empirical_rebuild_from_stored_samples_is_bit_exact():
 
 def test_empirical_already_centered_is_untouched():
     e = Empirical(samples=(-0.3, 0.3))
-    assert not e.was_centered
+    assert e.shift == 0.0
     assert e.samples == (-0.3, 0.3)
     assert e.even_moment(2) == 0.09
 
@@ -250,7 +242,7 @@ def test_moments_law_rejects_bad_entries(values):
 
 def test_initial_law_moments_and_sampling():
     law = InitialLaw(mean=3.0, law=GaussianVariance(variance=4.0))
-    assert law.variance == 4.0
+    assert law.central_moment(2) == 4.0
     assert law.central_moment(4) == 48.0
     draws = law.sample(np.random.default_rng(0), 50_000)
     assert abs(float(np.mean(draws)) - 3.0) < 0.05
@@ -258,7 +250,7 @@ def test_initial_law_moments_and_sampling():
 
 def test_initial_law_defaults_to_point_mass():
     law = InitialLaw(mean=1.0)
-    assert law.variance == 0.0
+    assert law.central_moment(2) == 0.0
     assert np.all(law.sample(np.random.default_rng(1), 10) == 1.0)
 
 
@@ -273,9 +265,57 @@ def test_build_problem_accepts_class_by_name_and_broadcasts():
         initial=InitialLaw(mean=1.0),
     )
     assert spec.problem_class is ProblemClass.DETERMINISTIC
-    assert spec.mean_dyn.a_bar == (1.0, 1.0, 1.0)
-    assert spec.cost.r_bar == (4.0, 4.0, 4.0)
+    assert spec.a_bar == (1.0, 1.0, 1.0)
+    assert spec.r_bar == (4.0, 4.0, 4.0)
     assert spec.n_steps == 3
+
+
+PER_STEP_FIELDS = ("a_bar", "b_bar", "a", "b", "q", "q_bar", "r", "r_bar")
+
+
+def _direct_spec(**changes):
+    """A ProblemSpec built field by field (N = 3), with ``changes`` applied."""
+    fields = dict(
+        problem_class=ProblemClass.ADDITIVE,
+        **{name: (1.0, 1.0, 1.0) for name in PER_STEP_FIELDS},
+        q_terminal=1.0, q_bar_terminal=1.0, p=1, o=1,
+        noise=Gaussian(sigma=1.0), initial=InitialLaw(mean=1.0),
+    )
+    fields.update(changes)
+    return lambda: ProblemSpec(**fields)
+
+
+@pytest.mark.parametrize("make, error, match", [
+    *[pytest.param(_direct_spec(**{name: (1.0, 1.0)}), LengthMismatch, "length",
+                   id=f"{name}-length") for name in PER_STEP_FIELDS],
+    *[pytest.param(_direct_spec(**{name: (1.0, math.nan, 1.0)}), ValueError,
+                   f"^{name} must contain only finite values", id=f"{name}-nan")
+      for name in PER_STEP_FIELDS],
+    pytest.param(_direct_spec(q_terminal=math.inf), ValueError, "^q_terminal must be finite",
+                 id="q_terminal-inf"),
+    pytest.param(_direct_spec(q_bar_terminal=-math.inf), ValueError,
+                 "^q_bar_terminal must be finite", id="q_bar_terminal-inf"),
+    pytest.param(_direct_spec(p=1.5), ValueError, "^p must be an integer", id="p-float"),
+    pytest.param(_direct_spec(o=2.0), ValueError, "^o must be an integer", id="o-float"),
+    pytest.param(_direct_spec(p=0), ValueError, "^p must be an integer", id="p-zero"),
+    pytest.param(_direct_spec(o=0), ValueError, "^o must be an integer", id="o-zero"),
+    pytest.param(_direct_spec(**{name: () for name in PER_STEP_FIELDS}), LengthMismatch,
+                 "at least one step", id="no-steps"),
+    pytest.param(_direct_spec(b_bar=(1.0, 0.0, 1.0)), ValueError, "allow_uncontrollable",
+                 id="zero-b_bar"),
+    pytest.param(_direct_spec(b_bar=(1.0, 0.0, 1.0), allow_uncontrollable=True), None, None,
+                 id="zero-b_bar-allowed"),
+    pytest.param(lambda: build_problem(
+        "deterministic", 0, a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0,
+        p=1, initial=InitialLaw(mean=1.0)), ValueError, "n_steps must be an integer >= 1",
+                 id="build-n_steps-0"),
+])
+def test_problem_spec_checks_every_field(make, error, match):
+    if error is None:
+        assert make().n_steps == 3
+        return
+    with pytest.raises(error, match=match):
+        make()
 
 
 def test_validate_passes_on_builtin_examples():
@@ -381,4 +421,4 @@ def test_uncontrollable_mean_step_rejected_by_default():
         a_bar=1.0, b_bar=[1.0, 0.0], q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0,
         p=1, initial=InitialLaw(mean=1.0), allow_uncontrollable=True,
     )
-    assert spec.mean_dyn.b_bar == (1.0, 0.0)
+    assert spec.b_bar == (1.0, 0.0)

@@ -124,7 +124,7 @@ def test_oracle_finishes_p1_crawl_spec_in_a_few_newton_steps():
     for _ in range(119):
         _random_deterministic_spec(rng)
     spec = _random_deterministic_spec(rng)
-    assert (spec.n_steps, spec.cost.p) == (10, 1)
+    assert (spec.n_steps, spec.p) == (10, 1)
     report = brute_force_deterministic(spec)
     assert report.iterations <= 10
     assert report.relative_gap < 1e-6
@@ -212,7 +212,7 @@ def test_oracle_settles_on_wide_specs(seed, index, p, n_steps):
     for _ in range(index):
         _wide_deterministic_spec(rng)
     spec = _wide_deterministic_spec(rng)
-    assert (spec.cost.p, spec.n_steps) == (p, n_steps)
+    assert (spec.p, spec.n_steps) == (p, n_steps)
     report = brute_force_deterministic(spec)
     assert report.relative_gap < 1e-6
     assert report.control_max_abs_diff < 1e-5

@@ -193,8 +193,8 @@ def test_mean_gain_stationarity_identity():
         )
         schedule, gains = solve(spec)
         for k in range(n):
-            a, b = spec.mean_dyn.a_bar[k], spec.mean_dyn.b_bar[k]
-            lhs = spec.cost.r_bar[k] * gains.k_mean[k] ** (2 * p - 1)
+            a, b = spec.a_bar[k], spec.b_bar[k]
+            lhs = spec.r_bar[k] * gains.k_mean[k] ** (2 * p - 1)
             rhs = schedule.alpha_bar[k + 1] * b * (a - b * gains.k_mean[k]) ** (2 * p - 1)
             assert math.isclose(lhs, rhs, rel_tol=1e-10, abs_tol=1e-14)
 
@@ -373,10 +373,10 @@ def test_higher_moment_dev_gain_stationarity():
     spec = _higher_spec(6, o=3, dist=Gaussian(sigma=0.8), p=2)
     schedule, gains = solve(spec)
     m = spec.noise.even_moment(6)
-    o = spec.cost.o
+    o = spec.o
     for k in range(spec.n_steps):
-        a, b = spec.dev_dyn.a[k], spec.dev_dyn.b[k]
-        lhs = spec.cost.r[k] * gains.k_dev[k] ** (2 * o - 1)
+        a, b = spec.a[k], spec.b[k]
+        lhs = spec.r[k] * gains.k_dev[k] ** (2 * o - 1)
         rhs = schedule.alpha[k + 1] * m * b * (a - b * gains.k_dev[k]) ** (2 * o - 1)
         assert math.isclose(lhs, rhs, rel_tol=1e-10, abs_tol=1e-14)
 
@@ -528,12 +528,12 @@ def test_solve_dispatches_by_class():
         assert schedule.problem_class is klass
         assert len(schedule.alpha_bar) == spec.n_steps + 1
         assert len(gains.k_mean) == spec.n_steps
-        assert schedule.alpha_bar[spec.n_steps] == spec.cost.q_bar_terminal
+        assert schedule.alpha_bar[spec.n_steps] == spec.q_bar_terminal
         if klass is ProblemClass.DETERMINISTIC:
             assert schedule.alpha is None
             assert gains.k_dev is None
         else:
-            assert schedule.alpha[spec.n_steps] == spec.cost.q_terminal
+            assert schedule.alpha[spec.n_steps] == spec.q_terminal
             assert len(gains.k_dev) == spec.n_steps
 
 

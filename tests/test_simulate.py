@@ -74,7 +74,7 @@ def test_deterministic_paths_equal_mean_path():
     for row in ensemble.states:
         np.testing.assert_allclose(row, ensemble.mean_path, rtol=0, atol=0)
     report = realized_cost(spec, ensemble)
-    expected = schedule.alpha_bar[0] * spec.initial.mean ** (2 * spec.cost.p)
+    expected = schedule.alpha_bar[0] * spec.initial.mean ** (2 * spec.p)
     assert math.isclose(report.realized_mean, expected, rel_tol=1e-10)
     assert report.realized_stderr == 0.0
 
@@ -211,25 +211,27 @@ def test_mult_state_variance_tracks_theory():
     m4_hat = central_moment(ensemble, 4)
 
     sigma2 = spec.noise.even_moment(2)
-    var_theory = spec.initial.variance
+    var_theory = spec.initial.central_moment(2)
     for k in range(spec.n_steps + 1):
         stderr = math.sqrt(max(m4_hat[k] - m2_hat[k] ** 2, 0.0) / n_paths)
         assert abs(m2_hat[k] - var_theory) <= 3.0 * stderr + 1e-12
         if k < spec.n_steps:
-            closed = spec.mean_dyn.a_bar[k] - spec.mean_dyn.b_bar[k] * gains.k_dev[k]
+            closed = spec.a_bar[k] - spec.b_bar[k] * gains.k_dev[k]
             var_theory *= closed ** 2 + sigma2
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 14, 40])
 def test_even_power_matches_numpy_power(n):
     x = np.random.default_rng(n).normal(0.0, 2.0, (500, 7))
     expected = x ** n
-    np.testing.assert_allclose(_even_power(x, n), expected, rtol=1e-15, atol=0)
+    # Rounding grows with the number of products, about log2(n) of them.
+    rtol = 1e-15 if n <= 12 else 1e-14
+    np.testing.assert_allclose(_even_power(x, n), expected, rtol=rtol, atol=0)
     # Powering a buffer into itself must not square the running product.
     buffer = x.copy()
     result = _even_power(buffer, n, out=buffer)
     assert result is buffer
-    np.testing.assert_allclose(buffer, expected, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(buffer, expected, rtol=rtol, atol=0)
 
 
 def test_central_moment_matches_exactly_summed_mean():
@@ -293,12 +295,12 @@ def test_realized_cost_without_bootstrap_has_no_stderr():
 
 def _per_path_moment_costs(spec, ensemble):
     """Per-path deviation-power cost, summed step by step."""
-    cost, two_o, n = spec.cost, 2 * spec.cost.o, ensemble.n_steps
+    two_o, n = 2 * spec.o, ensemble.n_steps
     total = np.zeros(ensemble.n_paths)
     for k in range(n):
-        total += cost.q[k] * (ensemble.states[:, k] - ensemble.mean_path[k]) ** two_o
-        total += cost.r[k] * (ensemble.controls[:, k] - ensemble.mean_controls[k]) ** two_o
-    total += cost.q_terminal * (ensemble.states[:, n] - ensemble.mean_path[n]) ** two_o
+        total += spec.q[k] * (ensemble.states[:, k] - ensemble.mean_path[k]) ** two_o
+        total += spec.r[k] * (ensemble.controls[:, k] - ensemble.mean_controls[k]) ** two_o
+    total += spec.q_terminal * (ensemble.states[:, n] - ensemble.mean_path[n]) ** two_o
     return total
 
 
