@@ -3,8 +3,8 @@
 Exit codes are part of the contract: 0 success, 1 a validity check failed,
 2 a recursion or verification failure (a weight of the wrong sign, a
 non-finite coefficient, a missing moment, oracle disagreement), 3 an
-unreadable config, an out-of-range flag or an I/O problem. The environment
-variable HOCS_SEED overrides --seed when set.
+unreadable config, an out-of-range flag, an I/O problem or running out of
+memory. The environment variable HOCS_SEED overrides --seed when set.
 
 All CSV output uses a comma delimiter, a header row, Unix newlines, '.' as
 the radix, and 17 significant digits for floats, so files round-trip to the
@@ -504,6 +504,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"memory error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (NonPositiveCoefficient, NonFiniteCoefficient) as exc:
         print(f"recursion failure: {exc}", file=sys.stderr)

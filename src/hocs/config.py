@@ -8,13 +8,11 @@ A run is described by one JSON document with two top-level maps::
                                               # mult_state | higher_moment
         "horizon": {"n_steps": 10},
         "mean_dynamics": {"a_bar": 2.0, "b_bar": 3.0},
-        "deviation_dynamics": {"a": 0.5, "b": 0.5},      # optional; defaults
-                                                         # to the mean pair
+        "deviation_dynamics": {"a": 0.5, "b": 0.5},      # optional
         "cost": {"p": 1, "o": 1,
                  "q_bar": 2.0, "q_bar_terminal": 2.0, "r_bar": 3.0,
                  "q": 4.0, "q_terminal": 4.0, "r": 5.0},
-        "noise": {"kind": "gaussian", "sigma": 1.0},     # absent for the
-                                                         # deterministic class
+        "noise": {"kind": "gaussian", "sigma": 1.0},     # none if deterministic
         "initial": {"mean": 20.25, "law": {"kind": "dirac"}}
       },
       "run": {"n_paths": 100000, "master_seed": 42, "oracle_tol": 1e-06,
@@ -29,19 +27,23 @@ moments; a noise gaussian takes "sigma" while an initial-law gaussian takes
 "variance" (the spread of x0 is naturally a variance). Empirical samples are
 offsets that get centered automatically, with the subtracted mean kept in
 "shift". A moments law lists even moments by order, e.g. {"kind": "moments",
-"values": {"2": 1.0}}; it prices but cannot be sampled.
+"values": {"2": 1.0}}; it prices but cannot be sampled, and two keys that
+name the same order (say "10" and "1_0") are an error.
 
-Unknown keys are rejected everywhere. Rendering emits a canonical full form
-(every field present but an absent noise law, sequences as length-N lists,
-shortest float repr), so parse(render(config)) reproduces the config exactly
-and the rendered presets can be pinned by checksum.
+Unknown keys are rejected everywhere, and so is a missing key without a
+default. The defaults: deviation_dynamics copies the mean pair, noise is no
+law, allow_uncontrollable is false, o is 1, q, q_terminal and r are 0,
+initial.law is dirac, a rademacher "scale" is 1, an empirical "shift" is 0,
+and run and its keys are as shown above. Rendering emits a canonical full
+form (every field present but an absent noise law, sequences as length-N
+lists, shortest float repr), so parse(render(config)) reproduces the config
+exactly and the rendered presets can be pinned by checksum.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Any
 
 from .model import (
@@ -111,16 +113,25 @@ class RunConfig:
 # Parsing
 # --------------------------------------------------------------------------
 
+#: The problem keys that may be left out; build_problem supplies their defaults.
+_OPTIONAL = frozenset({"deviation_dynamics", "noise", "allow_uncontrollable",
+                       "o", "q", "q_terminal", "r"})
+
+
 def _require_map(node: Any, context: str) -> dict:
     if not isinstance(node, dict):
         raise ConfigError(f"{context} must be a map, got {type(node).__name__}")
     return node
 
 
-def _check_keys(node: dict, allowed: set[str], context: str) -> None:
-    unknown = set(node) - allowed
+def _check_keys(node: dict, keys, context: str, optional=_OPTIONAL) -> None:
+    """Reject keys outside ``keys``, then any of ``keys`` absent but not optional."""
+    unknown = set(node) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {context}")
+    missing = [key for key in keys if key not in node and key not in optional]
+    if missing:
+        raise ConfigError(f"{context} is missing required key {missing[0]!r}")
 
 
 def _number(node: Any, context: str) -> float:
@@ -135,127 +146,103 @@ def _integer(node: Any, context: str) -> int:
     return node
 
 
+def _boolean(node: Any, context: str) -> bool:
+    if not isinstance(node, bool):
+        raise ConfigError(f"{context} must be a boolean")
+    return node
+
+
 def _scalar_or_list(node: Any, context: str):
     if isinstance(node, list):
         return [_number(v, f"{context}[{i}]") for i, v in enumerate(node)]
     return _number(node, context)
 
 
-def _parse_distribution(node: Any, context: str, *, initial_law: bool) -> Distribution:
+def _samples(node: Any, context: str) -> tuple[float, ...]:
+    if not isinstance(node, list) or not node:
+        raise ConfigError(f"{context} must be a non-empty list")
+    return tuple(_number(v, f"{context}[{i}]") for i, v in enumerate(node))
+
+
+def _orders(node: Any, context: str) -> dict[int, float]:
     node = _require_map(node, context)
-    kind = node.get("kind")
+    orders = {int(order): _number(value, f"{context}[{order}]") for order, value in node.items()}
+    if len(orders) < len(node):
+        raise ConfigError(f"{context} names one moment order twice among {sorted(node)}")
+    return orders
+
+
+#: The problem's blocks: block -> {key: reader}, in rendering order. Each key is
+#: the ProblemSpec field (and build_problem argument) it holds.
+_LAYOUT = {
+    "horizon": {"n_steps": _integer},
+    "mean_dynamics": {"a_bar": _scalar_or_list, "b_bar": _scalar_or_list,
+                      "allow_uncontrollable": _boolean},
+    "deviation_dynamics": {"a": _scalar_or_list, "b": _scalar_or_list},
+    "cost": {"p": _integer, "o": _integer, "q_bar": _scalar_or_list,
+             "q_bar_terminal": _number, "r_bar": _scalar_or_list,
+             "q": _scalar_or_list, "q_terminal": _number, "r": _scalar_or_list},
+}
+
+#: Law kind -> Distribution class; a law's keys are the fields of its class.
+#: An initial-law "gaussian" is GaussianVariance, read by its variance.
+_LAWS = {"dirac": Dirac, "gaussian": Gaussian, "rademacher": Rademacher,
+         "uniform_symmetric": UniformSymmetric, "empirical": Empirical, "moments": Moments}
+_KINDS = {cls: kind for kind, cls in _LAWS.items()} | {GaussianVariance: "gaussian"}
+
+
+def _read_record(cls, node: Any, context: str):
+    """Build the dataclass ``cls`` from one key per field; fields with a default may be left out."""
+    node = _require_map(node, context)
+    names = [f.name for f in fields(cls)]
+    _check_keys(node, names, context, {f.name for f in fields(cls) if f.default is not MISSING})
     try:
-        if kind == "dirac":
-            _check_keys(node, {"kind"}, context)
-            return Dirac()
-        if kind == "gaussian":
-            if initial_law:
-                _check_keys(node, {"kind", "variance"}, context)
-                return GaussianVariance(variance=_number(node["variance"], f"{context}.variance"))
-            _check_keys(node, {"kind", "sigma"}, context)
-            return Gaussian(sigma=_number(node["sigma"], f"{context}.sigma"))
-        if kind == "rademacher":
-            _check_keys(node, {"kind", "scale"}, context)
-            return Rademacher(scale=_number(node.get("scale", 1.0), f"{context}.scale"))
-        if kind == "uniform_symmetric":
-            _check_keys(node, {"kind", "halfwidth"}, context)
-            return UniformSymmetric(halfwidth=_number(node["halfwidth"], f"{context}.halfwidth"))
-        if kind == "empirical":
-            _check_keys(node, {"kind", "samples", "shift"}, context)
-            samples = node.get("samples")
-            if not isinstance(samples, list) or not samples:
-                raise ConfigError(f"{context}.samples must be a non-empty list")
-            return Empirical(
-                samples=tuple(_number(v, f"{context}.samples[{i}]") for i, v in enumerate(samples)),
-                shift=_number(node.get("shift", 0.0), f"{context}.shift"),
-            )
-        if kind == "moments":
-            _check_keys(node, {"kind", "values"}, context)
-            values = _require_map(node["values"], f"{context}.values")
-            return Moments({int(order): _number(value, f"{context}.values[{order}]")
-                            for order, value in values.items()})
-    except KeyError as exc:
-        raise ConfigError(f"{context} is missing required key {exc.args[0]!r}") from None
+        return cls(**{name: _READERS.get(name, _number)(node[name], f"{context}.{name}")
+                      for name in names if name in node})
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from None
-    raise ConfigError(f"{context}.kind must be one of dirac, gaussian, rademacher, "
-                      f"uniform_symmetric, empirical, moments; got {kind!r}")
+
+
+def _parse_distribution(node: Any, context: str, *, initial_law: bool) -> Distribution:
+    node = _require_map(node, context)
+    kind = node.get("kind")
+    cls = _LAWS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"{context}.kind must be one of {', '.join(_LAWS)}; got {kind!r}")
+    if initial_law and cls is Gaussian:
+        cls = GaussianVariance
+    return _read_record(cls, {key: v for key, v in node.items() if key != "kind"}, context)
+
+
+#: Law and initial-law fields that are not one number: field -> reader.
+_READERS = {
+    "samples": _samples,
+    "values": _orders,
+    "law": lambda node, context: _parse_distribution(node, context, initial_law=True),
+}
 
 
 def _parse_problem(node: Any) -> ProblemSpec:
     node = _require_map(node, "problem")
-    _check_keys(node, {"class", "horizon", "mean_dynamics", "deviation_dynamics",
-                       "cost", "noise", "initial"}, "problem")
-    for key in ("class", "horizon", "mean_dynamics", "cost", "initial"):
-        if key not in node:
-            raise ConfigError(f"problem is missing required key {key!r}")
-
-    class_name = node["class"]
+    _check_keys(node, ["class", *_LAYOUT, "noise", "initial"], "problem")
     try:
-        klass = ProblemClass(class_name)
+        args = {"problem_class": ProblemClass(node["class"])}
     except ValueError:
         valid = ", ".join(c.value for c in ProblemClass)
-        raise ConfigError(f"problem.class must be one of {valid}; got {class_name!r}") from None
-
-    horizon = _require_map(node["horizon"], "problem.horizon")
-    _check_keys(horizon, {"n_steps"}, "problem.horizon")
-    n_steps = _integer(horizon.get("n_steps"), "problem.horizon.n_steps")
-
-    mean_dyn = _require_map(node["mean_dynamics"], "problem.mean_dynamics")
-    _check_keys(mean_dyn, {"a_bar", "b_bar", "allow_uncontrollable"}, "problem.mean_dynamics")
-    allow_uncontrollable = mean_dyn.get("allow_uncontrollable", False)
-    if not isinstance(allow_uncontrollable, bool):
-        raise ConfigError("problem.mean_dynamics.allow_uncontrollable must be a boolean")
-
-    dev_a = dev_b = None
-    if "deviation_dynamics" in node:
-        dev = _require_map(node["deviation_dynamics"], "problem.deviation_dynamics")
-        _check_keys(dev, {"a", "b"}, "problem.deviation_dynamics")
-        dev_a = _scalar_or_list(dev.get("a"), "problem.deviation_dynamics.a")
-        dev_b = _scalar_or_list(dev.get("b"), "problem.deviation_dynamics.b")
-
-    cost = _require_map(node["cost"], "problem.cost")
-    _check_keys(cost, {"p", "o", "q", "q_terminal", "q_bar", "q_bar_terminal", "r", "r_bar"},
-                "problem.cost")
-    for key in ("p", "q_bar", "q_bar_terminal", "r_bar"):
-        if key not in cost:
-            raise ConfigError(f"problem.cost is missing required key {key!r}")
-
-    initial = _require_map(node["initial"], "problem.initial")
-    _check_keys(initial, {"mean", "law"}, "problem.initial")
-    law = Dirac()
-    if "law" in initial:
-        law = _parse_distribution(initial["law"], "problem.initial.law", initial_law=True)
+        raise ConfigError(f"problem.class must be one of {valid}; got {node['class']!r}") from None
+    for block, readers in _LAYOUT.items():
+        if block in node:
+            values = _require_map(node[block], f"problem.{block}")
+            _check_keys(values, readers, f"problem.{block}")
+            args.update((key, read(values[key], f"problem.{block}.{key}"))
+                        for key, read in readers.items() if key in values)
+    if "noise" in node:
+        args["noise"] = _parse_distribution(node["noise"], "problem.noise", initial_law=False)
+    args["initial"] = _read_record(InitialLaw, node["initial"], "problem.initial")
     try:
-        initial_law = InitialLaw(mean=_number(initial.get("mean"), "problem.initial.mean"), law=law)
-    except ValueError as exc:
-        raise ConfigError(f"problem.initial: {exc}") from None
-
-    noise = (_parse_distribution(node["noise"], "problem.noise", initial_law=False)
-             if "noise" in node else None)
-
-    try:
-        return build_problem(
-            problem_class=klass,
-            n_steps=n_steps,
-            a_bar=_scalar_or_list(mean_dyn.get("a_bar"), "problem.mean_dynamics.a_bar"),
-            b_bar=_scalar_or_list(mean_dyn.get("b_bar"), "problem.mean_dynamics.b_bar"),
-            q_bar=_scalar_or_list(cost["q_bar"], "problem.cost.q_bar"),
-            q_bar_terminal=_number(cost["q_bar_terminal"], "problem.cost.q_bar_terminal"),
-            r_bar=_scalar_or_list(cost["r_bar"], "problem.cost.r_bar"),
-            p=_integer(cost["p"], "problem.cost.p"),
-            a=dev_a,
-            b=dev_b,
-            q=_scalar_or_list(cost.get("q", 0.0), "problem.cost.q"),
-            q_terminal=_number(cost.get("q_terminal", 0.0), "problem.cost.q_terminal"),
-            r=_scalar_or_list(cost.get("r", 0.0), "problem.cost.r"),
-            o=_integer(cost.get("o", 1), "problem.cost.o"),
-            noise=noise,
-            initial=initial_law,
-            allow_uncontrollable=allow_uncontrollable,
-        )
+        return build_problem(**args)
     except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from None
 
@@ -272,12 +259,11 @@ def parse_config(text: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from None
     document = _require_map(document, "config")
-    _check_keys(document, {"problem", "run"}, "config")
-    if "problem" not in document:
-        raise ConfigError("config is missing required key 'problem'")
+    _check_keys(document, ["problem", "run"], "config", optional={"run"})
     problem = _parse_problem(document["problem"])
     node = _require_map(document.get("run", {}), "run")
-    _check_keys(node, {"n_paths", "master_seed", "oracle_tol", "out_dir"}, "run")
+    names = [f.name for f in fields(RunSettings)]
+    _check_keys(node, names, "run", optional=names)
     return RunConfig(problem=problem, run=RunSettings(**node))
 
 
@@ -295,61 +281,35 @@ def load_config(path) -> RunConfig:
 # Rendering
 # --------------------------------------------------------------------------
 
+def _plain(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _render_record(record) -> dict:
+    return {f.name: _WRITERS.get(f.name, _plain)(getattr(record, f.name)) for f in fields(record)}
+
+
 def _render_distribution(dist: Distribution) -> dict:
-    if isinstance(dist, Dirac):
-        return {"kind": "dirac"}
-    if isinstance(dist, Gaussian):
-        return {"kind": "gaussian", "sigma": dist.sigma}
-    if isinstance(dist, GaussianVariance):
-        return {"kind": "gaussian", "variance": dist.variance}
-    if isinstance(dist, Rademacher):
-        return {"kind": "rademacher", "scale": dist.scale}
-    if isinstance(dist, UniformSymmetric):
-        return {"kind": "uniform_symmetric", "halfwidth": dist.halfwidth}
-    if isinstance(dist, Empirical):
-        return {"kind": "empirical", "samples": list(dist.samples), "shift": dist.shift}
-    if isinstance(dist, Moments):
-        return {"kind": "moments", "values": {str(order): value for order, value in dist.values}}
-    raise ConfigError(f"cannot render distribution {dist!r}")
+    return {"kind": _KINDS[type(dist)], **_render_record(dist)}
+
+
+#: Record fields that render as more than a number or list: field -> writer.
+_WRITERS = {
+    "values": lambda pairs: {str(order): value for order, value in pairs},
+    "law": _render_distribution,
+}
 
 
 def config_to_dict(config: RunConfig) -> dict:
     """Canonical full-form dictionary of a config (JSON-ready)."""
-    spec, run = config.problem, config.run
-    noise = {} if spec.noise is None else {"noise": _render_distribution(spec.noise)}
-    return {
-        "problem": {
-            "class": spec.problem_class.value,
-            "horizon": {"n_steps": spec.n_steps},
-            "mean_dynamics": {
-                "a_bar": list(spec.a_bar),
-                "b_bar": list(spec.b_bar),
-                "allow_uncontrollable": spec.allow_uncontrollable,
-            },
-            "deviation_dynamics": {"a": list(spec.a), "b": list(spec.b)},
-            "cost": {
-                "p": spec.p,
-                "o": spec.o,
-                "q_bar": list(spec.q_bar),
-                "q_bar_terminal": spec.q_bar_terminal,
-                "r_bar": list(spec.r_bar),
-                "q": list(spec.q),
-                "q_terminal": spec.q_terminal,
-                "r": list(spec.r),
-            },
-            **noise,
-            "initial": {
-                "mean": spec.initial.mean,
-                "law": _render_distribution(spec.initial.law),
-            },
-        },
-        "run": {
-            "n_paths": run.n_paths,
-            "master_seed": run.master_seed,
-            "oracle_tol": run.oracle_tol,
-            "out_dir": run.out_dir,
-        },
-    }
+    spec = config.problem
+    problem = {"class": spec.problem_class.value}
+    for block, readers in _LAYOUT.items():
+        problem[block] = {key: _plain(getattr(spec, key)) for key in readers}
+    if spec.noise is not None:
+        problem["noise"] = _render_distribution(spec.noise)
+    problem["initial"] = _render_record(spec.initial)
+    return {"problem": problem, "run": _render_record(config.run)}
 
 
 def render_config(config: RunConfig) -> str:

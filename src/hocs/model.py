@@ -309,17 +309,17 @@ class Empirical(Distribution):
     shift: float = 0.0
 
     def __post_init__(self) -> None:
-        raw = _as_finite_floats(self.samples, "samples")
-        if len(raw) == 0:
+        samples = _as_finite_floats(self.samples, "samples")
+        if len(samples) == 0:
             raise ValueError("Empirical needs at least one sample")
-        mean = math.fsum(raw) / len(raw)
-        # Centering is skipped when the mean is already negligible, so that
-        # re-building from stored (already centered) samples is bit-exact.
-        if abs(mean) > 1e-12:
-            object.__setattr__(self, "samples", tuple(v - mean for v in raw))
+        # Center until the mean is negligible at the samples' own scale. A rebuild
+        # from the stored samples then subtracts nothing, so it is bit-exact.
+        mean = math.fsum(samples) / len(samples)
+        while abs(mean) > 1e-12 * max(map(abs, samples)):
+            samples = tuple(v - mean for v in samples)
             object.__setattr__(self, "shift", mean + self.shift)
-        else:
-            object.__setattr__(self, "samples", raw)
+            mean = math.fsum(samples) / len(samples)
+        object.__setattr__(self, "samples", samples)
 
     def even_moment(self, order: int) -> float:
         _check_even_order(order)

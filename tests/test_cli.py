@@ -19,6 +19,7 @@ from hocs import (
     cli,
     example_config,
     kpi,
+    model,
     oracle,
     predicted_cost,
     riccati_lqr,
@@ -26,7 +27,7 @@ from hocs import (
     solve,
 )
 from hocs.cli import main, read_schedule_csv, run_kpi_study
-from hocs.config import parse_config, render_config
+from hocs.config import _LAYOUT, _OPTIONAL, parse_config, render_config
 from hocs.simulate import _DRAWS
 
 # The built-in example problems are part of the artifact's contract: any
@@ -119,6 +120,52 @@ def test_bad_run_setting_is_a_config_error(tmp_path, capsys, key, value, message
     path = _write_example_config(tmp_path, 1, 1, mutate)
     assert main(["validate", "--config", str(path)]) == 3
     assert message in capsys.readouterr().err
+
+
+# Every key without a default, as a path into the document: the problem's
+# top-level keys and the keys of its blocks come from the layout table.
+_REQUIRED_PATHS = (
+    [("problem",), ("problem", "initial", "mean")]
+    + [("problem", key) for key in ("class", *_LAYOUT, "initial") if key not in _OPTIONAL]
+    + [("problem", block, key) for block, readers in _LAYOUT.items()
+       for key in readers if key not in _OPTIONAL]
+)
+
+
+@pytest.mark.parametrize("path", _REQUIRED_PATHS, ids="/".join)
+def test_missing_required_key_is_a_config_error(tmp_path, capsys, path):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+
+    config = _write_example_config(tmp_path, 4, 2, mutate)
+    assert main(["validate", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert f"is missing required key {path[-1]!r}" in err
+    assert "Traceback" not in err
+
+
+# numpy names the allocation it could not make; a bare MemoryError names nothing.
+@pytest.mark.parametrize("command,layer,message,line", [
+    ("simulate", "Dirac.sample", "Unable to allocate 7.28 TiB for an array",
+     "memory error: Unable to allocate 7.28 TiB for an array\n"),
+    ("validate", "broadcast", "", "memory error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch, command, layer, message, line):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    config = _write_example_config(tmp_path, 2, 1)
+    if layer == "Dirac.sample":
+        monkeypatch.setattr(model.Dirac, "sample", exhausted)
+    else:
+        monkeypatch.setattr(model, "broadcast", exhausted)
+    argv = [command, "--config", str(config)]
+    argv += ["--out", str(tmp_path / "run"), "--paths", "10"] if command == "simulate" else []
+    assert main(argv) == 3
+    assert capsys.readouterr().err == line
 
 
 def test_integer_oracle_tol_is_stored_as_float():
@@ -241,8 +288,15 @@ def test_unsamplable_noise_is_a_verification_failure(tmp_path):
      "fail  (class deterministic admits no noise law)"),
     (2, {"kind": "moments", "values": {"2": 1.0}}, "verify", 2,
      "verification failure: a moments law has nothing to sample from"),
+    (2, {"kind": "moments", "values": {"1_0": 1.0, "10": 2.0}}, "validate", 3,
+     "config error: problem.noise.values names one moment order twice among ['10', '1_0']"),
+    (2, {"kind": "empirical"}, "validate", 3,
+     "config error: problem.noise is missing required key 'samples'"),
+    (2, {"kind": []}, "validate", 3, "config error: problem.noise.kind must be one of"),
+    (2, {"kind": {}}, "validate", 3, "config error: problem.noise.kind must be one of"),
 ], ids=["old-format", "old-none", "bad-order", "stochastic-without-law",
-        "solve-without-law", "deterministic-with-law", "moments-verify"])
+        "solve-without-law", "deterministic-with-law", "moments-verify", "colliding-orders",
+        "no-samples", "list-kind", "map-kind"])
 def test_noise_node_exit_codes(tmp_path, capsys, example_id, noise, command, code, message):
     def mutate(doc):
         if noise is None:

@@ -205,6 +205,21 @@ def test_empirical_rebuild_from_stored_samples_is_bit_exact():
     assert rebuilt.shift == e.shift
 
 
+def test_empirical_centers_at_its_own_scale():
+    # A mean of 2e-13 is tiny in absolute terms but not next to samples of 1e-13.
+    e = Empirical(samples=(1e-13, 3e-13))
+    assert math.isclose(e.shift, 2e-13, rel_tol=1e-12)
+    assert math.isclose(e.even_moment(2), 1e-26, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("samples", [(1e-13, 3e-13), (1.0, 1.00002), (1e6, 1e6 + 1e-6)])
+def test_empirical_rebuild_is_bit_exact_at_any_scale(samples):
+    e = Empirical(samples=samples)
+    rebuilt = Empirical(samples=e.samples, shift=e.shift)
+    assert (rebuilt.samples, rebuilt.shift) == (e.samples, e.shift)
+    assert abs(math.fsum(e.samples)) <= 1e-12 * max(map(abs, e.samples)) * len(samples)
+
+
 def test_empirical_already_centered_is_untouched():
     e = Empirical(samples=(-0.3, 0.3))
     assert e.shift == 0.0
