@@ -55,12 +55,15 @@ from .simulate import (
     simulate_ensemble,
 )
 
-__all__ = ["main", "read_schedule_csv", "run_kpi_study", "PROBE_GRID"]
+__all__ = ["main", "run_kpi_study", "PROBE_GRID"]
 
 #: Gain-scaling grid used by the verify subcommand's optimality probe.
 PROBE_GRID = (0.5, 0.9, 1.0, 1.1, 2.0)
 
 _SCHEDULE_HEADER = ("k", "alpha_bar", "alpha", "gamma_bar", "k_mean", "k_dev")
+
+#: The risk powers zeta that kpi accepts, in the order the KPI CSVs list them.
+_ZETAS = (1, 2, 3)
 
 
 # --------------------------------------------------------------------------
@@ -72,8 +75,6 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, int):
         return str(value)
     return format(float(value), ".17g")
@@ -111,51 +112,6 @@ def _schedule_rows(schedule: CoefficientSchedule, gains: GainSchedule):
             gains.k_mean[k] if k < n else None,
             gains.k_dev[k] if gains.k_dev is not None and k < n else None,
         )
-
-
-def read_schedule_csv(path, problem_class: ProblemClass, p: int, o: int):
-    """Re-read a solve CSV into the exact in-memory schedules.
-
-    The class tag and powers are not stored in the CSV (they belong to the
-    config), so the caller supplies them.
-
-    Returns:
-        The (CoefficientSchedule, GainSchedule) pair the CSV was written from.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
-    if not lines:
-        raise ValueError(f"schedule file {path} is empty")
-    header = tuple(lines[0].split(","))
-    if header != _SCHEDULE_HEADER:
-        raise ValueError(f"unexpected schedule header {header}")
-    columns: dict[str, list] = {name: [] for name in _SCHEDULE_HEADER}
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(_SCHEDULE_HEADER):
-            raise ValueError(f"malformed schedule row {line!r}")
-        for name, cell in zip(_SCHEDULE_HEADER, cells):
-            columns[name].append(float(cell) if cell else None)
-
-    def dense(name: str):
-        values = columns[name]
-        return None if all(v is None for v in values) else tuple(values)
-
-    n = len(columns["k"]) - 1
-    schedule = CoefficientSchedule(
-        problem_class=problem_class,
-        p=p,
-        o=o,
-        alpha_bar=tuple(columns["alpha_bar"]),
-        alpha=dense("alpha"),
-        gamma_bar=dense("gamma_bar"),
-    )
-    k_dev = dense("k_dev")
-    gains = GainSchedule(
-        k_mean=tuple(columns["k_mean"][:n]),
-        k_dev=k_dev[:n] if k_dev is not None else None,
-    )
-    return schedule, gains
 
 
 # --------------------------------------------------------------------------
@@ -235,7 +191,7 @@ def _simulation_bundle(
         ((k, *(column[k] for column in moments)) for k in range(n + 1)),
     )
     kpi_rows = []
-    for zeta in (1, 2, 3):
+    for zeta in _ZETAS:
         kpi_x, kpi_u = kpi(ensemble, zeta)
         kpi_rows.append((zeta, kpi_x, kpi_u, kpi_x + kpi_u))
     _write_csv(out_dir / "kpi.csv", ("zeta", "kpi_x", "kpi_u", "total"), kpi_rows)
@@ -351,12 +307,7 @@ def cmd_example(args) -> int:
     return 0
 
 
-def run_kpi_study(
-    n_seeds: int,
-    base_seed: int = 42,
-    n_paths: int = 1,
-    zetas: tuple[int, ...] = (1, 2, 3),
-):
+def run_kpi_study(n_seeds: int, base_seed: int = 42, n_paths: int = 1):
     """Compare the two reference controllers against the solved one.
 
     The arena is the built-in example-4 problem with o = p = 3. Case 1 is the
@@ -365,8 +316,8 @@ def run_kpi_study(
     all three cases roll out on one shared draw of initial states and noise
     (common random numbers, drawn once per seed and dropped before the next),
     and the per-case performance indices are computed per seed for each
-    zeta. One path per case per seed by default, so a seed is a single
-    realized experiment rather than an expectation.
+    zeta in 1, 2, 3. One path per case per seed by default, so a seed is a
+    single realized experiment rather than an expectation.
 
     Returns:
         (rows, aggregate): rows of (seed, zeta, case, kpi_x, kpi_u, total),
@@ -384,7 +335,7 @@ def run_kpi_study(
     }
     cases = tuple(policies)
     rows = []
-    wins = {(zeta, case): 0 for zeta in zetas for case in cases}
+    wins = {(zeta, case): 0 for zeta in _ZETAS for case in cases}
     for i in range(n_seeds):
         seed = base_seed + i
         with _common_draws():
@@ -392,7 +343,7 @@ def run_kpi_study(
                 case: simulate_ensemble(spec, policy, n_paths, seed)
                 for case, policy in policies.items()
             }
-        for zeta in zetas:
+        for zeta in _ZETAS:
             totals = {}
             for case in cases:
                 kpi_x, kpi_u = kpi(ensembles[case], zeta)
@@ -403,7 +354,7 @@ def run_kpi_study(
             if len(winners) == 1:
                 wins[(zeta, winners[0])] += 1
     aggregate = []
-    for zeta in zetas:
+    for zeta in _ZETAS:
         for case in cases:
             # Summed in seed order, as the rows were written.
             columns = zip(*(row[3:] for row in rows if row[1:3] == (zeta, case)))

@@ -300,8 +300,8 @@ _WRITERS = {
 }
 
 
-def config_to_dict(config: RunConfig) -> dict:
-    """Canonical full-form dictionary of a config (JSON-ready)."""
+def render_config(config: RunConfig) -> str:
+    """Serialize a config to canonical, full-form JSON text (stable across runs)."""
     spec = config.problem
     problem = {"class": spec.problem_class.value}
     for block, readers in _LAYOUT.items():
@@ -309,12 +309,7 @@ def config_to_dict(config: RunConfig) -> dict:
     if spec.noise is not None:
         problem["noise"] = _render_distribution(spec.noise)
     problem["initial"] = _render_record(spec.initial)
-    return {"problem": problem, "run": _render_record(config.run)}
-
-
-def render_config(config: RunConfig) -> str:
-    """Serialize a config to canonical JSON text (stable across runs)."""
-    return json.dumps(config_to_dict(config), indent=2) + "\n"
+    return json.dumps({"problem": problem, "run": _render_record(config.run)}, indent=2) + "\n"
 
 
 # --------------------------------------------------------------------------

@@ -296,6 +296,15 @@ class UniformSymmetric(Distribution):
         return rng.uniform(-self.halfwidth, self.halfwidth, size)
 
 
+def _mean(samples: tuple[float, ...]) -> float:
+    try:
+        return math.fsum(samples) / len(samples)
+    except OverflowError:
+        # The sum passes the float range, the mean does not: take it at the samples' scale.
+        scale = max(map(abs, samples))
+        return math.fsum(v / scale for v in samples) / len(samples) * scale
+
+
 @dataclass(frozen=True)
 class Empirical(Distribution):
     """Resampling law over a finite list of values, centered automatically.
@@ -314,11 +323,11 @@ class Empirical(Distribution):
             raise ValueError("Empirical needs at least one sample")
         # Center until the mean is negligible at the samples' own scale. A rebuild
         # from the stored samples then subtracts nothing, so it is bit-exact.
-        mean = math.fsum(samples) / len(samples)
+        mean = _mean(samples)
         while abs(mean) > 1e-12 * max(map(abs, samples)):
-            samples = tuple(v - mean for v in samples)
+            samples = _as_finite_floats((v - mean for v in samples), "centered samples")
             object.__setattr__(self, "shift", mean + self.shift)
-            mean = math.fsum(samples) / len(samples)
+            mean = _mean(samples)
         object.__setattr__(self, "samples", samples)
 
     def even_moment(self, order: int) -> float:

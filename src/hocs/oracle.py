@@ -313,6 +313,11 @@ def local_optimality_probe(
     classes (deterministic runs are exact). It compares realized costs
     with each other only, so it needs no price.
 
+    Both channels are priced in one total, so a channel whose cost is lost
+    in the rounding of the other's is not probed. On example 4 at p = 3 the
+    deviation-channel curve is flat in floats (a moment cost near 1e-16
+    added to a mean cost of 6.6e7), so "yes" there says nothing about k_dev.
+
     Args:
         spec: The problem to probe.
         gains: Solved gains; scale 1.0 must be in the grid.

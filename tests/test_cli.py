@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and its file formats."""
 
+import csv
 import hashlib
 import json
 import math
@@ -26,7 +27,7 @@ from hocs import (
     simulate_ensemble,
     solve,
 )
-from hocs.cli import main, read_schedule_csv, run_kpi_study
+from hocs.cli import main, run_kpi_study
 from hocs.config import _LAYOUT, _OPTIONAL, parse_config, render_config
 from hocs.simulate import _DRAWS
 
@@ -109,6 +110,8 @@ def test_unknown_config_key_is_rejected(tmp_path):
     ("oracle_tol", True, "run.oracle_tol must be a number, got True"),
     ("oracle_tol", "1e-6", "run.oracle_tol must be a number, got '1e-6'"),
     ("oracle_tol", 0, "run.oracle_tol must be > 0, got 0.0"),
+    ("master_seed", -1, "run.master_seed must be an integer >= 0, got -1"),
+    ("master_seed", True, "run.master_seed must be an integer >= 0, got True"),
     ("out_dir", 3, "run.out_dir must be a string"),
     ("mean_mode", "exact", "unknown keys ['mean_mode'] in run"),
     ("literal_recursion", False, "unknown keys ['literal_recursion'] in run"),
@@ -145,6 +148,23 @@ def test_missing_required_key_is_a_config_error(tmp_path, capsys, path):
     err = capsys.readouterr().err
     assert f"is missing required key {path[-1]!r}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("horizon", "n_steps"), 2.5, "problem.horizon.n_steps must be an integer, got 2.5"),
+    (("cost", "p"), True, "problem.cost.p must be an integer, got True"),
+    (("mean_dynamics", "allow_uncontrollable"), "yes",
+     "problem.mean_dynamics.allow_uncontrollable must be a boolean"),
+    (("initial", "mean"), math.nan, "problem.initial: mean must be finite, got nan"),
+], ids=["fractional-n_steps", "bool-p", "string-allow_uncontrollable", "nan-initial-mean"])
+def test_bad_problem_value_is_a_config_error(tmp_path, capsys, path, value, message):
+    def mutate(doc):
+        doc["problem"][path[0]][path[1]] = value
+
+    config = _write_example_config(tmp_path, 4, 2, mutate)
+    assert main(["validate", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
 
 
 # numpy names the allocation it could not make; a bare MemoryError names nothing.
@@ -217,19 +237,36 @@ def test_readme_python_example_runs(capsys):
 # solve
 # --------------------------------------------------------------------------
 
+def _assert_schedule_round_trips(path, spec):
+    """Every cell of `path` reads back, by float(), as the double solve(spec) returns.
+
+    An empty cell reads as None: a column the class does not have, or a gain
+    past the last step. Returns the columns by header name.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    columns = {name: [float(cell) if cell else None for cell in column]
+               for name, column in zip(header, zip(*rows))}
+    schedule, gains = solve(spec)
+    n = schedule.n_steps
+    absent = [None] * (n + 1)
+    assert columns == {
+        "k": list(range(n + 1)),
+        "alpha_bar": list(schedule.alpha_bar),
+        "alpha": list(schedule.alpha) if schedule.alpha is not None else absent,
+        "gamma_bar": list(schedule.gamma_bar) if schedule.gamma_bar is not None else absent,
+        "k_mean": [*gains.k_mean, None],
+        "k_dev": [*gains.k_dev, None] if gains.k_dev is not None else absent,
+    }
+    return columns
+
+
 def test_solve_writes_schedule_and_round_trips(tmp_path, capsys):
     path = _write_example_config(tmp_path, 3, 2)
     out = tmp_path / "schedule.csv"
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
     assert "predicted cost:" in capsys.readouterr().out
-
-    spec = example_config(3, 2).problem
-    schedule, gains = solve(spec)
-    re_schedule, re_gains = read_schedule_csv(
-        out, spec.problem_class, spec.p, spec.o
-    )
-    assert re_schedule == schedule
-    assert re_gains == gains
+    _assert_schedule_round_trips(out, example_config(3, 2).problem)
 
 
 def test_solve_power_one_matches_riccati_reference(tmp_path):
@@ -237,9 +274,9 @@ def test_solve_power_one_matches_riccati_reference(tmp_path):
     out = tmp_path / "schedule.csv"
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
     spec = example_config(1, 1).problem
-    schedule, _ = read_schedule_csv(out, spec.problem_class, 1, 1)
+    columns = _assert_schedule_round_trips(out, spec)
     np.testing.assert_allclose(
-        schedule.alpha_bar, riccati_lqr(spec).alpha_bar, rtol=1e-12
+        columns["alpha_bar"], riccati_lqr(spec).alpha_bar, rtol=1e-12
     )
 
 
@@ -248,12 +285,11 @@ def test_solve_reference_schedule_decays_toward_terminal(tmp_path, p):
     path = _write_example_config(tmp_path, 1, p)
     out = tmp_path / "schedule.csv"
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
-    spec = example_config(1, p).problem
-    schedule, _ = read_schedule_csv(out, spec.problem_class, p, 1)
+    alpha_bar = _assert_schedule_round_trips(out, example_config(1, p).problem)["alpha_bar"]
     # The coefficient sequence relaxes backward from its stationary level
     # down to the terminal weight.
-    assert all(a >= b for a, b in zip(schedule.alpha_bar, schedule.alpha_bar[1:]))
-    assert schedule.alpha_bar[-1] == 3.0
+    assert all(a >= b for a, b in zip(alpha_bar, alpha_bar[1:]))
+    assert alpha_bar[-1] == 3.0
 
 
 def test_solve_rejects_invalid_problem(tmp_path):
@@ -262,6 +298,17 @@ def test_solve_rejects_invalid_problem(tmp_path):
 
     path = _write_example_config(tmp_path, 1, 2, mutate)
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "s.csv")]) == 1
+
+
+def test_verify_rejects_invalid_problem(tmp_path, capsys):
+    def mutate(doc):
+        doc["problem"]["cost"]["r"] = [-1.0]
+
+    path = _write_example_config(tmp_path, 2, 1, mutate)
+    assert main(["verify", "--config", str(path), "--paths", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid: ")
 
 
 def test_unsamplable_noise_is_a_verification_failure(tmp_path):
@@ -294,9 +341,11 @@ def test_unsamplable_noise_is_a_verification_failure(tmp_path):
      "config error: problem.noise is missing required key 'samples'"),
     (2, {"kind": []}, "validate", 3, "config error: problem.noise.kind must be one of"),
     (2, {"kind": {}}, "validate", 3, "config error: problem.noise.kind must be one of"),
+    (2, {"kind": "gaussian", "sigma": -1}, "validate", 3,
+     "config error: problem.noise: sigma must be finite and >= 0, got -1.0"),
 ], ids=["old-format", "old-none", "bad-order", "stochastic-without-law",
         "solve-without-law", "deterministic-with-law", "moments-verify", "colliding-orders",
-        "no-samples", "list-kind", "map-kind"])
+        "no-samples", "list-kind", "map-kind", "negative-sigma"])
 def test_noise_node_exit_codes(tmp_path, capsys, example_id, noise, command, code, message):
     def mutate(doc):
         if noise is None:
@@ -550,6 +599,46 @@ def test_solve_overflow_is_a_recursion_failure(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_power_overflow_is_a_recursion_failure(tmp_path, capsys):
+    # gain**6 passes the float range at step 5, and Python's float power raises.
+    def mutate(doc):
+        del doc["problem"]["deviation_dynamics"]
+        doc["problem"]["mean_dynamics"].update(a_bar=1e100, b_bar=1e-3)
+
+    path = _write_example_config(tmp_path, 1, 3, mutate)
+    out = tmp_path / "schedule.csv"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("recursion failure: alpha_bar[5] = inf, gain ")
+    assert err.endswith(" at step 5\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples,command,code,message", [
+    ([1.7976931348623157e308, 1e308], "validate", 0, ""),
+    ([1.7976931348623157e308, 1e308], "solve", 2,
+     "recursion failure: predicted cost = inf at step 0 is not finite\n"),
+    ([1.797e308, 1.797e308], "validate", 0, ""),
+    ([1.797e308, 1.797e308], "solve", 0, ""),
+    # Centered at their mean 5.99e307, the samples pass the float range.
+    ([1.7976931348623157e308, 1.7976931348623157e308, -1.7976931348623157e308], "validate", 3,
+     "config error: problem.initial.law: centered samples must contain only finite values"),
+], ids=["unequal-validate", "unequal-solve", "equal-validate", "equal-solve",
+        "centered-past-range"])
+def test_empirical_law_past_the_float_range_keeps_the_exit_code_contract(
+    tmp_path, capsys, samples, command, code, message
+):
+    def mutate(doc):
+        doc["problem"]["initial"]["law"] = {"kind": "empirical", "samples": samples}
+
+    path = _write_example_config(tmp_path, 3, 1, mutate)
+    argv = [command, "--config", str(path)]
+    argv += ["--out", str(tmp_path / "schedule.csv")] if command == "solve" else []
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) if message else err == ""
+
+
 def test_price_overflow_is_a_recursion_failure(tmp_path, capsys):
     # The coefficients stay small; only xbar0**6 = 1e360 overflows.
     document = {"problem": {
@@ -680,10 +769,3 @@ def test_verify_tolerance_must_be_positive(tmp_path, capsys, tol):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: --tol must be > 0")
-
-
-def test_read_schedule_csv_rejects_empty_file(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("", encoding="utf-8")
-    with pytest.raises(ValueError, match="empty.csv"):
-        read_schedule_csv(path, example_config(1, 1).problem.problem_class, 1, 1)

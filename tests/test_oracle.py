@@ -306,6 +306,20 @@ def test_shared_draw_reports_equal_fresh_draw_loop(example_id, p, seed):
         predicted_cost(schedule, spec.initial), unit.realized_mean, unit.realized_stderr)
 
 
+# ex4 p3's deviation channel is left out: its curve is flat in floats (see
+# the local_optimality_probe docstring), so no scaling there can fail it.
+@pytest.mark.parametrize("example_id,p,channel", [
+    (2, 1, "mean"), (2, 1, "dev"), (3, 2, "mean"), (3, 2, "dev"), (4, 3, "mean"),
+])
+@pytest.mark.parametrize("factor", [2.0, 0.5])
+def test_probe_rejects_scaled_gains(example_id, p, channel, factor):
+    spec = example_config(example_id, p).problem
+    _, gains = solve(spec)
+    scaled = _scaled_gains(gains, channel, factor)
+    report = local_optimality_probe(spec, scaled, PROBE_GRID, n_paths=20_000, master_seed=3)
+    assert report.min_at_unit is False
+
+
 def test_probe_drops_its_draw_when_it_raises(monkeypatch):
     spec = example_config(4, 3).problem
     _, gains = solve(spec)
