@@ -280,6 +280,7 @@ def cmd_verify(args) -> int:
           f"+/- {report.stderr:.3g} ({n_paths} paths)")
     print(f"total gap            : {abs(report.closed_form_cost - report.oracle_cost):.3g}")
     print(f"prediction agreement : {'DISCREPANT' if report.discrepant else 'ok'}")
+    print(f"moment gate z-score  : {report.moment_z:.3g}")
     print(f"probe minimum at 1.0 : {'yes' if probe.min_at_unit else 'NO'}")
     ok = not report.discrepant and probe.min_at_unit
     print(f"verify: {'ok' if ok else 'FAILED'}")

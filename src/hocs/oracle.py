@@ -69,7 +69,8 @@ class OracleReport:
     better cost than the closed form (or, for the MC route, the gap
     exceeded its error budget). An oracle that does not finish raises
     NotConverged instead of returning a report. A discrepant report never
-    raises; callers decide.
+    raises; callers decide. ``moment_z`` is the MC moment gap in standard
+    errors, (realized - predicted) / stderr; nan elsewhere or at stderr 0 or inf.
     """
 
     closed_form_cost: float
@@ -79,6 +80,7 @@ class OracleReport:
     iterations: int
     discrepant: bool = False
     stderr: float = 0.0
+    moment_z: float = math.nan
 
 
 def _relative_gap(closed_form: float, oracle: float) -> float:
@@ -270,6 +272,8 @@ def mc_validate(
         iterations=0,
         discrepant=not agrees,
         stderr=report.realized_stderr,
+        moment_z=((moment_realized - moment_predicted) / report.realized_stderr
+                  if 0.0 < report.realized_stderr < math.inf else math.nan),
     )
 
 

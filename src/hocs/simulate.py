@@ -20,6 +20,10 @@ policies or gain scalings on one seed (common random numbers) open a
 ``_common_draws()`` scope and every rollout inside it reuses one read-only
 (x0, eps) draw; outside a scope each ensemble draws afresh. Either way the
 numbers are the same.
+
+Each ensemble is one block of states and controls. realized_cost powers both
+channels' deviations in one more block, column by column; central_moment and
+kpi read per-step moments that the ensemble computes once, on first use.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -59,9 +64,9 @@ class TrajectoryEnsemble:
     """Seeded Monte-Carlo paths of one closed-loop system.
 
     ``states`` is n_paths x (N+1), ``controls`` n_paths x N, both stored
-    time-major (transposed views of step x path arrays) so that the column
-    ``[:, k]`` of one step is contiguous. ``mean_path`` and ``mean_controls``
-    hold the exactly propagated xbar/ubar. All arrays are read-only.
+    time-major (transposed views of one step x path block) so that the
+    column ``[:, k]`` of one step is contiguous. ``mean_path`` and
+    ``mean_controls`` hold the exactly propagated xbar/ubar. All read-only.
     """
 
     states: np.ndarray
@@ -76,6 +81,22 @@ class TrajectoryEnsemble:
     @property
     def n_steps(self) -> int:
         return self.controls.shape[1]
+
+    @cached_property
+    def _deviation_means(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-step means of d2 = d*d, d2*d2 and (d2*d2)*d2, _even_power's
+        products, for d the state and the control deviations: one re-centring
+        pass per channel, in two state-sized buffers freed on return."""
+        buffers = [np.empty((self.states.shape[1], self.n_paths)).T for _ in range(2)]
+        tables = []
+        for values, centers in ((self.states, self.mean_path), (self.controls, self.mean_controls)):
+            square, power = (buffer[:, : values.shape[1]] for buffer in buffers)
+            np.subtract(values, centers, out=square)
+            np.multiply(square, square, out=square)
+            np.multiply(square, square, out=power)
+            tables.append(np.array([square.mean(axis=0), power.mean(axis=0),
+                                    np.multiply(power, square, out=power).mean(axis=0)]))
+        return tuple(tables)
 
 
 @dataclass(frozen=True)
@@ -112,12 +133,6 @@ def _even_power(x: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndar
         if bit == "1":
             power = np.multiply(power, square, out=square if last else power)
     return power
-
-
-def _deviation_powers(values: np.ndarray, centers: np.ndarray, n: int) -> np.ndarray:
-    """(values - centers)**n per path and step, powered in one fresh buffer."""
-    deviations = np.subtract(values, centers)
-    return _even_power(deviations, n, out=deviations)
 
 
 def _mean_channel(spec: ProblemSpec, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
@@ -203,9 +218,10 @@ def simulate_ensemble(
     if policy.n_steps is not None and policy.n_steps != n:
         raise InvalidPolicy(f"policy solved for horizon {policy.n_steps}, problem has {n}")
 
+    # The block comes before the draw, so a freed draw leaves the heap top free for the next block.
+    block = np.empty((2 * n + 1, n_paths))
+    states, controls = block[: n + 1].T, block[n + 1 :].T
     x0, eps = _draw(spec, n_paths, master_seed)
-    states = np.empty((n + 1, n_paths)).T
-    controls = np.empty((n, n_paths)).T
     states[:, 0] = x0
 
     klass = spec.problem_class
@@ -238,7 +254,10 @@ def simulate_ensemble(
 def central_moment(ensemble: TrajectoryEnsemble, order: int) -> np.ndarray:
     """Ensemble averages of (x[k] - xbar[k])**order, k = 0..N, for even order."""
     _check_even_order(order)
-    return _deviation_powers(ensemble.states, ensemble.mean_path, order).mean(axis=0)
+    if order <= 6:
+        return ensemble._deviation_means[0][order // 2 - 1].copy()
+    deviations = np.subtract(ensemble.states, ensemble.mean_path)
+    return _even_power(deviations, order, out=deviations).mean(axis=0)
 
 
 def realized_cost(spec: ProblemSpec, ensemble: TrajectoryEnsemble) -> CostReport:
@@ -265,10 +284,16 @@ def realized_cost(spec: ProblemSpec, ensemble: TrajectoryEnsemble) -> CostReport
     state_power = float(np.dot(spec.q_bar, mean_powers[:-1]) + spec.q_bar_terminal * mean_powers[n])
     control_power = float(np.dot(spec.r_bar, _even_power(u_bar, two_p)))
 
-    powers = _deviation_powers(ensemble.states, x_bar, two_o)
-    state_moment_paths = powers[:, :-1] @ np.asarray(spec.q) + spec.q_terminal * powers[:, n]
-    del powers
-    control_moment_paths = _deviation_powers(ensemble.controls, u_bar, two_o) @ np.asarray(spec.r)
+    # Controls, then states, powered column by column: no second block-sized buffer.
+    powers = np.empty((2 * n + 1, ensemble.n_paths)).T
+    np.subtract(ensemble.controls, u_bar, out=powers[:, :n])
+    np.subtract(ensemble.states, x_bar, out=powers[:, n:])
+    for column in powers.T:
+        _even_power(column, two_o, out=column)
+    state_moment_paths = powers[:, n:-1] @ np.asarray(spec.q)
+    state_moment_paths += spec.q_terminal * powers[:, -1]
+    control_moment_paths = powers[:, :n] @ np.asarray(spec.r)
+    del powers, column  # the loop's last view would keep the block alive
 
     breakdown = {
         "state_power": state_power,
@@ -348,11 +373,6 @@ def kpi(ensemble: TrajectoryEnsemble, zeta: int) -> tuple[float, float]:
     """
     if zeta not in (1, 2, 3):
         raise ValueError(f"zeta must be 1, 2, or 3, got {zeta}")
-    two_z = 2 * zeta
-    kpi_x, kpi_u = (
-        float(np.sum(_deviation_powers(values, centers, two_z).mean(axis=0))
-              + np.sum(_even_power(centers, two_z)))
-        for values, centers in ((ensemble.states, ensemble.mean_path),
-                                (ensemble.controls, ensemble.mean_controls))
-    )
-    return kpi_x, kpi_u
+    centers = (ensemble.mean_path, ensemble.mean_controls)
+    return tuple(float(np.sum(means[zeta - 1]) + np.sum(_even_power(center, 2 * zeta)))
+                 for means, center in zip(ensemble._deviation_means, centers))

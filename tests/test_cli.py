@@ -438,7 +438,9 @@ def test_invalid_seed_environment_variable(tmp_path, monkeypatch):
 def test_verify_deterministic_reference(tmp_path, capsys):
     path = _write_example_config(tmp_path, 1, 2)
     assert main(["verify", "--config", str(path)]) == 0
-    assert "verify: ok" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "verify: ok" in out
+    assert "moment gate z-score" not in out
 
 
 def test_verify_stochastic_reference(tmp_path, capsys):
@@ -447,6 +449,24 @@ def test_verify_stochastic_reference(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "probe minimum at 1.0 : yes" in out
     assert "verify: ok" in out
+
+
+def _z_score(out):
+    (line,) = [line for line in out.splitlines() if line.startswith("moment gate z-score")]
+    return float(line.split(":", 1)[1])
+
+
+def test_verify_prints_the_moment_gate_z_score(tmp_path, capsys):
+    # A skew false alarm reads a few standard errors low; the verdict and the
+    # exit code stay those of the 3-sigma gate.
+    path = _write_example_config(tmp_path, 3, 1)
+    argv = ["verify", "--config", str(path), "--paths", "4000", "--seed"]
+    assert main([*argv, "46"]) == 2
+    out = capsys.readouterr().out
+    assert _z_score(out) == -5.34
+    assert "prediction agreement : DISCREPANT" in out
+    assert main([*argv, "5"]) == 0
+    assert abs(_z_score(capsys.readouterr().out)) <= 3.0
 
 
 def test_verify_zero_noise_stochastic_config(tmp_path):
@@ -468,6 +488,7 @@ def test_verify_with_an_infinite_moment_budget_is_discrepant(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "+/- inf (50 paths)" in captured.out
     assert "prediction agreement : DISCREPANT" in captured.out
+    assert "moment gate z-score  : nan" in captured.out
     assert "Traceback" not in captured.err
 
 

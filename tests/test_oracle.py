@@ -22,7 +22,7 @@ from hocs import (
     solve,
 )
 from hocs.oracle import _scaled_gains
-from hocs.simulate import _DRAWS, _common_draws
+from hocs.simulate import _DRAWS, _common_draws, _deviation_term
 
 PROBE_GRID = (0.5, 0.9, 1.0, 1.1, 2.0)
 
@@ -253,6 +253,24 @@ def test_mc_validation_accepts_solved_controller():
     assert report.stderr > 0.0
     gap = abs(report.closed_form_cost - report.oracle_cost)
     assert gap <= 3.0 * report.stderr + 1e-10 * abs(report.closed_form_cost)
+
+
+def test_mc_validation_reports_the_moment_gap_in_standard_errors():
+    # ex3's skewed per-path costs make seed 46 a false alarm at 4,000 paths.
+    spec = example_config(3, 1).problem
+    schedule, gains = solve(spec)
+    report = mc_validate(spec, schedule, gains, n_paths=4000, master_seed=46)
+    cost = realized_cost(spec, simulate_ensemble(spec, FeedbackPolicy(gains), 4000, 46))
+    moment_realized = cost.breakdown["state_moment"] + cost.breakdown["control_moment"]
+    gap = moment_realized - _deviation_term(schedule, spec.initial)
+    assert report.moment_z == gap / cost.realized_stderr
+    assert round(report.moment_z, 2) == -5.34
+    assert report.discrepant
+    # One path has no spread: the z-score is nan, not a division by zero.
+    single = mc_validate(spec, schedule, gains, n_paths=1, master_seed=46)
+    assert single.stderr == 0.0
+    assert math.isnan(single.moment_z)
+    assert math.isnan(brute_force_deterministic(example_config(1, 1).problem).moment_z)
 
 
 def test_probe_finds_minimum_at_unit_scale_deterministically():

@@ -1,6 +1,8 @@
 """Tests for seeded simulation, cost evaluation, and performance indices."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,3 +409,90 @@ def test_kpi_is_nonnegative():
         kx, ku = kpi(ensemble, z)
         assert kx >= 0.0
         assert ku >= 0.0
+
+
+# --------------------------------------------------------------------------
+# The reduction layer: bit-identical to the plain expressions, bounded memory
+# --------------------------------------------------------------------------
+
+def _reference_reductions(spec, ensemble):
+    """realized_cost, central_moment and kpi as plain expressions, each
+    power of each channel re-centred and powered in fresh arrays."""
+    def deviation_power(values, centers, n):
+        return _even_power(values - centers, n)
+
+    n, two_o = ensemble.n_steps, 2 * spec.o
+    x_bar, u_bar = ensemble.mean_path, ensemble.mean_controls
+    mean_powers = _even_power(x_bar, 2 * spec.p)
+    state_paths = deviation_power(ensemble.states, x_bar, two_o)
+    state_paths = (state_paths[:, :-1] @ np.asarray(spec.q)
+                   + spec.q_terminal * state_paths[:, n])
+    control_paths = deviation_power(ensemble.controls, u_bar, two_o) @ np.asarray(spec.r)
+    breakdown = {
+        "state_power": float(np.dot(spec.q_bar, mean_powers[:-1])
+                             + spec.q_bar_terminal * mean_powers[n]),
+        "control_power": float(np.dot(spec.r_bar, _even_power(u_bar, 2 * spec.p))),
+        "state_moment": float(state_paths.mean()),
+        "control_moment": float(control_paths.mean()),
+    }
+    stderr = float((state_paths + control_paths).std()) / math.sqrt(ensemble.n_paths)
+    moments = {order: deviation_power(ensemble.states, x_bar, order).mean(axis=0)
+               for order in (2, two_o)}
+    kpis = {
+        zeta: tuple(
+            float(np.sum(deviation_power(values, centers, 2 * zeta).mean(axis=0))
+                  + np.sum(_even_power(centers, 2 * zeta)))
+            for values, centers in ((ensemble.states, x_bar), (ensemble.controls, u_bar))
+        )
+        for zeta in (1, 2, 3)
+    }
+    return breakdown, stderr, moments, kpis
+
+
+_REDUCTION_SPECS = [
+    pytest.param(example_config(e, p).problem, id=f"ex{e}p{p}")
+    for e in (1, 2, 3, 4) for p in (1, 2, 3)
+] + [
+    # o = 4 takes central_moment's order-8 fallback.
+    pytest.param(dataclasses.replace(example_config(4, 2).problem, o=4), id="ex4p2-o4"),
+]
+
+
+@pytest.mark.parametrize("spec", _REDUCTION_SPECS)
+def test_reductions_equal_plain_expressions_bit_for_bit(spec):
+    _, policy = _solved_policy(spec)
+    ensemble = simulate_ensemble(spec, policy, n_paths=2_000, master_seed=17)
+    breakdown, stderr, moments, kpis = _reference_reductions(spec, ensemble)
+
+    report = realized_cost(spec, ensemble)
+    assert report.breakdown == breakdown
+    assert report.realized_stderr == stderr
+    assert report.realized_mean == sum(breakdown.values())
+    for order, expected in moments.items():
+        assert np.array_equal(central_moment(ensemble, order), expected), order
+    for zeta, expected in kpis.items():
+        # The second call reads the table the first one built.
+        assert kpi(ensemble, zeta) == expected, zeta
+        assert kpi(ensemble, zeta) == expected, zeta
+
+
+def test_reductions_of_one_bundle_peak_under_two_state_arrays():
+    # One ensemble-sized buffer at a time: the cost's powered block, then the
+    # moment table's two state-sized buffers. A third live buffer would cost
+    # another states.nbytes; the per-path vectors are O(n_paths).
+    spec = example_config(4, 3).problem
+    _, policy = _solved_policy(spec)
+    ensemble = simulate_ensemble(spec, policy, n_paths=20_000, master_seed=5)
+    path_vector = 8 * ensemble.n_paths
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        results = [realized_cost(spec, ensemble), central_moment(ensemble, 2),
+                   central_moment(ensemble, 6), *(kpi(ensemble, z) for z in (1, 2, 3))]
+        del results
+        kept, peak = (value - before for value in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * ensemble.states.nbytes + 2 * path_vector
+    # Only the O(N) table of per-step moments outlives the calls.
+    assert kept <= 64 * 8 * (ensemble.n_steps + 1)
