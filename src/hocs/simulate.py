@@ -11,28 +11,35 @@ Randomness is laid out for reproducibility: a master seed feeds a seed
 sequence whose first child drives the initial draws and whose second child
 drives the noise matrix (one row per path, one column per step 1..N), so the
 initial state is independent of the noise and a rerun with the same master
-seed is bit-identical. The matrix is drawn from the spec's noise law, and the
-problem class alone decides how it enters the step; the deterministic class
-draws none. Generation is vectorized across paths; no execution order enters
-the results. The draw depends only on the spec, the path count
-and the master seed, never on the policy, so callers that roll out several
-policies or gain scalings on one seed (common random numbers) open a
-``_common_draws()`` scope and every rollout inside it reuses one read-only
-(x0, eps) draw; outside a scope each ensemble draws afresh. Either way the
-numbers are the same.
+seed is bit-identical. The matrix is drawn from the spec's noise law in
+consecutive blocks of ``_BLOCK`` paths from the one generator, which equals
+one draw of the whole matrix bit for bit, and each block is rolled out right
+after it is drawn; the problem class alone decides how the noise enters the
+step, and the deterministic class draws none. The draw depends only on the
+spec, the path count and the master seed, never on the policy, so callers
+that roll out several policies or gain scalings on one seed (common random
+numbers) open a ``_common_draws()`` scope and every rollout inside it reuses
+one read-only (x0, noise blocks) draw; outside a scope each ensemble draws
+afresh. Either way the numbers are the same.
 
-Each ensemble is one block of states and controls. realized_cost powers both
-channels' deviations in one more block, column by column; central_moment and
-kpi read per-step moments that the ensemble computes once, on first use.
+Each ensemble is one block of states and controls. Besides that block and a
+draw kept by a scope, every buffer holds one value per path or at most
+_BLOCK values per step: realized_cost powers both channels' deviations one
+path block at a time, and central_moment and kpi read per-step moments that
+the ensemble computes once, on first use, in slabs of whole steps. A run
+whose footprint would exceed physical memory is refused before anything is
+allocated.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import ClassVar
 
 import numpy as np
@@ -58,6 +65,10 @@ __all__ = [
     "kpi",
 ]
 
+#: Paths per noise block and per cost block; a moment slab holds
+#: max(1, _BLOCK // n_paths) steps.
+_BLOCK = 8192
+
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryEnsemble:
@@ -65,8 +76,10 @@ class TrajectoryEnsemble:
 
     ``states`` is n_paths x (N+1), ``controls`` n_paths x N, both stored
     time-major (transposed views of one step x path block) so that the
-    column ``[:, k]`` of one step is contiguous. ``mean_path`` and
-    ``mean_controls`` hold the exactly propagated xbar/ubar. All read-only.
+    column ``[:, k]`` of one step is contiguous. That block, 8 (2N+1) bytes
+    per path, is all an ensemble holds besides O(N) vectors. ``mean_path``
+    and ``mean_controls`` hold the exactly propagated xbar/ubar. All
+    read-only.
     """
 
     states: np.ndarray
@@ -86,17 +99,30 @@ class TrajectoryEnsemble:
     def _deviation_means(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-step means of d2 = d*d, d2*d2 and (d2*d2)*d2, _even_power's
         products, for d the state and the control deviations: one re-centring
-        pass per channel, in two state-sized buffers freed on return."""
-        buffers = [np.empty((self.states.shape[1], self.n_paths)).T for _ in range(2)]
+        pass per channel, in slabs of whole steps held by two reused buffers."""
         tables = []
         for values, centers in ((self.states, self.mean_path), (self.controls, self.mean_controls)):
-            square, power = (buffer[:, : values.shape[1]] for buffer in buffers)
-            np.subtract(values, centers, out=square)
-            np.multiply(square, square, out=square)
-            np.multiply(square, square, out=power)
-            tables.append(np.array([square.mean(axis=0), power.mean(axis=0),
-                                    np.multiply(power, square, out=power).mean(axis=0)]))
+            table = np.empty((3, values.shape[1]))
+            for steps, square, power in _slabs(values.shape, 2):
+                np.subtract(values[:, steps], centers[steps], out=square)
+                np.multiply(square, square, out=square)
+                table[0, steps] = square.mean(axis=0)
+                table[1, steps] = np.multiply(square, square, out=power).mean(axis=0)
+                table[2, steps] = np.multiply(power, square, out=power).mean(axis=0)
+            tables.append(table)
         return tuple(tables)
+
+
+def _slabs(shape: tuple[int, int], count: int):
+    """Yield (steps, *buffers) over slabs of max(1, _BLOCK // n_paths) whole
+    steps of an n_paths x steps array; the ``count`` buffers are n_paths x
+    slab, columns contiguous, and reused from slab to slab."""
+    n_paths, n_columns = shape
+    width = min(n_columns, max(1, _BLOCK // n_paths))
+    buffers = np.empty((count, width, n_paths)).transpose(0, 2, 1)
+    for start in range(0, n_columns, width):
+        stop = min(start + width, n_columns)
+        yield slice(start, stop), *buffers[:, :, : stop - start]
 
 
 @dataclass(frozen=True)
@@ -169,11 +195,14 @@ def _common_draws():
 
 
 def _draw(spec: ProblemSpec, n_paths: int, master_seed: int):
-    """The read-only initial states and noise matrix of one seeded ensemble.
+    """The read-only initial states and noise blocks of one seeded ensemble.
 
-    eps[:, k] realizes the step-(k+1) noise; eps is None for the
-    deterministic class. Inside a _common_draws() scope a repeated key
-    returns the stored arrays.
+    The noise comes in consecutive blocks of up to _BLOCK paths, which
+    together equal one (n_paths, N) draw bit for bit: block[:, k] realizes
+    the step-(k+1) noise of its paths. The blocks are None for the
+    deterministic class. Outside a scope they are drawn lazily, one at a
+    time; inside a _common_draws() scope they are drawn at once and stored
+    as a list, and a repeated key returns the stored draw.
     """
     store = _DRAWS.get()
     key = (spec, n_paths, master_seed)
@@ -182,16 +211,35 @@ def _draw(spec: ProblemSpec, n_paths: int, master_seed: int):
     init_seq, noise_seq = np.random.SeedSequence(master_seed).spawn(2)
     x0 = spec.initial.sample(np.random.Generator(np.random.PCG64(init_seq)), n_paths)
     x0.setflags(write=False)
-    eps = None
+    blocks = None
     if spec.problem_class is not ProblemClass.DETERMINISTIC:
         if spec.noise is None:
             raise MissingMoment(f"class {spec.problem_class.value} has no noise law to sample")
         noise_rng = np.random.Generator(np.random.PCG64(noise_seq))
-        eps = spec.noise.sample(noise_rng, (n_paths, spec.n_steps))
-        eps.setflags(write=False)
+        blocks = (spec.noise.sample(noise_rng, (min(_BLOCK, n_paths - start), spec.n_steps))
+                  for start in range(0, n_paths, _BLOCK))
     if store is not None:
-        store[key] = x0, eps
-    return x0, eps
+        if blocks is not None:
+            blocks = list(blocks)
+            for block in blocks:
+                block.setflags(write=False)
+        store[key] = x0, blocks
+    return x0, blocks
+
+
+def _check_footprint(n_steps: int, n_paths: int) -> None:
+    """Raise MemoryError, naming the bytes, before allocating an ensemble whose
+    block, plus the draw a _common_draws() scope keeps, plus O(_BLOCK),
+    exceeds physical memory (where the system reports it)."""
+    columns = 2 * n_steps + 1 + (n_steps + 1 if _DRAWS.get() is not None else 0)
+    needed = 8 * columns * (n_paths + _BLOCK)
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    if needed > physical > 0:
+        raise MemoryError(f"{n_paths} paths of {n_steps} steps need {needed} bytes, "
+                          f"more than the {physical} bytes of physical memory")
 
 
 def simulate_ensemble(
@@ -211,44 +259,52 @@ def simulate_ensemble(
     Raises:
         InvalidPolicy: If the policy pins a different horizon.
         MissingMoment: If the noise or initial law has nothing to sample.
+        MemoryError: If the run would not fit in physical memory.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     n = spec.n_steps
     if policy.n_steps is not None and policy.n_steps != n:
         raise InvalidPolicy(f"policy solved for horizon {policy.n_steps}, problem has {n}")
+    _check_footprint(n, n_paths)
 
     # The block comes before the draw, so a freed draw leaves the heap top free for the next block.
     block = np.empty((2 * n + 1, n_paths))
-    states, controls = block[: n + 1].T, block[n + 1 :].T
-    x0, eps = _draw(spec, n_paths, master_seed)
-    states[:, 0] = x0
+    all_states, all_controls = block[: n + 1].T, block[n + 1 :].T
+    x0, noise = _draw(spec, n_paths, master_seed)
+    all_states[:, 0] = x0
 
     klass = spec.problem_class
     mean_path, mean_controls = _mean_channel(spec, policy)
     a_bar, b_bar, a_dev, b_dev = spec.a_bar, spec.b_bar, spec.a, spec.b
 
-    for k in range(n):
-        x, x_bar, u_bar = states[:, k], mean_path[k], mean_controls[k]
-        u = controls[:, k] = np.asarray(policy.control(k, x, x_bar))
+    # Each path block is rolled out right after its noise is drawn.
+    noise = iter(repeat(None) if noise is None else noise)
+    for start in range(0, n_paths, _BLOCK):
+        states, controls = all_states[start : start + _BLOCK], all_controls[start : start + _BLOCK]
+        eps = next(noise)
+        for k in range(n):
+            x, x_bar, u_bar = states[:, k], mean_path[k], mean_controls[k]
+            u = controls[:, k] = np.asarray(policy.control(k, x, x_bar))
 
-        if klass is ProblemClass.DETERMINISTIC:
-            states[:, k + 1] = a_bar[k] * x + b_bar[k] * u
-        elif klass is ProblemClass.ADDITIVE:
-            states[:, k + 1] = a_bar[k] * x + b_bar[k] * u + eps[:, k]
-        elif klass is ProblemClass.MULT_STATE:
-            states[:, k + 1] = a_bar[k] * x + b_bar[k] * u + (x - x_bar) * eps[:, k]
-        else:
-            states[:, k + 1] = (
-                a_bar[k] * x_bar
-                + b_bar[k] * u_bar
-                + (a_dev[k] * (x - x_bar) + b_dev[k] * (u - u_bar)) * eps[:, k]
-            )
+            if klass is ProblemClass.DETERMINISTIC:
+                states[:, k + 1] = a_bar[k] * x + b_bar[k] * u
+            elif klass is ProblemClass.ADDITIVE:
+                states[:, k + 1] = a_bar[k] * x + b_bar[k] * u + eps[:, k]
+            elif klass is ProblemClass.MULT_STATE:
+                states[:, k + 1] = a_bar[k] * x + b_bar[k] * u + (x - x_bar) * eps[:, k]
+            else:
+                states[:, k + 1] = (
+                    a_bar[k] * x_bar
+                    + b_bar[k] * u_bar
+                    + (a_dev[k] * (x - x_bar) + b_dev[k] * (u - u_bar)) * eps[:, k]
+                )
+        del eps  # so the next block is drawn after this one is freed
 
-    for arr in (states, controls, mean_path, mean_controls):
+    for arr in (all_states, all_controls, mean_path, mean_controls):
         arr.setflags(write=False)
 
-    return TrajectoryEnsemble(states, controls, mean_path, mean_controls)
+    return TrajectoryEnsemble(all_states, all_controls, mean_path, mean_controls)
 
 
 def central_moment(ensemble: TrajectoryEnsemble, order: int) -> np.ndarray:
@@ -256,8 +312,11 @@ def central_moment(ensemble: TrajectoryEnsemble, order: int) -> np.ndarray:
     _check_even_order(order)
     if order <= 6:
         return ensemble._deviation_means[0][order // 2 - 1].copy()
-    deviations = np.subtract(ensemble.states, ensemble.mean_path)
-    return _even_power(deviations, order, out=deviations).mean(axis=0)
+    means = np.empty(ensemble.states.shape[1])
+    for steps, deviations in _slabs(ensemble.states.shape, 1):
+        np.subtract(ensemble.states[:, steps], ensemble.mean_path[steps], out=deviations)
+        means[steps] = _even_power(deviations, order, out=deviations).mean(axis=0)
+    return means
 
 
 def realized_cost(spec: ProblemSpec, ensemble: TrajectoryEnsemble) -> CostReport:
@@ -267,7 +326,8 @@ def realized_cost(spec: ProblemSpec, ensemble: TrajectoryEnsemble) -> CostReport
     ensemble's mean path; the moment terms are ensemble averages of per-path
     deviation powers. The standard error covers the moment terms: the
     plug-in s/sqrt(n) of the per-path moment costs, with s the population
-    standard deviation.
+    standard deviation. Deviations are powered one block of _BLOCK paths at
+    a time, so the call holds O(_BLOCK) floats plus a few per-path vectors.
 
     Args:
         spec: The problem the ensemble was generated from.
@@ -284,16 +344,23 @@ def realized_cost(spec: ProblemSpec, ensemble: TrajectoryEnsemble) -> CostReport
     state_power = float(np.dot(spec.q_bar, mean_powers[:-1]) + spec.q_bar_terminal * mean_powers[n])
     control_power = float(np.dot(spec.r_bar, _even_power(u_bar, two_p)))
 
-    # Controls, then states, powered column by column: no second block-sized buffer.
-    powers = np.empty((2 * n + 1, ensemble.n_paths)).T
-    np.subtract(ensemble.controls, u_bar, out=powers[:, :n])
-    np.subtract(ensemble.states, x_bar, out=powers[:, n:])
-    for column in powers.T:
-        _even_power(column, two_o, out=column)
-    state_moment_paths = powers[:, n:-1] @ np.asarray(spec.q)
-    state_moment_paths += spec.q_terminal * powers[:, -1]
-    control_moment_paths = powers[:, :n] @ np.asarray(spec.r)
-    del powers, column  # the loop's last view would keep the block alive
+    # Per path block: controls, then states, powered column by column in one
+    # reused O(_BLOCK) buffer (a whole-buffer power would allocate its spare
+    # afresh for every block); only the per-path vectors grow with n_paths.
+    n_paths = ensemble.n_paths
+    buffer = np.empty((2 * n + 1, min(_BLOCK, n_paths))).T
+    state_moment_paths, control_moment_paths = np.empty(n_paths), np.empty(n_paths)
+    q, r = np.asarray(spec.q), np.asarray(spec.r)
+    for start in range(0, n_paths, _BLOCK):
+        paths = slice(start, min(start + _BLOCK, n_paths))
+        powers = buffer[: paths.stop - start]
+        np.subtract(ensemble.controls[paths], u_bar, out=powers[:, :n])
+        np.subtract(ensemble.states[paths], x_bar, out=powers[:, n:])
+        for column in powers.T:
+            _even_power(column, two_o, out=column)
+        state_moment_paths[paths] = powers[:, n:-1] @ q
+        state_moment_paths[paths] += spec.q_terminal * powers[:, -1]
+        control_moment_paths[paths] = powers[:, :n] @ r
 
     breakdown = {
         "state_power": state_power,
@@ -301,8 +368,8 @@ def realized_cost(spec: ProblemSpec, ensemble: TrajectoryEnsemble) -> CostReport
         "state_moment": float(state_moment_paths.mean()),
         "control_moment": float(control_moment_paths.mean()),
     }
-    per_path = state_moment_paths + control_moment_paths
-    n_paths = ensemble.n_paths
+    per_path = np.add(state_moment_paths, control_moment_paths, out=state_moment_paths)
+    del control_moment_paths  # std's temporary takes its place
     return CostReport(
         realized_mean=sum(breakdown.values()),
         realized_stderr=float(per_path.std()) / math.sqrt(n_paths),

@@ -188,6 +188,19 @@ def test_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch, command, layer, 
     assert capsys.readouterr().err == line
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_run_over_physical_memory_is_refused_with_exit_3(tmp_path, capsys, command):
+    # 10**15 paths: numpy would refuse the block at once, but in its own words.
+    config = _write_example_config(tmp_path, 2, 2)
+    argv = [command, "--config", str(config), "--paths", str(10**15)]
+    argv += ["--out", str(tmp_path / "run")] if command == "simulate" else []
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"memory error: 1000000000000000 paths of 10 steps need \d+ bytes, "
+                        r"more than the \d+ bytes of physical memory\n", err)
+    assert not (tmp_path / "run").exists()
+
+
 def test_integer_oracle_tol_is_stored_as_float():
     document = json.loads(render_config(example_config(1, 1)))
     document["run"]["oracle_tol"] = 1

@@ -12,11 +12,14 @@ from hocs import (
     FeedbackPolicy,
     GainSchedule,
     Gaussian,
+    GaussianVariance,
     InitialLaw,
     InvalidPolicy,
     MissingMoment,
     Moments,
+    Rademacher,
     TrajectoryEnsemble,
+    UniformSymmetric,
     build_problem,
     central_moment,
     example_config,
@@ -28,7 +31,7 @@ from hocs import (
 )
 from hocs.cli import main
 from hocs.config import render_config
-from hocs.simulate import _DRAWS, _common_draws, _draw, _even_power
+from hocs.simulate import _BLOCK, _DRAWS, _common_draws, _draw, _even_power
 
 
 def _solved_policy(spec):
@@ -135,27 +138,82 @@ def test_ensemble_columns_are_contiguous_and_read_only():
 def test_common_draws_scope_reuses_one_draw_and_forgets_it():
     spec = example_config(4, 3).problem
     _, policy = _solved_policy(spec)
-    assert _draw(spec, 32, 5)[1] is not _draw(spec, 32, 5)[1]
+    n_paths = _BLOCK + 1  # two noise blocks
+    # Outside a scope every draw is fresh: equal blocks in fresh memory.
+    draws = [list(_draw(spec, n_paths, 5)[1]) for _ in range(2)]
+    assert [len(blocks) for blocks in draws] == [2, 2]
+    for block, again in zip(*draws):
+        assert np.array_equal(block, again) and not np.shares_memory(block, again)
     with _common_draws():
-        first = simulate_ensemble(spec, policy, n_paths=32, master_seed=5)
-        second = simulate_ensemble(spec, policy, n_paths=32, master_seed=5)
-        x0, eps = _draw(spec, 32, 5)
+        first = simulate_ensemble(spec, policy, n_paths=n_paths, master_seed=5)
+        second = simulate_ensemble(spec, policy, n_paths=n_paths, master_seed=5)
+        x0, eps = _draw(spec, n_paths, 5)
+        assert isinstance(eps, list) and len(eps) == 2
         with _common_draws():
-            assert _draw(spec, 32, 5)[1] is eps
+            assert _draw(spec, n_paths, 5)[1] is eps
         assert len(_DRAWS.get()) == 1
-        other_x0, other_eps = _draw(spec, 32, 6)
+        other_x0, other_eps = _draw(spec, n_paths, 6)
         assert len(_DRAWS.get()) == 2
     assert _DRAWS.get() is None
-    fresh = simulate_ensemble(spec, policy, n_paths=32, master_seed=5)
+    fresh = simulate_ensemble(spec, policy, n_paths=n_paths, master_seed=5)
 
     for ensemble in (second, fresh):
         assert np.array_equal(ensemble.states, first.states)
         assert np.array_equal(ensemble.controls, first.controls)
     assert not np.shares_memory(first.states, second.states)
     assert not np.shares_memory(first.controls, second.controls)
-    assert not (x0.flags.writeable or eps.flags.writeable)
+    assert not any(array.flags.writeable for array in (x0, *eps))
     assert not np.array_equal(other_x0, x0)
-    assert not np.array_equal(other_eps, eps)
+    assert not any(np.array_equal(a, b) for a, b in zip(other_eps, eps))
+    for block, stored in zip(draws[0], eps):
+        assert np.array_equal(block, stored)
+
+
+_SAMPLED_LAWS = [Gaussian(0.7), GaussianVariance(2.0), Rademacher(1.5),
+                 UniformSymmetric(0.3), Empirical((-1.0, 0.25, 2.0))]
+
+
+@pytest.mark.parametrize("law", _SAMPLED_LAWS, ids=lambda law: type(law).__name__)
+@pytest.mark.parametrize("n_paths", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
+def test_noise_blocks_equal_one_draw_bit_for_bit(law, n_paths):
+    spec = dataclasses.replace(example_config(2, 2).problem, noise=law)
+    blocks = list(_draw(spec, n_paths, 23)[1])
+    assert [len(block) for block in blocks[:-1]] == [_BLOCK] * (len(blocks) - 1)
+    noise_seq = np.random.SeedSequence(23).spawn(2)[1]
+    whole = law.sample(np.random.Generator(np.random.PCG64(noise_seq)), (n_paths, spec.n_steps))
+    assert np.array_equal(np.concatenate(blocks), whole)
+
+
+def test_ensemble_outside_a_scope_holds_its_block_and_one_noise_block():
+    # The full (n_paths, N) noise matrix would cost 8 N n_paths bytes more.
+    spec = example_config(2, 2).problem
+    _, policy = _solved_policy(spec)
+    n_paths, n = 4 * _BLOCK + 7, spec.n_steps
+    simulate_ensemble(spec, policy, n_paths=1, master_seed=3)  # numpy's lazy imports
+    tracemalloc.start()
+    try:
+        ensemble = simulate_ensemble(spec, policy, n_paths=n_paths, master_seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_bytes = 8 * (2 * n + 1) * n_paths
+    assert ensemble.states.base is ensemble.controls.base
+    assert ensemble.states.base.nbytes == block_bytes
+    # The block, x0, one noise block and a few block-sized step temporaries
+    # (measured: 8 (n + 4.05) _BLOCK bytes past the block and x0).
+    assert peak <= block_bytes + 8 * n_paths + 8 * (n + 6) * _BLOCK
+
+
+def test_footprint_over_physical_memory_is_refused_before_allocating():
+    # numpy fails at once on 2**50 paths, but with its own message.
+    spec = example_config(2, 2).problem
+    _, policy = _solved_policy(spec)
+    needed = 8 * (2 * spec.n_steps + 1) * (2**50 + _BLOCK)
+    with pytest.raises(MemoryError, match=rf"^{2**50} paths of 10 steps need {needed} bytes, "
+                                          r"more than the \d+ bytes of physical memory$"):
+        simulate_ensemble(spec, policy, n_paths=2**50, master_seed=0)
+    with _common_draws(), pytest.raises(MemoryError, match=f"need {needed + 8 * 11 * (2**50 + _BLOCK)} bytes"):
+        simulate_ensemble(spec, policy, n_paths=2**50, master_seed=0)
 
 
 # --------------------------------------------------------------------------
@@ -449,19 +507,24 @@ def _reference_reductions(spec, ensemble):
     return breakdown, stderr, moments, kpis
 
 
-_REDUCTION_SPECS = [
-    pytest.param(example_config(e, p).problem, id=f"ex{e}p{p}")
+_O4 = dataclasses.replace(example_config(4, 2).problem, o=4)
+_REDUCTION_CASES = [
+    pytest.param(example_config(e, p).problem, 2_000, id=f"ex{e}p{p}")
     for e in (1, 2, 3, 4) for p in (1, 2, 3)
 ] + [
     # o = 4 takes central_moment's order-8 fallback.
-    pytest.param(dataclasses.replace(example_config(4, 2).problem, o=4), id="ex4p2-o4"),
-]
+    pytest.param(_O4, 2_000, id="ex4p2-o4"),
+] + [
+    # Three cost blocks, and moment slabs of one step.
+    pytest.param(example_config(e, p).problem, 2 * _BLOCK + 7, id=f"ex{e}p{p}-blocks")
+    for e, p in ((2, 2), (3, 2), (4, 3))
+] + [pytest.param(_O4, 2 * _BLOCK + 7, id="ex4p2-o4-blocks")]
 
 
-@pytest.mark.parametrize("spec", _REDUCTION_SPECS)
-def test_reductions_equal_plain_expressions_bit_for_bit(spec):
+@pytest.mark.parametrize("spec,n_paths", _REDUCTION_CASES)
+def test_reductions_equal_plain_expressions_bit_for_bit(spec, n_paths):
     _, policy = _solved_policy(spec)
-    ensemble = simulate_ensemble(spec, policy, n_paths=2_000, master_seed=17)
+    ensemble = simulate_ensemble(spec, policy, n_paths=n_paths, master_seed=17)
     breakdown, stderr, moments, kpis = _reference_reductions(spec, ensemble)
 
     report = realized_cost(spec, ensemble)
@@ -476,14 +539,14 @@ def test_reductions_equal_plain_expressions_bit_for_bit(spec):
         assert kpi(ensemble, zeta) == expected, zeta
 
 
-def test_reductions_of_one_bundle_peak_under_two_state_arrays():
-    # One ensemble-sized buffer at a time: the cost's powered block, then the
-    # moment table's two state-sized buffers. A third live buffer would cost
-    # another states.nbytes; the per-path vectors are O(n_paths).
+def test_reductions_of_one_bundle_peak_at_block_buffers_and_path_vectors():
+    # One (2N+1) x _BLOCK cost buffer and two per-path cost vectors, then
+    # moment slabs of one step: no buffer the size of the states (11 path
+    # vectors here).
     spec = example_config(4, 3).problem
     _, policy = _solved_policy(spec)
-    ensemble = simulate_ensemble(spec, policy, n_paths=20_000, master_seed=5)
-    path_vector = 8 * ensemble.n_paths
+    ensemble = simulate_ensemble(spec, policy, n_paths=4 * _BLOCK + 7, master_seed=5)
+    n, path_vector = ensemble.n_steps, 8 * ensemble.n_paths
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -493,6 +556,6 @@ def test_reductions_of_one_bundle_peak_under_two_state_arrays():
         kept, peak = (value - before for value in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * ensemble.states.nbytes + 2 * path_vector
+    assert peak <= 8 * (2 * n + 2) * _BLOCK + 3 * path_vector
     # Only the O(N) table of per-step moments outlives the calls.
-    assert kept <= 64 * 8 * (ensemble.n_steps + 1)
+    assert kept <= 64 * 8 * (n + 1)
