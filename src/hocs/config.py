@@ -15,8 +15,7 @@ A run is described by one JSON document with two top-level maps::
         "noise": {"kind": "gaussian", "sigma": 1.0},     # none if deterministic
         "initial": {"mean": 20.25, "law": {"kind": "dirac"}}
       },
-      "run": {"n_paths": 100000, "master_seed": 42, "oracle_tol": 1e-06,
-              "out_dir": "."}
+      "run": {"n_paths": 100000, "master_seed": 42, "out_dir": "."}
     }
 
 Per-step values (dynamics coefficients and running weights) accept either a
@@ -85,7 +84,6 @@ class RunSettings:
 
     n_paths: int = 100_000
     master_seed: int = 42
-    oracle_tol: float = 1e-6
     out_dir: str = "."
 
     def __post_init__(self) -> None:
@@ -94,9 +92,6 @@ class RunSettings:
         if (not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool)
                 or self.master_seed < 0):
             raise ConfigError(f"run.master_seed must be an integer >= 0, got {self.master_seed!r}")
-        object.__setattr__(self, "oracle_tol", _number(self.oracle_tol, "run.oracle_tol"))
-        if not self.oracle_tol > 0:
-            raise ConfigError(f"run.oracle_tol must be > 0, got {self.oracle_tol!r}")
         if not isinstance(self.out_dir, str):
             raise ConfigError("run.out_dir must be a string")
 

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -34,18 +35,18 @@ from hocs.simulate import _DRAWS
 # The built-in example problems are part of the artifact's contract: any
 # change to their constants or to the canonical serialization must be loud.
 GOLDEN_CONFIG_SHA256 = {
-    (1, 1): "8d6f92fd7780f0eff2d529ad11a1b4fadd67df2a16678d948b26c75a443396cf",
-    (1, 2): "868af5f45c6f9bdd51b6dd1c712e93c65e993a04ca7e676c97b9b3c0bd963312",
-    (1, 3): "7afa456cec940d8d81150cb98a59d2da19b2e783066c419ed059dfcccb8065f4",
-    (2, 1): "05c03b54fc85d323603181d1eedb2bb9cef43840b2d69f4100470a4fdc82e147",
-    (2, 2): "b1861cf14c7c4b7b8e09d4cd5099c2f7503aeb1c83e56fbff1ea14916fc78617",
-    (2, 3): "2aed4c0cec1b1236249ba60899b67b00da230addaebd6242067418cde0be3f49",
-    (3, 1): "951b363f506182fac845409789c0024d129b7fed78d7b5b0ccaf55cc52532bee",
-    (3, 2): "d7a3a23c02cd825cf6333f268d8cd238048cfce222964096cfa9ca5a499c3eac",
-    (3, 3): "b4b2b88d36a6a09c17eca765dadcf3efe68aea03186b2f43eee5954a527da48a",
-    (4, 1): "1777216cd9f039377d0ae57042c8ed1e2c80c2815538bdf11fbf64289d2a79e9",
-    (4, 2): "c8f63dca92611afbf5ab45add0bd46e408d51de9c1312857ad437a37b3db1889",
-    (4, 3): "5df63a45da8ab32676952fe7758a6cda03924e04874c8f3a81b1419e5c79864d",
+    (1, 1): "f251dca6061172bc3b452867eae04218d3a2c90baf126685b6e51a0418eded13",
+    (1, 2): "8efef0f29b40eb0426135ab870706d45a538387098cb47bfefafa9627ae982e2",
+    (1, 3): "311a019abec0f2dd987248acfdc253422b85d4eb34df82cc328297a18b04ee6c",
+    (2, 1): "94d96be72506cfba3f9b3f9619651eb156db03f3d1922eb2162a28d7cb189cc9",
+    (2, 2): "3c81d8b52d087efa8cc4bf45498947420a7c318be6d1b410cad198ad4bc89d78",
+    (2, 3): "9cd93288f2e404bdb1065a887d9ba3542c75dab4dc6371ba5329d69064ad5c5f",
+    (3, 1): "e8af6907259a92f6642e60460e36433c8c6118f3ec895fc866c61010cd6529c0",
+    (3, 2): "38cb6303259138ddb374b68dbc583db0a1b263eecd7188949b7305bad30e99d3",
+    (3, 3): "806c8bd58a74564e5e6e0ac071210a3288d433cd4176ecb769dd0e8697cba139",
+    (4, 1): "ee11446ea1407a0ad77bbe327647a60dbacc75f51c15a7be3bd379543a56e2ed",
+    (4, 2): "be78c26a7ee19ef0ab197675b3935dac1de62f0da1f57014e319d92eb14aba02",
+    (4, 3): "807f5a4bb68317dc128c84e9459d2830352553f5b5a9f96c05578c828758e931",
 }
 
 
@@ -107,13 +108,15 @@ def test_unknown_config_key_is_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("oracle_tol", True, "run.oracle_tol must be a number, got True"),
-    ("oracle_tol", "1e-6", "run.oracle_tol must be a number, got '1e-6'"),
-    ("oracle_tol", 0, "run.oracle_tol must be > 0, got 0.0"),
+    ("n_paths", 0, "run.n_paths must be an integer >= 1, got 0"),
+    ("n_paths", -1, "run.n_paths must be an integer >= 1, got -1"),
+    ("n_paths", True, "run.n_paths must be an integer >= 1, got True"),
+    ("n_paths", 2.5, "run.n_paths must be an integer >= 1, got 2.5"),
     ("master_seed", -1, "run.master_seed must be an integer >= 0, got -1"),
     ("master_seed", True, "run.master_seed must be an integer >= 0, got True"),
     ("out_dir", 3, "run.out_dir must be a string"),
     ("mean_mode", "exact", "unknown keys ['mean_mode'] in run"),
+    ("oracle_tol", 1e-06, "unknown keys ['oracle_tol'] in run"),
     ("literal_recursion", False, "unknown keys ['literal_recursion'] in run"),
 ])
 def test_bad_run_setting_is_a_config_error(tmp_path, capsys, key, value, message):
@@ -199,13 +202,6 @@ def test_run_over_physical_memory_is_refused_with_exit_3(tmp_path, capsys, comma
     assert re.fullmatch(r"memory error: 1000000000000000 paths of 10 steps need \d+ bytes, "
                         r"more than the \d+ bytes of physical memory\n", err)
     assert not (tmp_path / "run").exists()
-
-
-def test_integer_oracle_tol_is_stored_as_float():
-    document = json.loads(render_config(example_config(1, 1)))
-    document["run"]["oracle_tol"] = 1
-    run = parse_config(json.dumps(document)).run
-    assert run.oracle_tol == 1.0 and isinstance(run.oracle_tol, float)
 
 
 def test_missing_config_file_is_a_config_error(tmp_path):
@@ -601,6 +597,22 @@ def test_kpi_study_rows_equal_fresh_draw_loop(n_paths):
     assert _DRAWS.get() is None
 
 
+def test_kpi_study_holds_one_ensemble_block_at_a_time():
+    spec = example_config(4, 3).problem
+    n, n_paths = spec.n_steps, 20_000
+    run_kpi_study(1, n_paths=1)  # numpy's lazy imports
+    tracemalloc.start()
+    try:
+        run_kpi_study(1, n_paths=n_paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block, draw = 8 * (2 * n + 1) * n_paths, 8 * (n + 1) * n_paths
+    # The seed's draw, one ensemble block and kpi's per-step path vectors
+    # (measured: 4.07); each further live block would add 21 path vectors.
+    assert peak <= draw + block + 5 * 8 * n_paths
+
+
 def test_kpi_rejects_bad_seed_count(tmp_path):
     assert main(["kpi", "--seeds", "0", "--out", str(tmp_path)]) == 3
 
@@ -768,7 +780,7 @@ def test_repeated_main_calls_share_the_parser_but_not_the_namespace(tmp_path, mo
     assert kpi_args["seed"] == 5 and kpi_args["paths"] == 3
     assert verify_args == {
         "command": "verify", "handler": cli.cmd_verify, "config": str(path),
-        "tol": None, "paths": None, "seed": None,
+        "paths": None, "seed": None,
     }
 
 
@@ -796,10 +808,57 @@ def test_negative_sample_paths_is_a_config_error(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
-def test_verify_tolerance_must_be_positive(tmp_path, capsys, tol):
+# A malformed flag value, a flag the command does not take (the verification
+# gates are constants, so verify takes no --tol) or an unknown command is a
+# usage error: one config error line and exit 3, like an out-of-range flag.
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--config", "CONFIG", "--tol", "1e-6"], "unrecognized arguments: --tol 1e-6"),
+    (["verify", "--config", "CONFIG", "--paths", "abc"],
+     "argument --paths: invalid int value: 'abc'"),
+    (["verify", "--config", "CONFIG", "--paths", "1.5"],
+     "argument --paths: invalid int value: '1.5'"),
+    (["simulate", "--config", "CONFIG", "--seed", "abc"],
+     "argument --seed: invalid int value: 'abc'"),
+    (["simulate", "--config"], "argument --config: expected one argument"),
+    (["kpi", "--seeds", "1.5"], "argument --seeds: invalid int value: '1.5'"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+], ids=["tol", "paths-abc", "paths-fraction", "seed-abc", "config-no-value", "seeds-fraction",
+        "unknown-command", "no-command"])
+def test_usage_error_is_a_config_error(tmp_path, capsys, argv, message):
     path = _write_example_config(tmp_path, 1, 1)
-    assert main(["verify", "--config", str(path), "--tol", tol]) == 3
+    assert main([str(path) if arg == "CONFIG" else arg for arg in argv]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("config error: --tol must be > 0")
+    assert captured.err.startswith(f"config error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--help"])
+    assert exit_info.value.code == 0
+    assert "--paths" in capsys.readouterr().out
+
+
+def test_write_failure_is_an_io_error(tmp_path, capsys):
+    # --out under a regular file: the directory cannot be made.
+    config = _write_example_config(tmp_path, 1, 1)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["solve", "--config", str(config), "--out", str(blocker / "schedule.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path, capsys):
+    # --out names an existing directory: the rename onto it fails after the
+    # temp file is written, and the temp file is removed again.
+    config = _write_example_config(tmp_path, 1, 1)
+    target = tmp_path / "out"
+    target.mkdir()
+    (target / "kept.txt").write_text("x", encoding="utf-8")
+    assert main(["solve", "--config", str(config), "--out", str(target)]) == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+    assert [p.name for p in target.iterdir()] == ["kept.txt"]

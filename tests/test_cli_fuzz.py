@@ -4,8 +4,9 @@ Every run must end in exit code 0, 1, 2 or 3, with no traceback and no warning
 on stderr, and every CSV it writes must be rectangular. The mutations are the
 ones a user makes by hand: dropped keys, lists of the wrong length, non-finite
 or extreme numbers, large powers, other noise and initial laws, odd seeds and
-counts. Path counts stay at 50 or below and horizons at 1,000 steps or below,
-so that no example allocates much.
+counts, flag values that are not integers and flags no command takes. Path
+counts stay at 50 or below and horizons at 1,000 steps or below, so that no
+example allocates much.
 """
 
 import contextlib
@@ -147,8 +148,10 @@ def argvs(draw):
         argv += ["--paths", str(draw(PATHS))]
     if command in ("simulate", "example") and draw(st.booleans()):
         argv += ["--sample-paths", str(draw(st.integers(-1, 60)))]
-    if command == "verify" and draw(st.booleans()):
-        argv += ["--tol", repr(draw(st.sampled_from([1e-6, 0.0, -1.0, math.nan, math.inf])))]
+    if draw(st.integers(0, 3)) == 0:
+        # A value the flag's type rejects, or a flag no command takes.
+        argv += draw(st.sampled_from([["--paths", "abc"], ["--paths", "1.5"], ["--seed", "1.5"],
+                                      ["--seeds", "abc"], ["--tol", "1e-6"]]))
     if command in ("simulate", "verify", "example", "kpi") and draw(st.booleans()):
         argv += ["--seed", str(draw(SEEDS))]
     env_seed = draw(st.sampled_from([None] * 4 + ["7", "-1", "x", str(2**70)]))
@@ -200,6 +203,8 @@ def test_cli_keeps_the_exit_code_contract(document, flags):
             argv += ["--out", str(out)]
         code, err, caught = _run(argv, env_seed)
         assert code in (0, 1, 2, 3), (code, err)
+        if {"abc", "1.5", "--tol"} & set(argv):
+            assert code == 3 and err.startswith("config error: "), (code, err)
         assert "Traceback" not in err and "Warning" not in err, err
         assert caught == [], caught
         for csv in out.rglob("*.csv"):

@@ -1,6 +1,7 @@
 """Tests for the independent optimizers and agreement probes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +22,10 @@ from hocs import (
     simulate_ensemble,
     solve,
 )
-from hocs.oracle import _scaled_gains
-from hocs.simulate import _DRAWS, _common_draws, _deviation_term
-
-PROBE_GRID = (0.5, 0.9, 1.0, 1.1, 2.0)
+from hocs.cli import main
+from hocs.config import render_config
+from hocs.oracle import PROBE_GRID, _scaled_gains
+from hocs.simulate import _BLOCK, _DRAWS, _common_draws, _deviation_term
 
 
 def _random_deterministic_spec(rng):
@@ -232,17 +233,37 @@ def test_oracle_overflow_is_not_converged():
         brute_force_deterministic(spec)
 
 
-def test_oracle_rejects_wrong_class_and_bad_tolerance():
+def test_oracle_rejects_wrong_class():
     with pytest.raises(ValueError):
         brute_force_deterministic(example_config(2, 1).problem)
-    spec = example_config(1, 1).problem
-    with pytest.raises(ValueError):
-        brute_force_deterministic(spec, max_iter=0)
 
 
 def test_oracle_raises_when_the_iteration_budget_runs_out():
-    with pytest.raises(NotConverged):
-        brute_force_deterministic(example_config(1, 3).problem, max_iter=1)
+    # Example 1's data at p = 4 and N = 60 needs 455 Newton updates.
+    spec = build_problem(
+        "deterministic", 60,
+        a_bar=1.0, b_bar=2.0, q_bar=3.0, q_bar_terminal=3.0, r_bar=4.0, p=4,
+        initial=InitialLaw(mean=10.0),
+    )
+    with pytest.raises(NotConverged, match="Newton update 301 exceeds the budget"):
+        brute_force_deterministic(spec)
+
+
+def test_oracle_gap_past_its_tolerance_is_discrepant(monkeypatch, tmp_path, capsys):
+    # A closed form 1e-5 too low: the oracle does not beat it, but the gap
+    # alone sets the verdict bit, and verify reads only that bit.
+    real_price = oracle.predicted_cost
+    monkeypatch.setattr(oracle, "predicted_cost",
+                        lambda *args: real_price(*args) * (1.0 - 1e-5))
+    config = example_config(1, 2)
+    report = brute_force_deterministic(config.problem)
+    assert 9e-6 < report.relative_gap < 1.1e-5
+    assert report.oracle_cost > report.closed_form_cost
+    assert report.discrepant
+    path = tmp_path / "config.json"
+    path.write_text(render_config(config), encoding="utf-8")
+    assert main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().out.endswith("verify: FAILED\n")
 
 
 def test_mc_validation_accepts_solved_controller():
@@ -276,7 +297,7 @@ def test_mc_validation_reports_the_moment_gap_in_standard_errors():
 def test_probe_finds_minimum_at_unit_scale_deterministically():
     spec = example_config(1, 2).problem
     _, gains = solve(spec)
-    report = local_optimality_probe(spec, gains, PROBE_GRID, n_paths=1, master_seed=0)
+    report = local_optimality_probe(spec, gains, n_paths=1, master_seed=0)
     assert report.min_at_unit
     assert set(report.curves) == {"mean"}
     curve = dict((scale, cost) for scale, cost, _ in report.curves["mean"])
@@ -286,7 +307,7 @@ def test_probe_finds_minimum_at_unit_scale_deterministically():
 def test_probe_covers_both_channels_for_stochastic_classes():
     spec = example_config(3, 1).problem
     _, gains = solve(spec)
-    report = local_optimality_probe(spec, gains, PROBE_GRID, n_paths=4000, master_seed=7)
+    report = local_optimality_probe(spec, gains, n_paths=4000, master_seed=7)
     assert set(report.curves) == {"mean", "dev"}
     assert report.min_at_unit
 
@@ -314,7 +335,7 @@ def test_shared_draw_reports_equal_fresh_draw_loop(example_id, p, seed):
     unscoped = mc_validate(spec, schedule, gains, n_paths, seed)
     with _common_draws():
         first = mc_validate(spec, schedule, gains, n_paths, seed)
-        probe = local_optimality_probe(spec, gains, PROBE_GRID, n_paths, seed)
+        probe = local_optimality_probe(spec, gains, n_paths, seed)
         again = mc_validate(spec, schedule, gains, n_paths, seed)
     assert _DRAWS.get() is None
 
@@ -334,7 +355,7 @@ def test_probe_rejects_scaled_gains(example_id, p, channel, factor):
     spec = example_config(example_id, p).problem
     _, gains = solve(spec)
     scaled = _scaled_gains(gains, channel, factor)
-    report = local_optimality_probe(spec, scaled, PROBE_GRID, n_paths=20_000, master_seed=3)
+    report = local_optimality_probe(spec, scaled, n_paths=20_000, master_seed=3)
     assert report.min_at_unit is False
 
 
@@ -349,16 +370,27 @@ def test_probe_drops_its_draw_when_it_raises(monkeypatch):
 
     monkeypatch.setattr(oracle, "realized_cost", failing_cost)
     with pytest.raises(RuntimeError):
-        local_optimality_probe(spec, gains, PROBE_GRID, n_paths=50, master_seed=1)
+        local_optimality_probe(spec, gains, n_paths=50, master_seed=1)
     assert held == [1]
     assert _DRAWS.get() is None
 
 
-def test_probe_requires_unit_scale_in_grid():
-    spec = example_config(1, 1).problem
+def test_probe_holds_one_ensemble_block_at_a_time():
+    spec = example_config(4, 3).problem
     _, gains = solve(spec)
-    with pytest.raises(ValueError):
-        local_optimality_probe(spec, gains, (0.5, 2.0), n_paths=1, master_seed=0)
+    n, n_paths = spec.n_steps, 20_000
+    local_optimality_probe(spec, gains, n_paths=1, master_seed=3)  # numpy's lazy imports
+    tracemalloc.start()
+    try:
+        local_optimality_probe(spec, gains, n_paths=n_paths, master_seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block, draw = 8 * (2 * n + 1) * n_paths, 8 * (n + 1) * n_paths
+    # The stored draw, one ensemble block, realized_cost's block-sized buffer
+    # and a few path vectors (measured: 2.44); a second live block would add
+    # 21 path vectors.
+    assert peak <= draw + block + 8 * (2 * n + 1) * _BLOCK + 3 * 8 * n_paths
 
 
 def test_convexity_check_passes_and_counts():
