@@ -808,11 +808,23 @@ def test_negative_sample_paths_is_a_config_error(tmp_path):
     assert not out.exists()
 
 
-# A malformed flag value, a flag the command does not take (the verification
-# gates are constants, so verify takes no --tol) or an unknown command is a
-# usage error: one config error line and exit 3, like an out-of-range flag.
+# The verification tolerances are positive constants; verify takes no --tol, so
+# a non-positive or NaN tolerance on the command line is a usage error: one
+# config error line and exit 3, and nothing is verified.
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_verify_tolerance_must_be_positive(tmp_path, capsys, tol):
+    assert oracle.GAP_TOLERANCE > 0 and oracle.BEAT_TOLERANCE > 0
+    path = _write_example_config(tmp_path, 1, 1)
+    assert main(["verify", "--config", str(path), "--tol", tol]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: unrecognized arguments: --tol {tol}")
+    assert captured.err.count("\n") == 1
+
+
+# A malformed flag value or an unknown command is a usage error: one config
+# error line and exit 3, like an out-of-range flag.
 @pytest.mark.parametrize("argv,message", [
-    (["verify", "--config", "CONFIG", "--tol", "1e-6"], "unrecognized arguments: --tol 1e-6"),
     (["verify", "--config", "CONFIG", "--paths", "abc"],
      "argument --paths: invalid int value: 'abc'"),
     (["verify", "--config", "CONFIG", "--paths", "1.5"],
@@ -823,7 +835,7 @@ def test_negative_sample_paths_is_a_config_error(tmp_path):
     (["kpi", "--seeds", "1.5"], "argument --seeds: invalid int value: '1.5'"),
     (["bogus"], "argument command: invalid choice: 'bogus'"),
     ([], "the following arguments are required: command"),
-], ids=["tol", "paths-abc", "paths-fraction", "seed-abc", "config-no-value", "seeds-fraction",
+], ids=["paths-abc", "paths-fraction", "seed-abc", "config-no-value", "seeds-fraction",
         "unknown-command", "no-command"])
 def test_usage_error_is_a_config_error(tmp_path, capsys, argv, message):
     path = _write_example_config(tmp_path, 1, 1)
