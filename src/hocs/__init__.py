@@ -9,9 +9,11 @@ multiplicative noise with a general moment power.
 
 Typical use::
 
-    from hocs import build_problem, solve, simulate_ensemble, FeedbackPolicy
+    from hocs import FeedbackPolicy, InitialLaw, ProblemSpec, simulate_ensemble, solve
 
-    spec = ...                      # build_problem(...) or a config preset
+    spec = ProblemSpec("deterministic", 6, a_bar=1.0, b_bar=2.0, q_bar=3.0,
+                       q_bar_terminal=3.0, r_bar=4.0, p=2,
+                       initial=InitialLaw(mean=10.0))   # or a config preset
     schedule, gains = solve(spec)
     ensemble = simulate_ensemble(spec, FeedbackPolicy(gains), 100_000, 42)
 """
@@ -37,8 +39,6 @@ from .model import (
     Rademacher,
     UniformSymmetric,
     ValidationReport,
-    broadcast,
-    build_problem,
     signed_root,
     validate,
 )

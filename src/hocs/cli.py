@@ -318,7 +318,12 @@ def run_kpi_study(n_seeds: int, base_seed: int = 42, n_paths: int = 1):
         and aggregate rows of (zeta, case, mean_kpi_x, mean_kpi_u,
         mean_total, wins, win_rate) where a win is a strict minimum of the
         total over the three cases at that seed.
+
+    Raises:
+        ValueError: If n_seeds < 1, before anything is solved or rolled out.
     """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     config = example_config(4, 3)
     spec = config.problem
     _, gains = solve(spec)

@@ -58,7 +58,6 @@ from .model import (
     ProblemSpec,
     Rademacher,
     UniformSymmetric,
-    build_problem,
 )
 
 __all__ = [
@@ -108,7 +107,7 @@ class RunConfig:
 # Parsing
 # --------------------------------------------------------------------------
 
-#: The problem keys that may be left out; build_problem supplies their defaults.
+#: The problem keys that may be left out; ProblemSpec supplies their defaults.
 _OPTIONAL = frozenset({"deviation_dynamics", "noise", "allow_uncontrollable",
                        "o", "q", "q_terminal", "r"})
 
@@ -168,7 +167,7 @@ def _orders(node: Any, context: str) -> dict[int, float]:
 
 
 #: The problem's blocks: block -> {key: reader}, in rendering order. Each key is
-#: the ProblemSpec field (and build_problem argument) it holds.
+#: the ProblemSpec field it holds, so the parsed keys go to ProblemSpec as they are.
 _LAYOUT = {
     "horizon": {"n_steps": _integer},
     "mean_dynamics": {"a_bar": _scalar_or_list, "b_bar": _scalar_or_list,
@@ -237,7 +236,7 @@ def _parse_problem(node: Any) -> ProblemSpec:
         args["noise"] = _parse_distribution(node["noise"], "problem.noise", initial_law=False)
     args["initial"] = _read_record(InitialLaw, node["initial"], "problem.initial")
     try:
-        return build_problem(**args)
+        return ProblemSpec(**args)
     except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from None
 
@@ -335,13 +334,13 @@ def example_config(example_id: int, p: int) -> RunConfig:
         p: Mean-cost half-power; the example command sweeps p in {1,2,3}.
     """
     if example_id == 1:
-        problem = build_problem(
+        problem = ProblemSpec(
             ProblemClass.DETERMINISTIC, 6,
             a_bar=1.0, b_bar=2.0, q_bar=3.0, q_bar_terminal=3.0, r_bar=4.0, p=p,
             initial=InitialLaw(mean=10.0),
         )
     elif example_id == 2:
-        problem = build_problem(
+        problem = ProblemSpec(
             ProblemClass.ADDITIVE, 10,
             a_bar=2.0, b_bar=3.0, q_bar=2.0, q_bar_terminal=2.0, r_bar=3.0, p=p,
             q=4.0, q_terminal=4.0, r=5.0,
@@ -349,7 +348,7 @@ def example_config(example_id: int, p: int) -> RunConfig:
             initial=InitialLaw(mean=20.25),
         )
     elif example_id == 3:
-        problem = build_problem(
+        problem = ProblemSpec(
             ProblemClass.MULT_STATE, 10,
             a_bar=7.0, b_bar=6.0, q_bar=4.0, q_bar_terminal=4.0, r_bar=3.0, p=p,
             q=2.0, q_terminal=2.0, r=1.0,
@@ -357,7 +356,7 @@ def example_config(example_id: int, p: int) -> RunConfig:
             initial=InitialLaw(mean=15.3, law=Empirical(samples=(-0.3, 0.3))),
         )
     elif example_id == 4:
-        problem = build_problem(
+        problem = ProblemSpec(
             ProblemClass.HIGHER_MOMENT, 10,
             a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=p,
             a=0.5, b=0.5, q=1.0, q_terminal=1.0, r=1.0, o=p,

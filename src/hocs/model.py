@@ -19,21 +19,21 @@ The class alone says how eps enters, so the noise is just its per-step law:
 a Distribution, or None for the deterministic class. A ``Moments`` law lists
 the even moments only; it prices but has nothing to sample.
 
-One problem is one flat, frozen ProblemSpec record: the dynamics (a_bar,
-b_bar, a, b), the weights (q, q_bar, r, r_bar and the two terminal weights),
-the powers (p, o), the noise law and the initial law; the horizon N is the
-shared length of its per-step fields. This module also houses
-scalar-to-sequence broadcasting, the signed odd root used by the gain
-formulas, the moment tables of the noise and initial laws, and the static
-validity checks consumed by the backward solvers.
+One problem is one flat, frozen ProblemSpec record: the horizon N, the
+dynamics (a_bar, b_bar, a, b), the weights (q, q_bar, r, r_bar and the two
+terminal weights), the powers (p, o), the noise law and the initial law. It
+is also the one constructor: it broadcasts each per-step field to N values
+and fills in the defaults. This module also houses the signed odd root used
+by the gain formulas, the moment tables of the noise and initial laws, and
+the static validity checks consumed by the backward solvers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -147,40 +147,6 @@ def _as_finite_floats(values: Sequence[float], name: str) -> tuple[float, ...]:
     if not all(math.isfinite(v) for v in out):
         raise ValueError(f"{name} must contain only finite values, got {out}")
     return out
-
-
-# --------------------------------------------------------------------------
-# Broadcasting
-# --------------------------------------------------------------------------
-
-def broadcast(
-    value: Union[float, Sequence[float]], n_steps: int, name: str = "value"
-) -> tuple[float, ...]:
-    """Broadcast a scalar (or length-1 sequence) to a length-N tuple.
-
-    Sequences already of length N pass through unchanged; anything else is a
-    contract violation.
-
-    Args:
-        value: A real number, a length-1 sequence, or a length-N sequence.
-        n_steps: The horizon N.
-        name: The field the value belongs to, named in the error.
-
-    Returns:
-        A tuple of N floats.
-
-    Raises:
-        LengthMismatch: If a sequence of length other than N or 1 is given.
-    """
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        return (float(value),) * n_steps
-    seq = tuple(float(v) for v in value)
-    if len(seq) == n_steps:
-        return seq
-    if len(seq) == 1:
-        return seq * n_steps
-    raise LengthMismatch(
-        f"{name}: expected a scalar or a sequence of length {n_steps}, got length {len(seq)}")
 
 
 # --------------------------------------------------------------------------
@@ -398,8 +364,20 @@ class InitialLaw:
 # The problem
 # --------------------------------------------------------------------------
 
-#: The fields that hold one value per step k = 0..N-1.
+#: The fields that hold one value per step k = 0..N-1, each broadcast from a
+#: scalar or a length-1 sequence. The mean pair comes first: a and b copy it.
 _PER_STEP_FIELDS = ("a_bar", "b_bar", "a", "b", "q", "q_bar", "r", "r_bar")
+
+
+def _per_step(value, n_steps: int, name: str) -> tuple[float, ...]:
+    """N finite floats from a scalar, a length-1 sequence or a length-N sequence."""
+    values = (value,) if isinstance(value, (int, float, np.integer, np.floating)) else tuple(value)
+    if len(values) == 1:
+        values *= n_steps
+    elif len(values) != n_steps:
+        raise LengthMismatch(
+            f"{name}: expected a scalar or a sequence of length {n_steps}, got length {len(values)}")
+    return _as_finite_floats(values, name)
 
 
 @dataclass(frozen=True)
@@ -419,116 +397,69 @@ class ProblemSpec:
     ignored by the DETERMINISTIC class. ``noise`` is the per-step law of
     eps; the class says how eps enters.
 
+    The class may be given by name. Each per-step field takes a scalar or a
+    length-1 sequence, repeated over the horizon, or a sequence of length
+    n_steps, and is stored as a tuple of N floats. Left out, (a, b) copy the
+    mean pair, the deviation weights are 0 (only the DETERMINISTIC class
+    can use that), o is 1 and there is no noise law (again only for the
+    DETERMINISTIC class).
+
     A zero b_bar[k] makes step k uncontrollable in the mean and is rejected
     unless ``allow_uncontrollable`` is set. The solver then needs no special
     case: the completion constant is signed_root(0) = 0, so the mean gain at
     that step is 0 (-0.0 when a_bar[k] < 0).
 
-    Construction checks structure only: every per-step field is finite and
-    has the one shared length N = len(a_bar) >= 1, the terminal weights are
-    finite, and p and o are integers >= 1. Semantic validity (positive
+    Construction checks structure only: n_steps, p and o are integers >= 1
+    (not bools), every per-step field is finite and broadcasts to length N,
+    and the terminal weights are finite. Semantic validity (positive
     weights, a noise law exactly on the stochastic classes, ...) is reported
     by validate() rather than raised, so that deliberately broken specs can
     be built and inspected.
     """
 
     problem_class: ProblemClass
+    n_steps: int
     a_bar: tuple[float, ...]
     b_bar: tuple[float, ...]
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-    q: tuple[float, ...]
-    q_terminal: float
     q_bar: tuple[float, ...]
     q_bar_terminal: float
-    r: tuple[float, ...]
     r_bar: tuple[float, ...]
     p: int
-    o: int
-    noise: Distribution | None
+    _: KW_ONLY
     initial: InitialLaw
+    a: tuple[float, ...] | None = None
+    b: tuple[float, ...] | None = None
+    q: tuple[float, ...] = 0.0
+    q_terminal: float = 0.0
+    r: tuple[float, ...] = 0.0
+    o: int = 1
+    noise: Distribution | None = None
     allow_uncontrollable: bool = False
 
     def __post_init__(self) -> None:
-        n = len(self.a_bar)
-        if n < 1:
-            raise LengthMismatch("a_bar must have at least one step")
+        object.__setattr__(self, "problem_class", ProblemClass(self.problem_class))
+        for name in ("n_steps", "p", "o"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         for name in _PER_STEP_FIELDS:
-            values = _as_finite_floats(getattr(self, name), name)
-            if len(values) != n:
-                raise LengthMismatch(
-                    f"{name}: expected length n_steps={n} (that of a_bar), got length {len(values)}")
-            object.__setattr__(self, name, values)
+            value = getattr(self, name)
+            if value is None and name in ("a", "b"):
+                value = getattr(self, f"{name}_bar")
+            object.__setattr__(self, name, _per_step(value, self.n_steps, name))
         for name in ("q_terminal", "q_bar_terminal"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
-        for name in ("p", "o"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not self.allow_uncontrollable and any(v == 0.0 for v in self.b_bar):
             raise ValueError("b_bar contains a zero entry; set allow_uncontrollable to permit it")
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.a_bar)
 
     def noise_moment(self, order: int) -> float:
         """E[eps**order]; MissingMoment if there is no noise law or it lacks the order."""
         if self.noise is None:
             raise MissingMoment(f"class {self.problem_class.value} has no noise law")
         return self.noise.even_moment(order)
-
-
-def build_problem(
-    problem_class: ProblemClass,
-    n_steps: int,
-    a_bar,
-    b_bar,
-    q_bar,
-    q_bar_terminal: float,
-    r_bar,
-    p: int,
-    *,
-    initial: InitialLaw,
-    a=None,
-    b=None,
-    q=0.0,
-    q_terminal: float = 0.0,
-    r=0.0,
-    o: int = 1,
-    noise: Distribution | None = None,
-    allow_uncontrollable: bool = False,
-) -> ProblemSpec:
-    """Assemble a ProblemSpec from scalars or sequences, broadcasting as needed.
-
-    Deviation dynamics (a, b) default to the mean dynamics; deviation weights
-    default to zero, which only makes sense for the DETERMINISTIC class where
-    they are unused. Noise defaults to no law, which only the DETERMINISTIC
-    class admits.
-    """
-    if not isinstance(n_steps, int) or n_steps < 1:
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps}")
-    return ProblemSpec(
-        problem_class=ProblemClass(problem_class),
-        a_bar=broadcast(a_bar, n_steps, "a_bar"),
-        b_bar=broadcast(b_bar, n_steps, "b_bar"),
-        a=broadcast(a_bar if a is None else a, n_steps, "a"),
-        b=broadcast(b_bar if b is None else b, n_steps, "b"),
-        q=broadcast(q, n_steps, "q"),
-        q_terminal=q_terminal,
-        q_bar=broadcast(q_bar, n_steps, "q_bar"),
-        q_bar_terminal=q_bar_terminal,
-        r=broadcast(r, n_steps, "r"),
-        r_bar=broadcast(r_bar, n_steps, "r_bar"),
-        p=p,
-        o=o,
-        noise=noise,
-        initial=initial,
-        allow_uncontrollable=allow_uncontrollable,
-    )
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from hocs import (
     InitialLaw,
     Moments,
     brute_force_deterministic,
-    build_problem,
+    ProblemSpec,
     convexity_check,
     example_config,
     mc_validate,
@@ -51,7 +51,7 @@ def _random_deterministic_spec(rng):
         magnitude = rng.uniform(0.1, 5.0, size)
         return magnitude * rng.choice([-1.0, 1.0], size=size)
 
-    return build_problem(
+    return ProblemSpec(
         "deterministic", n,
         a_bar=list(draw(n)), b_bar=list(draw(n)),
         q_bar=list(rng.uniform(0.1, 5.0, n)),
@@ -116,7 +116,7 @@ def test_criterion_03_riccati_reduction(capsys):
         for _ in range(50):
             spec = _random_deterministic_spec(rng)
             if spec.p != 1:
-                spec = build_problem(
+                spec = ProblemSpec(
                     "deterministic", spec.n_steps,
                     a_bar=spec.a_bar,
                     b_bar=spec.b_bar,
@@ -204,13 +204,13 @@ def test_criterion_06_noise_vanishing_limit(capsys):
             q_bar, r_bar, q, r = rng.uniform(0.2, 4.0, 4)
             mean0 = float(rng.uniform(-5, 5))
             var0 = float(rng.uniform(0.1, 2.0))
-            stochastic = build_problem(
+            stochastic = ProblemSpec(
                 "mult_state", n, a, b, q_bar, q_bar, r_bar, p,
                 q=q, q_terminal=q, r=r,
                 noise=Moments({2: 0.0}),
                 initial=InitialLaw(mean=mean0, law=GaussianVariance(var0)),
             )
-            deterministic = build_problem(
+            deterministic = ProblemSpec(
                 "deterministic", n, a, b, q_bar, q_bar, r_bar, p,
                 initial=InitialLaw(mean=mean0),
             )

@@ -12,12 +12,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hocs import (
     BaselineKind,
     BaselinePolicy,
+    Dirac,
+    Empirical,
     FeedbackPolicy,
+    Gaussian,
+    GaussianVariance,
+    InitialLaw,
     Moments,
+    ProblemClass,
+    ProblemSpec,
+    Rademacher,
+    RunConfig,
+    RunSettings,
+    UniformSymmetric,
     cli,
     example_config,
     kpi,
@@ -174,7 +187,7 @@ def test_bad_problem_value_is_a_config_error(tmp_path, capsys, path, value, mess
 @pytest.mark.parametrize("command,layer,message,line", [
     ("simulate", "Dirac.sample", "Unable to allocate 7.28 TiB for an array",
      "memory error: Unable to allocate 7.28 TiB for an array\n"),
-    ("validate", "broadcast", "", "memory error: out of memory\n"),
+    ("validate", "_per_step", "", "memory error: out of memory\n"),
 ], ids=["numpy", "bare"])
 def test_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch, command, layer, message, line):
     def exhausted(*args, **kwargs):
@@ -184,7 +197,7 @@ def test_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch, command, layer, 
     if layer == "Dirac.sample":
         monkeypatch.setattr(model.Dirac, "sample", exhausted)
     else:
-        monkeypatch.setattr(model, "broadcast", exhausted)
+        monkeypatch.setattr(model, "_per_step", exhausted)
     argv = [command, "--config", str(config)]
     argv += ["--out", str(tmp_path / "run"), "--paths", "10"] if command == "simulate" else []
     assert main(argv) == 3
@@ -212,6 +225,67 @@ def test_config_round_trips_bit_exactly():
     for (example_id, p) in GOLDEN_CONFIG_SHA256:
         text = render_config(example_config(example_id, p))
         assert render_config(parse_config(text)) == text
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SPREAD = st.floats(min_value=0.0, max_value=1e3)
+SAMPLES = st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=4)
+NOISE_LAWS = st.one_of(
+    st.just(Dirac()), st.builds(Gaussian, SPREAD), st.builds(Rademacher, SPREAD),
+    st.builds(UniformSymmetric, SPREAD), st.builds(Empirical, SAMPLES))
+INITIAL_LAWS = st.one_of(NOISE_LAWS.filter(lambda law: not isinstance(law, Gaussian)),
+                         st.builds(GaussianVariance, SPREAD))
+
+
+@st.composite
+def _api_specs(draw):
+    """(ProblemSpec, config document): one problem built by the API and written by hand."""
+    klass = draw(st.sampled_from(ProblemClass))
+    n = draw(st.integers(1, 12))
+    stochastic = klass is not ProblemClass.DETERMINISTIC
+    higher = klass is ProblemClass.HIGHER_MOMENT
+
+    def per_step(values=FINITE):
+        # A scalar, a length-1 list or a length-N list, as the API and the config take it.
+        return draw(st.one_of(values, st.lists(values, min_size=1, max_size=1),
+                              st.lists(values, min_size=n, max_size=n)))
+
+    nonzero = FINITE.filter(lambda v: v != 0.0)
+    mean = {"a_bar": per_step(), "b_bar": per_step(nonzero)}
+    cost = {"p": draw(st.integers(1, 3)), "o": draw(st.integers(1, 3)) if higher else 1,
+            "q_bar": per_step(), "q_bar_terminal": draw(FINITE), "r_bar": per_step(),
+            "q": per_step(), "q_terminal": draw(FINITE), "r": per_step()}
+    if not stochastic and draw(st.booleans()):
+        for key in ("o", "q", "q_terminal", "r"):  # left to the defaults on both paths
+            del cost[key]
+    kwargs = {**mean, **cost}
+    document = {"class": klass.value, "horizon": {"n_steps": n}, "mean_dynamics": mean,
+                "cost": cost}
+    if higher:
+        kwargs["a"], kwargs["b"] = per_step(), per_step()
+        document["deviation_dynamics"] = {"a": kwargs["a"], "b": kwargs["b"]}
+    if stochastic:
+        o = cost["o"]
+        moments = st.builds(lambda m2, m2o: Moments({2: m2, 2 * o: m2o}), SPREAD, SPREAD)
+        kwargs["noise"] = draw(st.one_of(NOISE_LAWS, moments))
+    law = draw(INITIAL_LAWS) if stochastic else Dirac()
+    kwargs["initial"] = InitialLaw(mean=draw(FINITE), law=law)
+    spec = ProblemSpec(klass, n, **kwargs)
+    # Laws are written as render_config writes them; the per-step forms as drawn.
+    rendered = json.loads(render_config(RunConfig(spec, RunSettings())))["problem"]
+    document |= {key: rendered[key] for key in ("noise", "initial") if key in rendered}
+    return spec, json.dumps({"problem": document})
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_api_specs())
+def test_api_and_config_build_one_spec(case):
+    spec, document = case
+    assert parse_config(document).problem == spec
+    text = render_config(RunConfig(spec, RunSettings()))
+    parsed = parse_config(text)
+    assert parsed.problem == spec
+    assert render_config(parsed) == text
 
 
 def test_builtin_configs_match_golden_checksums():
@@ -615,6 +689,17 @@ def test_kpi_study_holds_one_ensemble_block_at_a_time():
 
 def test_kpi_rejects_bad_seed_count(tmp_path):
     assert main(["kpi", "--seeds", "0", "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("n_seeds", [0, -1])
+def test_kpi_study_rejects_no_seeds_before_solving(monkeypatch, n_seeds):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved or rolled out with no seeds")
+
+    monkeypatch.setattr(cli, "solve", unreachable)
+    monkeypatch.setattr(cli, "simulate_ensemble", unreachable)
+    with pytest.raises(ValueError, match=rf"^n_seeds must be >= 1, got {n_seeds}$"):
+        run_kpi_study(n_seeds)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the problem-description layer: roots, moments, laws, validation."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -23,14 +24,13 @@ from hocs import (
     ProblemSpec,
     Rademacher,
     UniformSymmetric,
-    broadcast,
-    build_problem,
     example_config,
     signed_root,
     simulate_ensemble,
     solve,
     validate,
 )
+from hocs.config import EXAMPLE_IDS, EXAMPLE_POWERS
 
 
 # --------------------------------------------------------------------------
@@ -67,28 +67,51 @@ def test_signed_root_inverts_odd_power(x, n, sign):
 
 
 # --------------------------------------------------------------------------
-# broadcast
+# Broadcasting: ProblemSpec repeats a scalar or a length-1 list over the horizon
 # --------------------------------------------------------------------------
 
+def _unit_spec(n_steps, **changes):
+    """A deterministic ProblemSpec with unit scalars, with ``changes`` applied."""
+    args = dict(a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
+                initial=InitialLaw(mean=1.0))
+    args.update(changes)
+    return ProblemSpec("deterministic", n_steps, **args)
+
+
 def test_broadcast_scalar_and_short_list():
-    assert broadcast(2.5, 4) == (2.5, 2.5, 2.5, 2.5)
-    assert broadcast([2.5], 4) == (2.5, 2.5, 2.5, 2.5)
+    spec = _unit_spec(4, q_bar=2.5, r_bar=[2.5], b_bar=np.float32(0.5), q=3)
+    assert spec.q_bar == (2.5, 2.5, 2.5, 2.5)
+    assert spec.r_bar == (2.5, 2.5, 2.5, 2.5)
+    assert spec.b_bar == (0.5, 0.5, 0.5, 0.5)
+    assert spec.q == (3.0, 3.0, 3.0, 3.0) and type(spec.q[0]) is float
+    # Left out, the deviation pair copies the mean pair, and r is 0.
+    assert (spec.a, spec.b) == (spec.a_bar, spec.b_bar)
+    assert spec.r == (0.0, 0.0, 0.0, 0.0) and spec.o == 1 and spec.noise is None
 
 
 def test_broadcast_full_length_passes_through():
-    assert broadcast([1.0, 2.0, 3.0], 3) == (1.0, 2.0, 3.0)
+    spec = _unit_spec(3, a_bar=[1.0, 2.0, 3.0], r=np.array([4.0, 5.0, 6.0]))
+    assert spec.a_bar == (1.0, 2.0, 3.0)
+    assert spec.a == (1.0, 2.0, 3.0)
+    assert spec.r == (4.0, 5.0, 6.0) and type(spec.r[0]) is float
 
 
 def test_broadcast_wrong_length_raises():
-    with pytest.raises(LengthMismatch):
-        broadcast([1.0, 2.0], 3)
-    with pytest.raises(LengthMismatch, match="^q_bar: expected .* length 3, got length 2$"):
-        broadcast([1.0, 2.0], 3, "q_bar")
+    with pytest.raises(LengthMismatch, match=r"^q_bar: expected a scalar or a sequence of length 3, "
+                                             r"got length 2$"):
+        _unit_spec(3, q_bar=[1.0, 2.0])
+    with pytest.raises(LengthMismatch) as excinfo:
+        dataclasses.replace(example_config(2, 1).problem, a_bar=[2.0] * 9)
+    assert str(excinfo.value) == "a_bar: expected a scalar or a sequence of length 10, got length 9"
 
 
 def test_broadcast_is_idempotent():
-    once = broadcast(1.5, 5)
-    assert broadcast(once, 5) == once
+    # A spec rebuilt from another spec's (already broadcast) fields is equal to it.
+    for example_id in EXAMPLE_IDS:
+        for p in EXAMPLE_POWERS:
+            spec = example_config(example_id, p).problem
+            rebuilt = ProblemSpec(**{f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)})
+            assert rebuilt == spec
 
 
 # --------------------------------------------------------------------------
@@ -270,11 +293,11 @@ def test_initial_law_defaults_to_point_mass():
 
 
 # --------------------------------------------------------------------------
-# build_problem and validate
+# ProblemSpec and validate
 # --------------------------------------------------------------------------
 
-def test_build_problem_accepts_class_by_name_and_broadcasts():
-    spec = build_problem(
+def test_problem_spec_accepts_class_by_name_and_broadcasts():
+    spec = ProblemSpec(
         "deterministic", 3,
         a_bar=1.0, b_bar=2.0, q_bar=3.0, q_bar_terminal=3.0, r_bar=4.0, p=2,
         initial=InitialLaw(mean=1.0),
@@ -291,7 +314,7 @@ PER_STEP_FIELDS = ("a_bar", "b_bar", "a", "b", "q", "q_bar", "r", "r_bar")
 def _direct_spec(**changes):
     """A ProblemSpec built field by field (N = 3), with ``changes`` applied."""
     fields = dict(
-        problem_class=ProblemClass.ADDITIVE,
+        problem_class=ProblemClass.ADDITIVE, n_steps=3,
         **{name: (1.0, 1.0, 1.0) for name in PER_STEP_FIELDS},
         q_terminal=1.0, q_bar_terminal=1.0, p=1, o=1,
         noise=Gaussian(sigma=1.0), initial=InitialLaw(mean=1.0),
@@ -301,7 +324,8 @@ def _direct_spec(**changes):
 
 
 @pytest.mark.parametrize("make, error, match", [
-    *[pytest.param(_direct_spec(**{name: (1.0, 1.0)}), LengthMismatch, "length",
+    *[pytest.param(_direct_spec(**{name: (1.0, 1.0)}), LengthMismatch,
+                   f"^{name}: expected a scalar or a sequence of length 3, got length 2$",
                    id=f"{name}-length") for name in PER_STEP_FIELDS],
     *[pytest.param(_direct_spec(**{name: (1.0, math.nan, 1.0)}), ValueError,
                    f"^{name} must contain only finite values", id=f"{name}-nan")
@@ -314,16 +338,18 @@ def _direct_spec(**changes):
     pytest.param(_direct_spec(o=2.0), ValueError, "^o must be an integer", id="o-float"),
     pytest.param(_direct_spec(p=0), ValueError, "^p must be an integer", id="p-zero"),
     pytest.param(_direct_spec(o=0), ValueError, "^o must be an integer", id="o-zero"),
-    pytest.param(_direct_spec(**{name: () for name in PER_STEP_FIELDS}), LengthMismatch,
-                 "at least one step", id="no-steps"),
+    pytest.param(_direct_spec(p=True), ValueError, "^p must be an integer", id="p-bool"),
+    pytest.param(_direct_spec(o=True), ValueError, "^o must be an integer", id="o-bool"),
+    pytest.param(_direct_spec(n_steps=0), ValueError, r"^n_steps must be an integer >= 1, got 0$",
+                 id="no-steps"),
+    pytest.param(_direct_spec(n_steps=True), ValueError, "^n_steps must be an integer",
+                 id="n_steps-bool"),
+    pytest.param(_direct_spec(n_steps=3.0), ValueError, "^n_steps must be an integer",
+                 id="n_steps-float"),
     pytest.param(_direct_spec(b_bar=(1.0, 0.0, 1.0)), ValueError, "allow_uncontrollable",
                  id="zero-b_bar"),
     pytest.param(_direct_spec(b_bar=(1.0, 0.0, 1.0), allow_uncontrollable=True), None, None,
                  id="zero-b_bar-allowed"),
-    pytest.param(lambda: build_problem(
-        "deterministic", 0, a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0,
-        p=1, initial=InitialLaw(mean=1.0)), ValueError, "n_steps must be an integer >= 1",
-                 id="build-n_steps-0"),
 ])
 def test_problem_spec_checks_every_field(make, error, match):
     if error is None:
@@ -340,7 +366,7 @@ def test_validate_passes_on_builtin_examples():
 
 
 def test_validate_flags_nonpositive_mean_weight():
-    spec = build_problem(
+    spec = ProblemSpec(
         "deterministic", 2,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=[1.0, 0.0], p=1,
         initial=InitialLaw(mean=1.0),
@@ -353,7 +379,7 @@ def test_validate_flags_nonpositive_mean_weight():
 def test_validate_flags_incompatible_noise():
     # A stochastic class needs a noise law; the deterministic class admits none.
     for klass, noise in (("additive", None), ("deterministic", Gaussian(sigma=1.0))):
-        spec = build_problem(
+        spec = ProblemSpec(
             klass, 2,
             a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
             q=1.0, q_terminal=1.0, r=1.0, noise=noise,
@@ -365,7 +391,7 @@ def test_validate_flags_incompatible_noise():
 
 @pytest.mark.parametrize("klass", ["additive", "mult_state", "higher_moment"])
 def test_missing_noise_law_raises_missing_moment(klass):
-    spec = build_problem(
+    spec = ProblemSpec(
         klass, 2,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=1.0, q_terminal=1.0, r=1.0,
@@ -382,7 +408,7 @@ def test_missing_noise_law_raises_missing_moment(klass):
 
 
 def test_validate_flags_random_initial_state_for_deterministic_class():
-    spec = build_problem(
+    spec = ProblemSpec(
         "deterministic", 2,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         initial=InitialLaw(mean=1.0, law=GaussianVariance(variance=1.0)),
@@ -392,7 +418,7 @@ def test_validate_flags_random_initial_state_for_deterministic_class():
 
 
 def test_validate_requires_unit_moment_power_outside_higher_moment_class():
-    spec = build_problem(
+    spec = ProblemSpec(
         "mult_state", 2,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=1.0, q_terminal=1.0, r=1.0, o=2,
@@ -404,7 +430,7 @@ def test_validate_requires_unit_moment_power_outside_higher_moment_class():
 
 
 def test_validate_flags_missing_noise_moment():
-    spec = build_problem(
+    spec = ProblemSpec(
         "higher_moment", 2,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=2,
         a=0.5, b=0.5, q=1.0, q_terminal=1.0, r=1.0, o=2,
@@ -426,12 +452,12 @@ def test_validate_is_pure():
 
 def test_uncontrollable_mean_step_rejected_by_default():
     with pytest.raises(ValueError):
-        build_problem(
+        ProblemSpec(
             "deterministic", 2,
             a_bar=1.0, b_bar=[1.0, 0.0], q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0,
             p=1, initial=InitialLaw(mean=1.0),
         )
-    spec = build_problem(
+    spec = ProblemSpec(
         "deterministic", 2,
         a_bar=1.0, b_bar=[1.0, 0.0], q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0,
         p=1, initial=InitialLaw(mean=1.0), allow_uncontrollable=True,

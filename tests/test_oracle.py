@@ -10,7 +10,7 @@ from hocs import (
     FeedbackPolicy,
     InitialLaw,
     NotConverged,
-    build_problem,
+    ProblemSpec,
     brute_force_deterministic,
     convexity_check,
     example_config,
@@ -36,7 +36,7 @@ def _random_deterministic_spec(rng):
         magnitude = rng.uniform(0.1, 5.0, size)
         return magnitude * rng.choice([-1.0, 1.0], size=size)
 
-    return build_problem(
+    return ProblemSpec(
         "deterministic", n,
         a_bar=list(draw(n)), b_bar=list(draw(n)),
         q_bar=list(rng.uniform(0.1, 5.0, n)),
@@ -48,7 +48,7 @@ def _random_deterministic_spec(rng):
 
 
 def test_oracle_recovers_quartic_desk_solution():
-    spec = build_problem(
+    spec = ProblemSpec(
         "deterministic", 1,
         a_bar=1.0, b_bar=1.0, q_bar=[0.0], q_bar_terminal=1.0, r_bar=1.0, p=2,
         initial=InitialLaw(mean=1.0),
@@ -60,7 +60,7 @@ def test_oracle_recovers_quartic_desk_solution():
 
 
 def test_oracle_zero_start_is_immediate():
-    spec = build_problem(
+    spec = ProblemSpec(
         "deterministic", 5,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=3,
         initial=InitialLaw(mean=0.0),
@@ -94,7 +94,7 @@ def test_oracle_resolves_flat_controls_on_stiff_spec():
     # A criterion-2-family spec (the benchmark's oracle_det workload, seed 204,
     # op 96, slot 1) whose late controls were too flat for Newton over the
     # controls on the float gradient.
-    spec = build_problem(
+    spec = ProblemSpec(
         "deterministic", 9,
         a_bar=[0.5634618390061549, -0.8350976410486041, 2.936635580986845,
                0.2197262705960788, -1.7991371509250706, 3.120977374857725,
@@ -139,7 +139,7 @@ def test_oracle_agrees_on_uncontrollable_steps(p, zeros):
     # A step with b_bar = 0 moves no state: the oracle pins its control at 0
     # and the closed form's gain there is 0 as well.
     b_bar = [0.0 if k in zeros else b for k, b in enumerate([1.3, -0.7, 2.1, 0.9, -1.6, 0.4])]
-    spec = build_problem(
+    spec = ProblemSpec(
         "deterministic", 6,
         a_bar=[1.2, -0.8, 1.5, 0.6, -1.1, 0.9], b_bar=b_bar,
         q_bar=[1.0, 0.5, 2.0, 1.5, 0.8, 1.2], q_bar_terminal=2.5,
@@ -164,7 +164,7 @@ def _wide_deterministic_spec(rng):
         lo = rng.choice([1e-3, 0.1], size=size)
         return rng.uniform(lo, 5.0, size) * rng.choice([-1.0, 1.0], size=size)
 
-    return build_problem(
+    return ProblemSpec(
         "deterministic", n,
         a_bar=list(draw(n)), b_bar=list(draw(n)),
         q_bar=list(rng.uniform(0.1, 5.0, n)),
@@ -224,7 +224,7 @@ def test_oracle_overflow_is_not_converged():
     # b_bar = 1e-100 leaves the control almost no leverage: the first Newton
     # update from zero moves it to near -3e99, and the Hessian's control
     # term, of order u**2 / b_bar**2, overflows.
-    spec = build_problem(
+    spec = ProblemSpec(
         "deterministic", 1,
         a_bar=1.0, b_bar=1e-100, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=2,
         initial=InitialLaw(mean=1.0),
@@ -240,7 +240,7 @@ def test_oracle_rejects_wrong_class():
 
 def test_oracle_raises_when_the_iteration_budget_runs_out():
     # Example 1's data at p = 4 and N = 60 needs 455 Newton updates.
-    spec = build_problem(
+    spec = ProblemSpec(
         "deterministic", 60,
         a_bar=1.0, b_bar=2.0, q_bar=3.0, q_bar_terminal=3.0, r_bar=4.0, p=4,
         initial=InitialLaw(mean=10.0),

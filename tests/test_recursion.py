@@ -17,8 +17,8 @@ from hocs import (
     NonFiniteCoefficient,
     NonPositiveCoefficient,
     ProblemClass,
+    ProblemSpec,
     Rademacher,
-    build_problem,
     example_config,
     riccati_lqr,
     solve,
@@ -27,7 +27,7 @@ from hocs import (
 
 
 def _det_spec(n, a_bar, b_bar, q_bar, q_bar_terminal, r_bar, p, mean=1.0):
-    return build_problem(
+    return ProblemSpec(
         "deterministic", n,
         a_bar=a_bar, b_bar=b_bar, q_bar=q_bar, q_bar_terminal=q_bar_terminal,
         r_bar=r_bar, p=p, initial=InitialLaw(mean=mean),
@@ -58,7 +58,7 @@ def test_one_step_all_ones_lqr_desk_value():
 
 
 def test_riccati_reference_handles_zero_state_weights():
-    spec = build_problem(
+    spec = ProblemSpec(
         "deterministic", 3,
         a_bar=1.0, b_bar=1.0, q_bar=0.0, q_bar_terminal=0.0, r_bar=1.0, p=1,
         initial=InitialLaw(mean=1.0),
@@ -74,7 +74,7 @@ def test_riccati_reference_rejects_higher_powers():
 
 
 def test_zero_terminal_weight_raises():
-    spec = build_problem(
+    spec = ProblemSpec(
         "deterministic", 2,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=0.0, r_bar=1.0, p=1,
         initial=InitialLaw(mean=1.0),
@@ -86,7 +86,7 @@ def test_zero_terminal_weight_raises():
 def _sign_gate_spec(**overrides):
     weights = dict(q_bar=2.0, q_bar_terminal=2.0, r_bar=3.0, q=4.0, q_terminal=4.0, r=5.0)
     weights.update(overrides)
-    return build_problem(
+    return ProblemSpec(
         "additive", 3, a_bar=2.0, b_bar=3.0, p=2,
         noise=Gaussian(sigma=1.0),
         initial=InitialLaw(mean=1.0),
@@ -96,7 +96,7 @@ def _sign_gate_spec(**overrides):
 
 @pytest.mark.parametrize("overrides,label", [
     ({"r": 0.0}, "r[0]"),
-    ({"r": None}, "r[0]"),  # build_problem's default r = 0.0
+    ({"r": None}, "r[0]"),  # ProblemSpec's default r = 0.0
     ({"r_bar": [3.0, -1.0, 3.0]}, "r_bar[1]"),
     ({"q_bar": [2.0, 2.0, -1.0]}, "q_bar[2]"),
     ({"q": -0.01}, "q[0]"),
@@ -140,7 +140,7 @@ def _validated_specs(draw):
         )
     if klass is ProblemClass.HIGHER_MOMENT:
         kwargs.update(a=sequence(dynamic), b=sequence(dynamic), o=draw(st.integers(1, 4)))
-    return build_problem(klass, n, **kwargs)
+    return ProblemSpec(klass, n, **kwargs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -200,7 +200,7 @@ def test_mean_gain_stationarity_identity():
 
 
 def test_uncontrollable_step_gets_zero_gain():
-    spec = build_problem(
+    spec = ProblemSpec(
         "deterministic", 2,
         a_bar=1.0, b_bar=[1.0, 0.0], q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0,
         p=2, initial=InitialLaw(mean=1.0), allow_uncontrollable=True,
@@ -242,7 +242,7 @@ def test_one_step_gain_beats_grid_scan():
 def _additive_spec(n, q, q_terminal, r, sigma=1.0, **mean_kwargs):
     defaults = dict(a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1)
     defaults.update(mean_kwargs)
-    return build_problem(
+    return ProblemSpec(
         "additive", n, q=q, q_terminal=q_terminal, r=r,
         noise=Gaussian(sigma=sigma),
         initial=InitialLaw(mean=1.0), **defaults,
@@ -259,7 +259,7 @@ def test_additive_one_step_desk_values():
 
 
 def test_additive_offset_vanishes_without_noise_power():
-    spec = build_problem(
+    spec = ProblemSpec(
         "additive", 4,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=1.0, q_terminal=1.0, r=1.0,
@@ -297,7 +297,7 @@ def test_additive_channels_coincide_when_weights_match():
 # --------------------------------------------------------------------------
 
 def test_mult_state_one_step_desk_value():
-    spec = build_problem(
+    spec = ProblemSpec(
         "mult_state", 1,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=[2.0], q_terminal=1.0, r=[1.0],
@@ -316,12 +316,12 @@ def test_mult_state_with_zero_noise_power_matches_additive():
         a_bar=1.3, b_bar=0.9, q_bar=1.0, q_bar_terminal=1.0, r_bar=2.0, p=1,
         q=1.5, q_terminal=1.5, r=0.8, initial=InitialLaw(mean=1.0),
     )
-    mult = build_problem(
+    mult = ProblemSpec(
         "mult_state", 5,
         noise=Moments({2: 0.0}),
         **kwargs,
     )
-    add = build_problem(
+    add = ProblemSpec(
         "additive", 5,
         noise=Moments({2: 0.0}),
         **kwargs,
@@ -333,7 +333,7 @@ def test_mult_state_with_zero_noise_power_matches_additive():
 
 
 def test_mult_state_zero_deviation_weights_stay_zero():
-    spec = build_problem(
+    spec = ProblemSpec(
         "mult_state", 4,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=0.0, q_terminal=0.0, r=1.0,
@@ -357,7 +357,7 @@ def _higher_spec(n, o, dist, p=2, **overrides):
         initial=InitialLaw(mean=1.0),
     )
     kwargs.update(overrides)
-    return build_problem("higher_moment", n, **kwargs)
+    return ProblemSpec("higher_moment", n, **kwargs)
 
 
 def test_higher_moment_one_step_desk_value():
@@ -388,7 +388,7 @@ def test_higher_moment_order_one_reduces_to_scaled_riccati():
     spec = _higher_spec(5, o=1, dist=Gaussian(sigma=sigma), p=1,
                         a=0.7, b=1.1, q=1.3, q_terminal=1.3, r=0.6)
     schedule, _ = solve(spec)
-    reference = build_problem(
+    reference = ProblemSpec(
         "deterministic", 5,
         a_bar=0.7 * sigma, b_bar=1.1 * sigma,
         q_bar=1.3, q_bar_terminal=1.3, r_bar=0.6, p=1,
@@ -457,7 +457,7 @@ def test_one_step_dev_gain_beats_grid_scan():
 # --------------------------------------------------------------------------
 
 def _mult_state_desk_spec():
-    return build_problem(
+    return ProblemSpec(
         "mult_state", 1,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=[2.0], q_terminal=1.0, r=[1.0],

@@ -17,10 +17,10 @@ from hocs import (
     InvalidPolicy,
     MissingMoment,
     Moments,
+    ProblemSpec,
     Rademacher,
     TrajectoryEnsemble,
     UniformSymmetric,
-    build_problem,
     central_moment,
     example_config,
     kpi,
@@ -85,7 +85,7 @@ def test_deterministic_paths_equal_mean_path():
 
 
 def test_propagate_mean_geometric_decay():
-    spec = build_problem(
+    spec = ProblemSpec(
         "deterministic", 4,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         initial=InitialLaw(mean=8.0),
@@ -235,7 +235,7 @@ def test_simulate_rejects_policy_with_wrong_horizon():
 
 
 def test_simulate_needs_a_samplable_noise_law():
-    spec = build_problem(
+    spec = ProblemSpec(
         "additive", 2,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=1.0, q_terminal=1.0, r=1.0,
@@ -256,7 +256,7 @@ def test_mult_state_variance_tracks_theory():
     # variance multiplies by (a_bar - b_bar k_dev)^2 + E[eps^2] each step.
     # Moderate sigma keeps the kurtosis of the product bounded enough for the
     # plug-in stderr to be meaningful over the whole horizon.
-    spec = build_problem(
+    spec = ProblemSpec(
         "mult_state", 6,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=1.0, q_terminal=1.0, r=1.0,
@@ -310,7 +310,7 @@ def test_central_moment_matches_exactly_summed_mean():
 
 
 def test_mult_state_point_mass_initial_has_no_spread():
-    spec = build_problem(
+    spec = ProblemSpec(
         "mult_state", 5,
         a_bar=1.2, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=1.0, q_terminal=1.0, r=1.0,
@@ -400,7 +400,7 @@ def test_additive_cost_matches_prediction_within_noise():
 
 
 def test_predicted_cost_desk_values():
-    quartic = build_problem(
+    quartic = ProblemSpec(
         "deterministic", 1,
         a_bar=1.0, b_bar=1.0, q_bar=[0.0], q_bar_terminal=1.0, r_bar=1.0, p=2,
         initial=InitialLaw(mean=1.0),
@@ -409,7 +409,7 @@ def test_predicted_cost_desk_values():
     assert math.isclose(predicted_cost(schedule, quartic.initial), 0.125, rel_tol=1e-14)
 
     # Zero mean and point-mass start: only the noise offset remains.
-    offset_only = build_problem(
+    offset_only = ProblemSpec(
         "additive", 3,
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         q=1.0, q_terminal=1.0, r=1.0,
