@@ -142,8 +142,15 @@ def _gaussian_moment(order: int, base: float, exponent: int) -> float:
         return math.inf
 
 
+def _real(value, name: str) -> float:
+    """float(value), but text is refused, though float() would parse "5" and b"5"."""
+    if isinstance(value, (str, bytes)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _as_finite_floats(values: Sequence[float], name: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
+    out = tuple(_real(v, name) for v in values)
     if not all(math.isfinite(v) for v in out):
         raise ValueError(f"{name} must contain only finite values, got {out}")
     return out
@@ -348,9 +355,10 @@ class InitialLaw:
     law: Distribution = Dirac()
 
     def __post_init__(self) -> None:
-        if not math.isfinite(float(self.mean)):
-            raise ValueError(f"mean must be finite, got {self.mean}")
-        object.__setattr__(self, "mean", float(self.mean))
+        mean = _real(self.mean, "mean")
+        if not math.isfinite(mean):
+            raise ValueError(f"mean must be finite, got {mean}")
+        object.__setattr__(self, "mean", mean)
 
     def central_moment(self, order: int) -> float:
         """E[(x0 - mean)**order] for even order."""
@@ -371,7 +379,9 @@ _PER_STEP_FIELDS = ("a_bar", "b_bar", "a", "b", "q", "q_bar", "r", "r_bar")
 
 def _per_step(value, n_steps: int, name: str) -> tuple[float, ...]:
     """N finite floats from a scalar, a length-1 sequence or a length-N sequence."""
-    values = (value,) if isinstance(value, (int, float, np.integer, np.floating)) else tuple(value)
+    # Text is taken whole, for _real to refuse, rather than split into characters or bytes.
+    scalar = isinstance(value, (int, float, str, bytes, np.integer, np.floating))
+    values = (value,) if scalar else tuple(value)
     if len(values) == 1:
         values *= n_steps
     elif len(values) != n_steps:
@@ -448,7 +458,7 @@ class ProblemSpec:
                 value = getattr(self, f"{name}_bar")
             object.__setattr__(self, name, _per_step(value, self.n_steps, name))
         for name in ("q_terminal", "q_bar_terminal"):
-            value = float(getattr(self, name))
+            value = _real(getattr(self, name), name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
@@ -504,11 +514,9 @@ class ValidationReport:
         return out
 
 
-def _positive(values, terminal=None) -> bool:
-    ok = all(v > 0.0 for v in values)
-    if terminal is not None:
-        ok = ok and terminal > 0.0
-    return ok
+def _check(name: str, ok: bool, detail: str) -> ValidationCheck:
+    """A pass/fail check whose detail is shown only when it fails."""
+    return ValidationCheck(name, PASS if ok else FAIL, "" if ok else detail)
 
 
 def validate(spec: ProblemSpec) -> ValidationReport:
@@ -517,6 +525,8 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     Nothing is raised here; the report lists each condition so a caller can
     print all failures at once. The weight checks imply the sign rule that
     solve() enforces, under which every gain denominator 1 + c b is >= 1.
+    The class rules solve() relies on are stated here only: outside the
+    higher-moment class, (a, b) = (a_bar, b_bar) and o = 1.
 
     Args:
         spec: A fully populated problem description.
@@ -524,63 +534,43 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     Returns:
         A ValidationReport whose ``ok`` property is True iff no check failed.
     """
-    checks: list[ValidationCheck] = []
     klass = spec.problem_class
     has_deviation_channel = klass is not ProblemClass.DETERMINISTIC
-
-    ok = _positive(spec.q_bar, spec.q_bar_terminal) and _positive(spec.r_bar)
-    checks.append(ValidationCheck(
-        "mean weights strictly positive", PASS if ok else FAIL,
-        "" if ok else "q_bar, q_bar_terminal, r_bar must all be > 0",
-    ))
-
+    checks = [_check("mean weights strictly positive",
+                     all(v > 0.0 for v in (*spec.q_bar, spec.q_bar_terminal, *spec.r_bar)),
+                     "q_bar, q_bar_terminal, r_bar must all be > 0")]
     if has_deviation_channel:
-        ok = _positive(spec.q, spec.q_terminal) and _positive(spec.r)
-        checks.append(ValidationCheck(
-            "deviation weights strictly positive", PASS if ok else FAIL,
-            "" if ok else "q, q_terminal, r must all be > 0",
-        ))
+        checks.append(_check("deviation weights strictly positive",
+                             all(v > 0.0 for v in (*spec.q, spec.q_terminal, *spec.r)),
+                             "q, q_terminal, r must all be > 0"))
 
     # Finiteness and nonzero b_bar are enforced at construction; restated so
     # the report covers every static condition in one place.
     checks.append(ValidationCheck("dynamics finite", PASS, "enforced at construction"))
 
-    ok = (spec.noise is not None) == has_deviation_channel
     need = "needs a" if has_deviation_channel else "admits no"
-    checks.append(ValidationCheck(
-        "class/noise compatibility", PASS if ok else FAIL,
-        "" if ok else f"class {klass.value} {need} noise law",
-    ))
-
+    checks.append(_check("class/noise compatibility",
+                         (spec.noise is not None) == has_deviation_channel,
+                         f"class {klass.value} {need} noise law"))
     if klass is not ProblemClass.HIGHER_MOMENT:
-        ok = spec.a == spec.a_bar and spec.b == spec.b_bar
-        checks.append(ValidationCheck(
-            "deviation dynamics equal mean dynamics", PASS if ok else FAIL,
-            "" if ok else "distinct (a, b) are legal only for the higher-moment class",
-        ))
-        ok = spec.o == 1
-        checks.append(ValidationCheck(
-            "moment power o = 1", PASS if ok else FAIL,
-            "" if ok else f"class {klass.value} penalizes the variance only, got o={spec.o}",
-        ))
-
+        checks.append(_check("deviation dynamics equal mean dynamics",
+                             spec.a == spec.a_bar and spec.b == spec.b_bar,
+                             "distinct (a, b) are legal only for the higher-moment class"))
+        checks.append(_check("moment power o = 1", spec.o == 1,
+                             f"class {klass.value} penalizes the variance only, got o={spec.o}"))
     if klass is ProblemClass.DETERMINISTIC:
-        ok = isinstance(spec.initial.law, Dirac)
-        checks.append(ValidationCheck(
-            "initial law is a point mass", PASS if ok else FAIL,
-            "" if ok else "the deterministic class admits no initial spread",
-        ))
+        checks.append(_check("initial law is a point mass", isinstance(spec.initial.law, Dirac),
+                             "the deterministic class admits no initial spread"))
 
     if has_deviation_channel and spec.noise is not None:
-        order = 2 * spec.o if klass is ProblemClass.HIGHER_MOMENT else 2
+        order = 2 * spec.o
         try:
             moment = spec.noise_moment(order)
         except MissingMoment:
             moment = None
         ok = moment is not None and math.isfinite(moment) and moment >= 0.0
-        checks.append(ValidationCheck(
-            f"noise moment of order {order} available", PASS if ok else FAIL,
-            "the moments law lacks this order" if moment is None else f"value {moment!r}",
-        ))
+        detail = "the moments law lacks this order" if moment is None else f"value {moment!r}"
+        checks.append(ValidationCheck(f"noise moment of order {order} available",
+                                      PASS if ok else FAIL, detail))
 
     return ValidationReport(checks=tuple(checks))

@@ -11,13 +11,13 @@ m, loop factor l and offset d:
 
 The mean channel (alpha_bar, k_mean) is this step with s = p on the mean
 data and m = l = 1, d = 0, for every class. The deviation channel
-(alpha, k_dev) depends on the class:
+(alpha, k_dev) is this step with s = o on the deviation data (a, b, q,
+q_terminal, r) for every stochastic class. With M = E[eps^(2o)], the class
+only picks how the noise couples:
 
-- additive: s = 1 on the mean dynamics, plus the offset sequence
-  gamma_bar[k] = gamma_bar[k+1] + alpha[k+1] E[eps^2], gamma_bar[N] = 0;
-- multiplicative state: s = 1 on the mean dynamics with d = E[eps^2];
-- higher moment: s = o on the deviation dynamics (a, b) with
-  m = l = E[eps^(2o)].
+- higher moment: m = l = M (l = 1 under literal_recursion);
+- multiplicative state: d = M;
+- additive: the offset gamma_bar[k] = gamma_bar[k+1] + alpha[k+1] M, gamma_bar[N] = 0.
 
 solve() checks the weight signs once, before either pass: in every channel
 it solves, each control weight r > 0 and each state weight q >= 0, and the
@@ -48,12 +48,22 @@ __all__ = [
 ]
 
 
-def _finite(values, name: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    for k, value in enumerate(out):
-        if not math.isfinite(value):
-            raise NonFiniteCoefficient(f"{name}[{k}] = {value} is not finite")
-    return out
+def _store_finite(record, first: str, *optional: str) -> None:
+    """Store the named fields of a frozen record as tuples of finite floats.
+
+    An optional field left None stays None; one that is set must be as long as the first.
+    """
+    for name in (first, *optional):
+        values = getattr(record, name)
+        if values is None and name != first:
+            continue
+        out = tuple(float(v) for v in values)
+        for k, value in enumerate(out):
+            if not math.isfinite(value):
+                raise NonFiniteCoefficient(f"{name}[{k}] = {value} is not finite")
+        object.__setattr__(record, name, out)
+        if len(out) != len(getattr(record, first)):
+            raise ValueError(f"{name} must have the same length as {first}")
 
 
 @dataclass(frozen=True)
@@ -76,14 +86,7 @@ class CoefficientSchedule:
     gamma_bar: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha_bar", _finite(self.alpha_bar, "alpha_bar"))
-        for name in ("alpha", "gamma_bar"):
-            value = getattr(self, name)
-            if value is not None:
-                value = _finite(value, name)
-                if len(value) != len(self.alpha_bar):
-                    raise ValueError(f"{name} must have the same length as alpha_bar")
-                object.__setattr__(self, name, value)
+        _store_finite(self, "alpha_bar", "alpha", "gamma_bar")
 
     @property
     def n_steps(self) -> int:
@@ -101,13 +104,7 @@ class GainSchedule:
     k_dev: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        k_mean = _finite(self.k_mean, "k_mean")
-        object.__setattr__(self, "k_mean", k_mean)
-        if self.k_dev is not None:
-            k_dev = _finite(self.k_dev, "k_dev")
-            if len(k_dev) != len(k_mean):
-                raise ValueError("k_dev must have the same length as k_mean")
-            object.__setattr__(self, "k_dev", k_dev)
+        _store_finite(self, "k_mean", "k_dev")
 
     @property
     def n_steps(self) -> int:
@@ -188,7 +185,8 @@ def solve(
     with it iff m = 1 and is kept for comparison.
 
     Args:
-        spec: A spec that passed validate().
+        spec: A spec that passed validate(). The deviation channel relies on
+            its a = a_bar, b = b_bar and o = 1 outside the higher-moment class.
 
     Returns:
         The coefficient schedule and the feedback gains.
@@ -201,28 +199,24 @@ def solve(
     """
     _check_signs(spec)
     klass = spec.problem_class
-    a_bar, b_bar = spec.a_bar, spec.b_bar
     alpha_bar, k_mean = _power_channel(
-        a_bar, b_bar, spec.q_bar, spec.q_bar_terminal, spec.r_bar, spec.p,
+        spec.a_bar, spec.b_bar, spec.q_bar, spec.q_bar_terminal, spec.r_bar, spec.p,
         name="alpha_bar",
     )
     alpha = k_dev = gamma_bar = None
-    if klass is ProblemClass.HIGHER_MOMENT:
+    if klass is not ProblemClass.DETERMINISTIC:
         m = spec.noise_moment(2 * spec.o)
+        higher = klass is ProblemClass.HIGHER_MOMENT
         alpha, k_dev = _power_channel(
             spec.a, spec.b, spec.q, spec.q_terminal, spec.r, spec.o,
-            m=m, loop_scale=1.0 if literal_recursion else m,
-        )
-    elif klass is not ProblemClass.DETERMINISTIC:
-        m2 = spec.noise_moment(2)
-        alpha, k_dev = _power_channel(
-            a_bar, b_bar, spec.q, spec.q_terminal, spec.r, 1,
-            offset=m2 if klass is ProblemClass.MULT_STATE else 0.0,
+            m=m if higher else 1.0,
+            loop_scale=m if higher and not literal_recursion else 1.0,
+            offset=m if klass is ProblemClass.MULT_STATE else 0.0,
         )
         if klass is ProblemClass.ADDITIVE:
             gamma_bar = [0.0] * len(alpha)
             for k in reversed(range(len(k_dev))):
-                gamma_bar[k] = gamma_bar[k + 1] + alpha[k + 1] * m2
+                gamma_bar[k] = gamma_bar[k + 1] + alpha[k + 1] * m
 
     schedule = CoefficientSchedule(
         problem_class=klass, p=spec.p, o=spec.o,

@@ -404,23 +404,19 @@ def _mean_term(schedule: CoefficientSchedule, initial) -> float:
 def _deviation_term(schedule: CoefficientSchedule, initial) -> float:
     """The deviation-channel part of the predicted cost, at its own scale.
 
-    Deterministic: 0. Additive: alpha[0] var(x0) + gamma_bar[0].
-    Multiplicative state: alpha[0] var(x0). Higher moment:
-    alpha[0] E[(x0 - xbar0)**2o]. Never derive this by subtracting the mean
-    term from the total: the mean term can be ten orders larger (a moment
-    contribution of 1e-12 next to a mean cost of 1e7 is gone after one
-    addition).
+    alpha[0] E[(x0 - xbar0)**2o], plus gamma_bar[0] where the schedule has
+    it (the additive class); 0 for the deterministic class. Never derive this
+    by subtracting the mean term from the total: the mean term can be ten
+    orders larger (a moment contribution of 1e-12 next to a mean cost of 1e7
+    is gone after one addition).
     """
     klass = schedule.problem_class
     if klass is ProblemClass.DETERMINISTIC:
         return 0.0
     if schedule.alpha is None:
         raise ValueError(f"schedule for class {klass.value} lacks the deviation channel")
-    if klass is ProblemClass.ADDITIVE:
-        return schedule.alpha[0] * initial.central_moment(2) + schedule.gamma_bar[0]
-    if klass is ProblemClass.MULT_STATE:
-        return schedule.alpha[0] * initial.central_moment(2)
-    return schedule.alpha[0] * initial.central_moment(2 * schedule.o)
+    term = schedule.alpha[0] * initial.central_moment(2 * schedule.o)
+    return term if schedule.gamma_bar is None else term + schedule.gamma_bar[0]
 
 
 def kpi(ensemble: TrajectoryEnsemble, zeta: int) -> tuple[float, float]:

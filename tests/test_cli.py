@@ -62,6 +62,37 @@ GOLDEN_CONFIG_SHA256 = {
     (4, 3): "807f5a4bb68317dc128c84e9459d2830352553f5b5a9f96c05578c828758e931",
 }
 
+# What the backward solve makes of each preset: the sha256 of the schedule.csv
+# that `hocs solve` writes, and its printed price line. A refactor of the
+# recursion must leave both bit for bit. The digits assume glibc's pow (the
+# libm of the Linux CI runners); another libm may round a power differently.
+GOLDEN_SCHEDULE_SHA256 = {
+    (1, 1): ("aa37265324391d020f0c7a068ec822da9e920b2126c45776cc0d9bebac4ba104",
+             "predicted cost: 379.12878409431511"),
+    (1, 2): ("17bb793f0d8d1295834e9df0d56919937cd76de40d6c31cfa238d2488e2a6d7b",
+             "predicted cost: 30850.03513551689"),
+    (1, 3): ("97767e3cd4d8ffc51fbe9086f2dd2322e36a99cb8904f73a3762392ef11729a4",
+             "predicted cost: 3009396.7408097722"),
+    (2, 1): ("076e86ca4da7dc43856a488701323b332c6e446b5120cee36674e1601390f8ab",
+             "predicted cost: 1373.6366950495601"),
+    (2, 2): ("adfc15ef55c7f8dfb8a5ae5b3b5e5be781242d67a9d7b24fd922843001703f37",
+             "predicted cost: 387078.45381989935"),
+    (2, 3): ("047e4ab52cf06b388e3802eb71c8a844d93ce4e7a935d8e2d01d4c779c2a607b",
+             "predicted cost: 143026855.8262428"),
+    (3, 1): ("bbe76cefeaba971312ec380a5d657cf560c9e360a0b842aced6e10481e3687cf",
+             "predicted cost: 1885.6245764328633"),
+    (3, 2): ("248e65a5f4be417ab47a7e0a17bc92db33c12bc4ac3431925b32c4bc5ce5c015",
+             "predicted cost: 471646.77305505722"),
+    (3, 3): ("c5179c877bd852d82bafbaf51cf3aae1f609d948adbeaceaaa673ba4b72d945a",
+             "predicted cost: 113277371.66840099"),
+    (4, 1): ("cb1dd9f736b53457d809a0725f0fcce2dabdd0cd73193a1fcfa9fa2c7b5d1ea8",
+             "predicted cost: 647.86109301114629"),
+    (4, 2): ("4ef6b4da99465d6879e8e396ec599a636106a138da091d4a4e03328d79d0f152",
+             "predicted cost: 181637.16510511399"),
+    (4, 3): ("57e2f0824a43aae886b5075b27983d690f59bdef58a94bcd8ce4e945b5cf1ea9",
+             "predicted cost: 66229785.87545345"),
+}
+
 
 def _write_example_config(tmp_path, example_id, p, mutate=None):
     config = example_config(example_id, p)
@@ -295,6 +326,16 @@ def test_builtin_configs_match_golden_checksums():
         assert digest == expected, (
             f"example {example_id} p={p} drifted; if intentional, refresh the checksum"
         )
+
+
+def test_builtin_schedules_match_golden_checksums(tmp_path, capsys):
+    for (example_id, p), (expected, price_line) in GOLDEN_SCHEDULE_SHA256.items():
+        path = _write_example_config(tmp_path, example_id, p)
+        out = tmp_path / "schedule.csv"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == price_line
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == expected, f"example {example_id} p={p}: the solved schedule drifted"
 
 
 def test_readme_config_example_parses():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -330,6 +331,17 @@ def _direct_spec(**changes):
     *[pytest.param(_direct_spec(**{name: (1.0, math.nan, 1.0)}), ValueError,
                    f"^{name} must contain only finite values", id=f"{name}-nan")
       for name in PER_STEP_FIELDS],
+    # float() parses text, and a str or bytes is a sequence: "123" would pass as
+    # (1.0, 2.0, 3.0) and b"123" as (49.0, 50.0, 51.0).
+    *[pytest.param(_direct_spec(**{name: text}), TypeError,
+                   f"^{name} must be a number, got {text!r}$",
+                   id=f"{name}-{type(text).__name__}")
+      for name in PER_STEP_FIELDS for text in ("123", b"123")],
+    *[pytest.param(_direct_spec(**{name: "5"}), TypeError, f"^{name} must be a number, got '5'$",
+                   id=f"{name}-str") for name in ("q_terminal", "q_bar_terminal")],
+    *[pytest.param(lambda text=text: InitialLaw(mean=text), TypeError,
+                   f"^mean must be a number, got {text!r}$", id=f"mean-{type(text).__name__}")
+      for text in ("7", b"7")],
     pytest.param(_direct_spec(q_terminal=math.inf), ValueError, "^q_terminal must be finite",
                  id="q_terminal-inf"),
     pytest.param(_direct_spec(q_bar_terminal=-math.inf), ValueError,
@@ -418,15 +430,21 @@ def test_validate_flags_random_initial_state_for_deterministic_class():
 
 
 def test_validate_requires_unit_moment_power_outside_higher_moment_class():
-    spec = ProblemSpec(
-        "mult_state", 2,
-        a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
-        q=1.0, q_terminal=1.0, r=1.0, o=2,
-        noise=Gaussian(sigma=1.0),
-        initial=InitialLaw(mean=1.0),
-    )
-    report = validate(spec)
-    assert any(c.name == "moment power o = 1" for c in report.failures)
+    # The noise line names order 2o for every stochastic class, the moment
+    # solve() would read, also on a spec that already fails the o = 1 rule.
+    for noise, outcome in ((Gaussian(sigma=1.0), "pass  (value 3.0)"),
+                           (Moments({2: 1.0}), "fail  (the moments law lacks this order)")):
+        spec = ProblemSpec(
+            "mult_state", 2,
+            a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
+            q=1.0, q_terminal=1.0, r=1.0, o=2,
+            noise=noise,
+            initial=InitialLaw(mean=1.0),
+        )
+        report = validate(spec)
+        assert any(c.name == "moment power o = 1" for c in report.failures)
+        assert re.fullmatch(r"noise moment of order 4 available +" + re.escape(outcome),
+                            report.lines()[-1])
 
 
 def test_validate_flags_missing_noise_moment():
