@@ -128,10 +128,11 @@ def _check_keys(node: dict, keys, context: str, optional=_OPTIONAL) -> None:
         raise ConfigError(f"{context} is missing required key {missing[0]!r}")
 
 
-def _number(node: Any, context: str) -> float:
+def _number(node: Any, context: str) -> int | float:
+    """The node itself; the domain model's gates make it a finite float."""
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(f"{context} must be a number, got {node!r}")
-    return float(node)
+    return node
 
 
 def _integer(node: Any, context: str) -> int:

@@ -24,16 +24,18 @@ dynamics (a_bar, b_bar, a, b), the weights (q, q_bar, r, r_bar and the two
 terminal weights), the powers (p, o), the noise law and the initial law. It
 is also the one constructor: it broadcasts each per-step field to N values
 and fills in the defaults. This module also houses the signed odd root used
-by the gain formulas, the moment tables of the noise and initial laws, and
-the static validity checks consumed by the backward solvers.
+by the gain formulas, the moment tables of the noise and initial laws, the
+static validity checks consumed by the backward solvers, and three input
+gates: every number the model takes is a finite float (a spread also >= 0),
+a sequence of them, or an int >= a minimum, and text, bytes and bools are
+refused with an error that names the field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, dataclass, fields
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -109,11 +111,6 @@ def signed_root(x: float, n: int) -> float:
     return math.copysign(abs(x) ** (1.0 / n), x)
 
 
-def _check_even_order(order: int) -> None:
-    if order < 2 or order % 2 != 0:
-        raise ValueError(f"moment order must be an even integer >= 2, got {order}")
-
-
 def _power(base: float, exponent: int) -> float:
     """base**exponent for base >= 0; inf past the float range."""
     try:
@@ -142,41 +139,65 @@ def _gaussian_moment(order: int, base: float, exponent: int) -> float:
         return math.inf
 
 
+# The three input gates: every number the domain model takes passes one of them.
+
 def _real(value, name: str) -> float:
-    """float(value), but text is refused, though float() would parse "5" and b"5"."""
-    if isinstance(value, (str, bytes)):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    """float(value), +-inf past the float range; no text or bools, which float() reads."""
+    if not isinstance(value, (str, bytes, bool, np.bool_)):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be a number, got {value!r}")
 
 
-def _as_finite_floats(values: Sequence[float], name: str) -> tuple[float, ...]:
-    out = tuple(_real(v, name) for v in values)
+def _number(value, name: str, *, spread: bool = False) -> float:
+    """The scalar gate: a finite float; a spread is also >= 0, with -0.0 as 0.0 for numpy."""
+    value = _real(value, name)
+    if not (math.isfinite(value) and (value >= 0.0 or not spread)):
+        raise ValueError(f"{name} must be finite{' and >= 0' if spread else ''}, got {value}")
+    return abs(value) if spread else value
+
+
+def _numbers(values, name: str) -> tuple[float, ...]:
+    """The sequence gate: each element a finite float; text is one value, not a sequence."""
+    out = tuple(_real(v, name) for v in ([values] if isinstance(values, (str, bytes)) else values))
     if not all(math.isfinite(v) for v in out):
         raise ValueError(f"{name} must contain only finite values, got {out}")
     return out
+
+
+def _integer(value, name: str, minimum: int, *, even: bool = False) -> int:
+    """The integer gate: an int, not a bool, >= minimum (and even, if asked)."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < minimum
+            or (even and value % 2)):
+        kind = "an even integer" if even else "an integer"
+        raise ValueError(f"{name} must be {kind} >= {minimum}, got {value!r}")
+    return value
 
 
 # --------------------------------------------------------------------------
 # Noise and initial-state laws: zero-mean distributions, and the law of x[0]
 # --------------------------------------------------------------------------
 
-def _check_spread(law: "Distribution", name: str) -> None:
-    """Finite and >= 0; -0.0 is stored as 0.0, which numpy's samplers accept."""
-    value = getattr(law, name)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
-    object.__setattr__(law, name, abs(value))
-
-
 class Distribution:
     """A zero-mean scalar law with a known table of even moments.
 
-    Subclasses provide ``even_moment(order)`` = E[z**order] for even order
-    and ``sample(rng, size)`` drawing i.i.d. variates.
+    ``even_moment(order)`` = E[z**order] gates the order (even, >= 2) and
+    leaves the formula to the subclass's ``_even_moment``; ``sample(rng,
+    size)`` draws i.i.d. variates. Each dataclass field of a subclass is a
+    spread unless the subclass checks its own fields.
     """
 
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = _number(getattr(self, field.name), field.name, spread=True)
+            object.__setattr__(self, field.name, value)
+
     def even_moment(self, order: int) -> float:
-        raise NotImplementedError
+        return self._even_moment(_integer(order, "moment order", 2, even=True))
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         raise NotImplementedError
@@ -186,8 +207,7 @@ class Distribution:
 class Dirac(Distribution):
     """Point mass at zero. All moments vanish; sampling returns zeros."""
 
-    def even_moment(self, order: int) -> float:
-        _check_even_order(order)
+    def _even_moment(self, order: int) -> float:
         return 0.0
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
@@ -200,12 +220,8 @@ class Gaussian(Distribution):
 
     sigma: float
 
-    def __post_init__(self) -> None:
-        _check_spread(self, "sigma")
-
-    def even_moment(self, order: int) -> float:
+    def _even_moment(self, order: int) -> float:
         # E[z**(2j)] = (2j - 1)!! sigma**(2j)
-        _check_even_order(order)
         return _gaussian_moment(order, self.sigma, order)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
@@ -223,11 +239,7 @@ class GaussianVariance(Distribution):
 
     variance: float
 
-    def __post_init__(self) -> None:
-        _check_spread(self, "variance")
-
-    def even_moment(self, order: int) -> float:
-        _check_even_order(order)
+    def _even_moment(self, order: int) -> float:
         return _gaussian_moment(order, self.variance, order // 2)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
@@ -240,11 +252,7 @@ class Rademacher(Distribution):
 
     scale: float = 1.0
 
-    def __post_init__(self) -> None:
-        _check_spread(self, "scale")
-
-    def even_moment(self, order: int) -> float:
-        _check_even_order(order)
+    def _even_moment(self, order: int) -> float:
         return _power(self.scale, order)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
@@ -257,12 +265,8 @@ class UniformSymmetric(Distribution):
 
     halfwidth: float
 
-    def __post_init__(self) -> None:
-        _check_spread(self, "halfwidth")
-
-    def even_moment(self, order: int) -> float:
+    def _even_moment(self, order: int) -> float:
         # E[z**(2j)] = h**(2j) / (2j + 1)
-        _check_even_order(order)
         return _power(self.halfwidth, order) / (order + 1)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
@@ -291,20 +295,21 @@ class Empirical(Distribution):
     shift: float = 0.0
 
     def __post_init__(self) -> None:
-        samples = _as_finite_floats(self.samples, "samples")
+        samples = _numbers(self.samples, "samples")
         if len(samples) == 0:
             raise ValueError("Empirical needs at least one sample")
+        shift = _number(self.shift, "shift")
         # Center until the mean is negligible at the samples' own scale. A rebuild
         # from the stored samples then subtracts nothing, so it is bit-exact.
         mean = _mean(samples)
         while abs(mean) > 1e-12 * max(map(abs, samples)):
-            samples = _as_finite_floats((v - mean for v in samples), "centered samples")
-            object.__setattr__(self, "shift", mean + self.shift)
+            samples = _numbers((v - mean for v in samples), "centered samples")
+            shift = mean + shift
             mean = _mean(samples)
         object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "shift", shift)
 
-    def even_moment(self, order: int) -> float:
-        _check_even_order(order)
+    def _even_moment(self, order: int) -> float:
         try:
             return math.fsum(v ** order for v in self.samples) / len(self.samples)
         except OverflowError:
@@ -323,16 +328,16 @@ class Moments(Distribution):
     values: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        values = tuple(sorted((int(order), float(value))
-                              for order, value in dict(self.values).items()))
-        for order, value in values:
-            _check_even_order(order)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"moment of order {order} must be finite and >= 0, got {value}")
-        object.__setattr__(self, "values", values)
+        # By order; an order that is not an int sorts last, for the gate to refuse.
+        entries = sorted(dict(self.values).items(),
+                         key=lambda entry: entry[0] if isinstance(entry[0], int) else math.inf)
+        values = []
+        for order, value in entries:
+            _integer(order, "moment order", 2, even=True)
+            values.append((order, _number(value, f"moment of order {order}", spread=True)))
+        object.__setattr__(self, "values", tuple(values))
 
-    def even_moment(self, order: int) -> float:
-        _check_even_order(order)
+    def _even_moment(self, order: int) -> float:
         try:
             return dict(self.values)[order]
         except KeyError:
@@ -355,10 +360,7 @@ class InitialLaw:
     law: Distribution = Dirac()
 
     def __post_init__(self) -> None:
-        mean = _real(self.mean, "mean")
-        if not math.isfinite(mean):
-            raise ValueError(f"mean must be finite, got {mean}")
-        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "mean", _number(self.mean, "mean"))
 
     def central_moment(self, order: int) -> float:
         """E[(x0 - mean)**order] for even order."""
@@ -379,15 +381,15 @@ _PER_STEP_FIELDS = ("a_bar", "b_bar", "a", "b", "q", "q_bar", "r", "r_bar")
 
 def _per_step(value, n_steps: int, name: str) -> tuple[float, ...]:
     """N finite floats from a scalar, a length-1 sequence or a length-N sequence."""
-    # Text is taken whole, for _real to refuse, rather than split into characters or bytes.
-    scalar = isinstance(value, (int, float, str, bytes, np.integer, np.floating))
+    # Text is taken whole, for the gate to refuse, rather than split into characters or bytes.
+    scalar = isinstance(value, (int, float, str, bytes, np.generic))
     values = (value,) if scalar else tuple(value)
     if len(values) == 1:
         values *= n_steps
     elif len(values) != n_steps:
         raise LengthMismatch(
             f"{name}: expected a scalar or a sequence of length {n_steps}, got length {len(values)}")
-    return _as_finite_floats(values, name)
+    return _numbers(values, name)
 
 
 @dataclass(frozen=True)
@@ -419,12 +421,11 @@ class ProblemSpec:
     case: the completion constant is signed_root(0) = 0, so the mean gain at
     that step is 0 (-0.0 when a_bar[k] < 0).
 
-    Construction checks structure only: n_steps, p and o are integers >= 1
-    (not bools), every per-step field is finite and broadcasts to length N,
-    and the terminal weights are finite. Semantic validity (positive
-    weights, a noise law exactly on the stochastic classes, ...) is reported
-    by validate() rather than raised, so that deliberately broken specs can
-    be built and inspected.
+    Construction checks structure only: each number passes an input gate
+    (n_steps, p and o are ints >= 1) and each per-step field broadcasts to
+    length N. Semantic validity (positive weights, a noise law exactly on
+    the stochastic classes, ...) is reported by validate() rather than
+    raised, so that deliberately broken specs can be built and inspected.
     """
 
     problem_class: ProblemClass
@@ -449,19 +450,14 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "problem_class", ProblemClass(self.problem_class))
         for name in ("n_steps", "p", "o"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            _integer(getattr(self, name), name, 1)
         for name in _PER_STEP_FIELDS:
             value = getattr(self, name)
             if value is None and name in ("a", "b"):
                 value = getattr(self, f"{name}_bar")
             object.__setattr__(self, name, _per_step(value, self.n_steps, name))
         for name in ("q_terminal", "q_bar_terminal"):
-            value = _real(getattr(self, name), name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _number(getattr(self, name), name))
         if not self.allow_uncontrollable and any(v == 0.0 for v in self.b_bar):
             raise ValueError("b_bar contains a zero entry; set allow_uncontrollable to permit it")
 

@@ -51,7 +51,7 @@ from .model import (
     NonFiniteCoefficient,
     ProblemClass,
     ProblemSpec,
-    _check_even_order,
+    _integer,
 )
 from .recursion import CoefficientSchedule
 
@@ -250,19 +250,20 @@ def simulate_ensemble(
     Args:
         spec: The problem whose dynamics and laws drive the paths.
         policy: Any Policy (solved feedback or a reference controller).
-        n_paths: Number of paths (>= 1).
-        master_seed: Seed for the run; reruns are bit-identical.
+        n_paths: Number of paths, an int >= 1.
+        master_seed: Seed for the run, an int >= 0; reruns are bit-identical.
 
     Returns:
         A read-only TrajectoryEnsemble, stored time-major (see its class).
 
     Raises:
+        ValueError: If n_paths or master_seed is not such an int (bools are refused).
         InvalidPolicy: If the policy pins a different horizon.
         MissingMoment: If the noise or initial law has nothing to sample.
         MemoryError: If the run would not fit in physical memory.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    _integer(n_paths, "n_paths", 1)
+    _integer(master_seed, "master_seed", 0)
     n = spec.n_steps
     if policy.n_steps is not None and policy.n_steps != n:
         raise InvalidPolicy(f"policy solved for horizon {policy.n_steps}, problem has {n}")
@@ -309,7 +310,7 @@ def simulate_ensemble(
 
 def central_moment(ensemble: TrajectoryEnsemble, order: int) -> np.ndarray:
     """Ensemble averages of (x[k] - xbar[k])**order, k = 0..N, for even order."""
-    _check_even_order(order)
+    _integer(order, "moment order", 2, even=True)
     if order <= 6:
         return ensemble._deviation_means[0][order // 2 - 1].copy()
     means = np.empty(ensemble.states.shape[1])

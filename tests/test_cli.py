@@ -203,7 +203,11 @@ def test_missing_required_key_is_a_config_error(tmp_path, capsys, path):
     (("mean_dynamics", "allow_uncontrollable"), "yes",
      "problem.mean_dynamics.allow_uncontrollable must be a boolean"),
     (("initial", "mean"), math.nan, "problem.initial: mean must be finite, got nan"),
-], ids=["fractional-n_steps", "bool-p", "string-allow_uncontrollable", "nan-initial-mean"])
+    # An int past the float range is inf to the input gates, not an OverflowError.
+    (("initial", "mean"), 10**400, "problem.initial: mean must be finite, got inf"),
+    (("noise", "sigma"), -10**400, "problem.noise: sigma must be finite and >= 0, got -inf"),
+], ids=["fractional-n_steps", "bool-p", "string-allow_uncontrollable", "nan-initial-mean",
+        "huge-int-initial-mean", "huge-int-noise-sigma"])
 def test_bad_problem_value_is_a_config_error(tmp_path, capsys, path, value, message):
     def mutate(doc):
         doc["problem"][path[0]][path[1]] = value

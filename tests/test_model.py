@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hocs import (
     Dirac,
+    Distribution,
     Empirical,
     FeedbackPolicy,
     GainSchedule,
@@ -269,7 +270,9 @@ def test_noise_missing_moment_raises():
         law.sample(np.random.default_rng(0), 3)
 
 
-@pytest.mark.parametrize("values", [{3: 1.0}, {0: 1.0}, {2: -1.0}, {2: math.inf}])
+# An order that is not an int is refused, though int() would read "2", 2.0 and True.
+@pytest.mark.parametrize("values", [{3: 1.0}, {0: 1.0}, {2: -1.0}, {2: math.inf},
+                                    {"2": 1.0}, {2.0: 1.0}, {True: 1.0}])
 def test_moments_law_rejects_bad_entries(values):
     with pytest.raises(ValueError):
         Moments(values)
@@ -339,6 +342,9 @@ def _direct_spec(**changes):
       for name in PER_STEP_FIELDS for text in ("123", b"123")],
     *[pytest.param(_direct_spec(**{name: "5"}), TypeError, f"^{name} must be a number, got '5'$",
                    id=f"{name}-str") for name in ("q_terminal", "q_bar_terminal")],
+    # float() reads True as 1.0.
+    *[pytest.param(_direct_spec(**{name: True}), TypeError, f"^{name} must be a number, got True$",
+                   id=f"{name}-bool") for name in PER_STEP_FIELDS],
     *[pytest.param(lambda text=text: InitialLaw(mean=text), TypeError,
                    f"^mean must be a number, got {text!r}$", id=f"mean-{type(text).__name__}")
       for text in ("7", b"7")],
@@ -369,6 +375,77 @@ def test_problem_spec_checks_every_field(make, error, match):
         return
     with pytest.raises(error, match=match):
         make()
+
+
+# --------------------------------------------------------------------------
+# Input gates: every number a law, the initial law and a spec's terminal weights take
+# --------------------------------------------------------------------------
+
+#: (build from one value, the name its messages use, is a spread) for each such
+#: field. The ids are "Class.field"; a Moments entry is named by its order.
+NUMERIC_FIELDS = [
+    pytest.param(lambda v: Gaussian(sigma=v), "sigma", True, id="Gaussian.sigma"),
+    pytest.param(lambda v: GaussianVariance(variance=v), "variance", True,
+                 id="GaussianVariance.variance"),
+    pytest.param(lambda v: Rademacher(scale=v), "scale", True, id="Rademacher.scale"),
+    pytest.param(lambda v: UniformSymmetric(halfwidth=v), "halfwidth", True,
+                 id="UniformSymmetric.halfwidth"),
+    pytest.param(lambda v: Empirical(samples=(v, 1.0)), "samples", False, id="Empirical.samples"),
+    pytest.param(lambda v: Empirical(samples=(1.0,), shift=v), "shift", False,
+                 id="Empirical.shift"),
+    pytest.param(lambda v: Moments({2: v}), "moment of order 2", True, id="Moments.values"),
+    pytest.param(lambda v: InitialLaw(mean=v), "mean", False, id="InitialLaw.mean"),
+    *[pytest.param(lambda v, name=name: _direct_spec(**{name: v})(), name, False,
+                   id=f"ProblemSpec.{name}") for name in ("q_terminal", "q_bar_terminal")],
+]
+
+
+def test_numeric_field_sweep_covers_every_law_field():
+    law_fields = {f"{cls.__name__}.{field.name}"
+                  for cls in Distribution.__subclasses__() for field in dataclasses.fields(cls)}
+    assert law_fields <= {param.id for param in NUMERIC_FIELDS}
+
+
+@pytest.mark.parametrize("build, name, spread", NUMERIC_FIELDS)
+@pytest.mark.parametrize("value", ["5", b"5", True], ids=["str", "bytes", "bool"])
+def test_numeric_field_refuses_text_and_bools(build, name, spread, value):
+    # float() would read each of these as 5.0 or 1.0.
+    match = rf"^{name} must be a number, got {re.escape(repr(value))}$"
+    with pytest.raises(TypeError, match=match):
+        build(value)
+
+
+@pytest.mark.parametrize("build, name, spread", NUMERIC_FIELDS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, 10**400, -1.0],
+                         ids=["nan", "inf", "huge-int", "negative"])
+def test_numeric_field_must_be_finite_and_a_spread_nonnegative(build, name, spread, value):
+    # float() raises OverflowError on 10**400; the gates read it as inf.
+    if value == -1.0 and not spread:
+        build(value)
+        return
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        build(value)
+
+
+def test_an_int_spread_is_stored_as_a_float():
+    for law in (Gaussian(2), GaussianVariance(2), Rademacher(2), UniformSymmetric(2)):
+        (field,) = dataclasses.fields(law)
+        assert type(getattr(law, field.name)) is float, law
+    ((order, moment),) = Moments({2: 1}).values
+    assert (order, moment, type(moment)) == (2, 1.0, float)
+
+
+@pytest.mark.parametrize("noise", [lambda: Rademacher(10), lambda: UniformSymmetric(10)],
+                         ids=["rademacher", "uniform"])
+def test_validate_reports_an_int_spread_moment_past_the_float_range_as_inf(noise):
+    # Stored as an int, the scale's 400th power would overflow float(); as a float it is inf.
+    spec = ProblemSpec(
+        "higher_moment", 2,
+        a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
+        a=0.5, b=0.5, q=1.0, q_terminal=1.0, r=1.0, o=200,
+        noise=noise(), initial=InitialLaw(mean=1.0),
+    )
+    assert "noise moment of order 400 available  fail  (value inf)" in validate(spec).lines()
 
 
 def test_validate_passes_on_builtin_examples():

@@ -227,6 +227,21 @@ def test_simulate_rejects_bad_arguments():
         simulate_ensemble(spec, policy, n_paths=0, master_seed=0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n_paths", True), ("n_paths", 2.5), ("n_paths", 0), ("n_paths", 2.0**50),
+    ("master_seed", 1.5), ("master_seed", True), ("master_seed", -1),
+], ids=["n_paths-bool", "n_paths-float", "n_paths-zero", "n_paths-huge-float",
+        "master_seed-float", "master_seed-bool", "master_seed-negative"])
+def test_simulate_checks_its_count_and_seed(name, value):
+    # Before the memory check (2.0**50 paths would not fit), and before numpy,
+    # which would raise its own TypeError or read True as seed 1.
+    spec = example_config(1, 1).problem
+    _, policy = _solved_policy(spec)
+    match = rf"^{name} must be an integer >= {1 if name == 'n_paths' else 0}, got {value!r}$"
+    with pytest.raises(ValueError, match=match):
+        simulate_ensemble(spec, policy, **{"n_paths": 2, "master_seed": 0, name: value})
+
+
 def test_simulate_rejects_policy_with_wrong_horizon():
     spec = example_config(2, 1).problem
     short = FeedbackPolicy(GainSchedule(k_mean=(0.1,), k_dev=(0.1,)))
