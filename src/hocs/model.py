@@ -28,7 +28,8 @@ by the gain formulas, the moment tables of the noise and initial laws, the
 static validity checks consumed by the backward solvers, and three input
 gates: every number the model takes is a finite float (a spread also >= 0),
 a sequence of them, or an int >= a minimum, and text, bytes and bools are
-refused with an error that names the field.
+refused with an error that names the field. The laws and the one flag are
+checked for type the same way.
 """
 
 from __future__ import annotations
@@ -167,6 +168,12 @@ def _numbers(values, name: str) -> tuple[float, ...]:
     if not all(math.isfinite(v) for v in out):
         raise ValueError(f"{name} must contain only finite values, got {out}")
     return out
+
+
+def _instance(value, name: str, kind: type) -> None:
+    """Refuse a law, an initial law or a flag of the wrong type, naming the field."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be of type {kind.__name__}, got {value!r}")
 
 
 def _integer(value, name: str, minimum: int, *, even: bool = False) -> int:
@@ -361,6 +368,7 @@ class InitialLaw:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mean", _number(self.mean, "mean"))
+        _instance(self.law, "law", Distribution)
 
     def central_moment(self, order: int) -> float:
         """E[(x0 - mean)**order] for even order."""
@@ -422,10 +430,12 @@ class ProblemSpec:
     that step is 0 (-0.0 when a_bar[k] < 0).
 
     Construction checks structure only: each number passes an input gate
-    (n_steps, p and o are ints >= 1) and each per-step field broadcasts to
-    length N. Semantic validity (positive weights, a noise law exactly on
-    the stochastic classes, ...) is reported by validate() rather than
-    raised, so that deliberately broken specs can be built and inspected.
+    (n_steps, p and o are ints >= 1), each per-step field broadcasts to
+    length N, and noise (unless None), initial and allow_uncontrollable
+    must be a Distribution, an InitialLaw and a bool. Semantic validity
+    (positive weights, a noise law exactly on the stochastic classes, ...)
+    is reported by validate() rather than raised, so that deliberately
+    broken specs can be built and inspected.
     """
 
     problem_class: ProblemClass
@@ -458,6 +468,10 @@ class ProblemSpec:
             object.__setattr__(self, name, _per_step(value, self.n_steps, name))
         for name in ("q_terminal", "q_bar_terminal"):
             object.__setattr__(self, name, _number(getattr(self, name), name))
+        if self.noise is not None:
+            _instance(self.noise, "noise", Distribution)
+        _instance(self.initial, "initial", InitialLaw)
+        _instance(self.allow_uncontrollable, "allow_uncontrollable", bool)
         if not self.allow_uncontrollable and any(v == 0.0 for v in self.b_bar):
             raise ValueError("b_bar contains a zero entry; set allow_uncontrollable to permit it")
 

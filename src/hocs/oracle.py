@@ -16,7 +16,7 @@ Three routes, none of which reuse the backward recursions they are checking:
   plug-in standard errors of the mean per-path moment cost.
 - Common-random-number perturbation probes that scale one gain channel at a
   time, roll every grid point out on one reused draw of initial states and
-  noise, and require the cost minimum at scale 1.
+  noise, and require that channel's cost minimum at scale 1.
 
 The direct route compares its optimum against the closed-form controls,
 rolled out by the simulator's mean channel; that reuse sits on the side
@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .control import FeedbackPolicy
-from .model import NotConverged, ProblemSpec, ProblemClass
+from .model import NotConverged, ProblemSpec, ProblemClass, _integer, _number
 from .recursion import CoefficientSchedule, GainSchedule, solve
 from .simulate import (
     _common_draws,
@@ -286,9 +286,9 @@ class ProbeReport:
     """Cost curves from scaling one gain channel at a time.
 
     ``curves`` maps channel name ("mean", "dev") to a tuple of
-    (scale, realized cost, stderr) triples; ``min_at_unit`` says whether
-    every channel attains its grid minimum at scale 1.0 within the error
-    budget.
+    (scale, realized cost of that channel, stderr) triples; ``min_at_unit``
+    says whether every channel attains its grid minimum at scale 1.0 within
+    the error budget.
     """
 
     curves: dict[str, tuple[tuple[float, float, float], ...]]
@@ -310,15 +310,16 @@ def local_optimality_probe(
 
     Every point of PROBE_GRID reuses one draw of initial states and noise (common
     random numbers, the same draw a fresh ensemble with this master seed
-    would make), so the cost curves are directly comparable; the minimum
-    must sit at scale 1.0, with three standard errors of slack on stochastic
-    classes (deterministic runs are exact). It compares realized costs
-    with each other only, so it needs no price.
+    would make), so the cost curves are directly comparable. It compares
+    realized costs with each other only, so it needs no price.
 
-    Both channels are priced in one total, so a channel whose cost is lost
-    in the rounding of the other's is not probed. On example 4 at p = 3 the
-    deviation-channel curve is flat in floats (a moment cost near 1e-16
-    added to a mean cost of 6.6e7), so "yes" there says nothing about k_dev.
+    Each channel is priced on its own terms, so a small moment cost is not
+    lost in the rounding of a large mean cost: the mean scan compares
+    state_power + control_power, exact given the mean path (stderr 0), and
+    the deviation scan state_moment + control_moment, with its plug-in
+    stderr. A channel's minimum must sit at scale 1.0, with three of its
+    standard errors of slack plus a rounding floor of 1e-12 times its cost
+    at scale 1.0.
 
     Args:
         spec: The problem to probe.
@@ -338,13 +339,18 @@ def local_optimality_probe(
                 report = realized_cost(spec, ensemble)
                 # The next rollout allocates its own block; this one is spent.
                 del ensemble
+                parts = report.breakdown
+                if channel == "mean":
+                    cost, err = parts["state_power"] + parts["control_power"], 0.0
+                else:
+                    cost = parts["state_moment"] + parts["control_moment"]
+                    err = report.realized_stderr
                 # Paths that left the float range cost inf, also where they met as nan.
-                cost = math.inf if math.isnan(report.realized_mean) else report.realized_mean
-                points.append((factor, cost, report.realized_stderr))
+                points.append((factor, math.inf if math.isnan(cost) else cost, err))
             curves[channel] = tuple(points)
             unit_cost, unit_err = next((c, e) for f, c, e in points if f == 1.0)
             best_cost, best_err = min(((c, e) for _, c, e in points), key=lambda t: t[0])
-            slack = 3.0 * (unit_err + best_err) + 1e-12 * max(abs(unit_cost), 1.0)
+            slack = 3.0 * (unit_err + best_err) + 1e-12 * abs(unit_cost)
             if unit_cost > best_cost + slack:
                 ok = False
     return ProbeReport(curves=curves, min_at_unit=ok)
@@ -370,19 +376,25 @@ def convexity_check(
     local value scale.
 
     Args:
-        p: Half-power, >= 1.
-        a: Slope inside the second term; must be nonzero.
-        b: Offset inside the second term; must be nonzero.
-        n_samples: Number of random pairs to test.
-        master_seed: Seed for the pair draws.
+        p: Half-power, an integer >= 1.
+        a: Slope inside the second term; finite and nonzero.
+        b: Offset inside the second term; finite and nonzero.
+        n_samples: Number of random pairs to test, >= 1.
+        master_seed: Seed for the pair draws, >= 0.
 
     Returns:
         A ConvexityReport; ``counterexample`` holds the first failing pair.
+
+    Raises:
+        ValueError, TypeError: If an input fails the model's gates, so that
+            no input passes vacuously.
     """
+    p = _integer(p, "p", 1)
+    n_samples = _integer(n_samples, "n_samples", 1)
+    master_seed = _integer(master_seed, "master_seed", 0)
+    a, b = _number(a, "a"), _number(b, "b")
     if a == 0.0 or b == 0.0:
         raise ValueError("a and b must both be nonzero")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
     two_p = 2 * p
 
     def f(z: float) -> float:

@@ -2,20 +2,22 @@
 
 Every channel is solved by the same convex-completion step, run backward
 k = N-1..0 from alpha[N] = q_terminal. For power 2s, per-step noise moment
-m, loop factor l and offset d:
+m and offset d:
 
     c[k]     = (alpha[k+1] b[k] m / r[k]) ** (1 / (2s - 1))
     gain[k]  = c[k] a[k] / (1 + c[k] b[k])
     alpha[k] = q[k] + r[k] gain[k]**(2s)
-             + alpha[k+1] l (a[k] - b[k] gain[k])**(2s) + alpha[k+1] d
+             + alpha[k+1] m (a[k] - b[k] gain[k])**(2s) + alpha[k+1] d
 
-The mean channel (alpha_bar, k_mean) is this step with s = p on the mean
-data and m = l = 1, d = 0, for every class. The deviation channel
-(alpha, k_dev) is this step with s = o on the deviation data (a, b, q,
-q_terminal, r) for every stochastic class. With M = E[eps^(2o)], the class
-only picks how the noise couples:
+The moment m sits both in the completion constant and on the propagated
+term, the stationary point of the one-step objective. The mean channel
+(alpha_bar, k_mean) is this step with s = p on the mean data and m = 1,
+d = 0, for every class. The deviation channel (alpha, k_dev) is this step
+with s = o on the deviation data (a, b, q, q_terminal, r) for every
+stochastic class. With M = E[eps^(2o)], the class only picks how the noise
+couples:
 
-- higher moment: m = l = M (l = 1 under literal_recursion);
+- higher moment: m = M;
 - multiplicative state: d = M;
 - additive: the offset gamma_bar[k] = gamma_bar[k+1] + alpha[k+1] M, gamma_bar[N] = 0.
 
@@ -113,8 +115,7 @@ class GainSchedule:
 
 def _power_channel(
     a, b, q, q_terminal: float, r, power: int, *,
-    m: float = 1.0, loop_scale: float = 1.0, offset: float = 0.0,
-    name: str = "alpha",
+    m: float = 1.0, offset: float = 0.0, name: str = "alpha",
 ) -> tuple[list[float], list[float]]:
     """One convex-completion backward pass (see the module docstring).
 
@@ -122,8 +123,8 @@ def _power_channel(
         a, b: Per-step dynamics of the channel.
         q, q_terminal, r: Running, terminal and control weights.
         power: Half-power s; the channel penalizes powers 2s.
-        m: Noise moment inside the completion constant c[k].
-        loop_scale: Factor on the propagated closed-loop term.
+        m: Noise moment in the completion constant c[k] and on the
+            propagated closed-loop term.
         offset: Per-step additive term, scaled by alpha[k+1].
         name: Coefficient name used in error messages.
 
@@ -145,7 +146,7 @@ def _power_channel(
             value = (
                 q[k]
                 + r[k] * gain ** two_s
-                + alpha[k + 1] * loop_scale * closed_loop ** two_s
+                + alpha[k + 1] * m * closed_loop ** two_s
                 + alpha[k + 1] * offset
             )
         except OverflowError:
@@ -173,16 +174,8 @@ def _check_signs(spec: ProblemSpec) -> None:
                     f"{name}{where} = {value}; solve needs {'> 0' if strict else '>= 0'}")
 
 
-def solve(
-    spec: ProblemSpec, *, literal_recursion: bool = False
-) -> tuple[CoefficientSchedule, GainSchedule]:
+def solve(spec: ProblemSpec) -> tuple[CoefficientSchedule, GainSchedule]:
     """Solve the mean channel and, for stochastic classes, the deviation channel.
-
-    ``literal_recursion`` (higher-moment class only) drops the standalone
-    moment factor on the propagated term, keeping m inside c[k] only. The
-    m-inclusive default is the stationary point of the one-step objective
-    and the Monte-Carlo oracle confirms it; the literal variant coincides
-    with it iff m = 1 and is kept for comparison.
 
     Args:
         spec: A spec that passed validate(). The deviation channel relies on
@@ -206,11 +199,9 @@ def solve(
     alpha = k_dev = gamma_bar = None
     if klass is not ProblemClass.DETERMINISTIC:
         m = spec.noise_moment(2 * spec.o)
-        higher = klass is ProblemClass.HIGHER_MOMENT
         alpha, k_dev = _power_channel(
             spec.a, spec.b, spec.q, spec.q_terminal, spec.r, spec.o,
-            m=m if higher else 1.0,
-            loop_scale=m if higher and not literal_recursion else 1.0,
+            m=m if klass is ProblemClass.HIGHER_MOMENT else 1.0,
             offset=m if klass is ProblemClass.MULT_STATE else 0.0,
         )
         if klass is ProblemClass.ADDITIVE:

@@ -158,13 +158,13 @@ def test_criterion_04_stochastic_predicted_vs_realized(capsys):
 
 # ---------------------------------------------------------------------------
 # 5. Higher-moment recursion variants: the moment-inclusive recursion prices
-#    the simulated cost correctly; the literal variant (flag on) is flagged
-#    discrepant once o >= 2. At o=1 the second noise moment is 1 and the two
-#    recursions coincide.
+#    the simulated cost correctly; the literal variant (the literal_solve
+#    fixture) is flagged discrepant once o >= 2. At o=1 the second noise
+#    moment is 1 and the two recursions coincide.
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_05_higher_moment_recursion_variants(capsys):
+def test_criterion_05_higher_moment_recursion_variants(capsys, literal_solve):
     with _criterion(5, capsys):
         start = time.monotonic()
         for p in (1, 2, 3):
@@ -177,7 +177,7 @@ def test_criterion_05_higher_moment_recursion_variants(capsys):
             # (~2e-10 here) in rounding noise of the 1.8e5-scale mean term.
             report = mc_validate(spec, schedule, gains, 100_000, 42)
             assert not report.discrepant
-            literal_schedule, literal_gains = solve(spec, literal_recursion=True)
+            literal_schedule, literal_gains = literal_solve(spec)
             literal = mc_validate(
                 spec, literal_schedule, literal_gains, 100_000, 42
             )

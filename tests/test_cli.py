@@ -634,12 +634,12 @@ def test_simulate_time_is_logarithmic_in_the_moment_power(tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
-def test_verify_flags_moment_free_recursion_variant():
+def test_verify_flags_moment_free_recursion_variant(literal_solve):
     # The recursion variant that drops the noise moment from the deviation
     # channel misprices the cost whenever E[eps**2o] != 1, and the
     # Monte-Carlo check that verify runs must notice.
     spec = example_config(4, 2).problem
-    literal_schedule, literal_gains = solve(spec, literal_recursion=True)
+    literal_schedule, literal_gains = literal_solve(spec)
     assert oracle.mc_validate(spec, literal_schedule, literal_gains, 20_000, 42).discrepant
 
     schedule, gains = solve(spec)

@@ -377,6 +377,25 @@ def test_problem_spec_checks_every_field(make, error, match):
         make()
 
 
+@pytest.mark.parametrize("make, match", [
+    pytest.param(_direct_spec(noise=1.0), "^noise must be of type Distribution, got 1.0$",
+                 id="noise-float"),
+    pytest.param(_direct_spec(initial=1.0), "^initial must be of type InitialLaw, got 1.0$",
+                 id="initial-float"),
+    pytest.param(lambda: InitialLaw(mean=1.0, law=2.0),
+                 "^law must be of type Distribution, got 2.0$", id="law-float"),
+    pytest.param(_direct_spec(allow_uncontrollable="no"),
+                 "^allow_uncontrollable must be of type bool, got 'no'$", id="flag-str"),
+    pytest.param(_direct_spec(allow_uncontrollable=1),
+                 "^allow_uncontrollable must be of type bool, got 1$", id="flag-int"),
+])
+def test_problem_spec_refuses_laws_and_flags_of_the_wrong_type(make, match):
+    # A float law once failed later, in validate or solve, with a bare
+    # AttributeError, and a truthy non-bool flag let a zero b_bar through.
+    with pytest.raises(TypeError, match=match):
+        make()
+
+
 # --------------------------------------------------------------------------
 # Input gates: every number a law, the initial law and a spec's terminal weights take
 # --------------------------------------------------------------------------

@@ -329,7 +329,12 @@ def test_shared_draw_reports_equal_fresh_draw_loop(example_id, p, seed):
         points = []
         for factor in PROBE_GRID:
             report = fresh_cost(_scaled_gains(gains, channel, factor))
-            points.append((factor, report.realized_mean, report.realized_stderr))
+            parts = report.breakdown
+            if channel == "mean":
+                points.append((factor, parts["state_power"] + parts["control_power"], 0.0))
+            else:
+                points.append((factor, parts["state_moment"] + parts["control_moment"],
+                               report.realized_stderr))
         curves[channel] = tuple(points)
     unit = fresh_cost(gains)
     unscoped = mc_validate(spec, schedule, gains, n_paths, seed)
@@ -345,10 +350,9 @@ def test_shared_draw_reports_equal_fresh_draw_loop(example_id, p, seed):
         predicted_cost(schedule, spec.initial), unit.realized_mean, unit.realized_stderr)
 
 
-# ex4 p3's deviation channel is left out: its curve is flat in floats (see
-# the local_optimality_probe docstring), so no scaling there can fail it.
 @pytest.mark.parametrize("example_id,p,channel", [
-    (2, 1, "mean"), (2, 1, "dev"), (3, 2, "mean"), (3, 2, "dev"), (4, 3, "mean"),
+    (2, 1, "mean"), (2, 1, "dev"), (3, 2, "mean"), (3, 2, "dev"),
+    (4, 3, "mean"), (4, 3, "dev"),
 ])
 @pytest.mark.parametrize("factor", [2.0, 0.5])
 def test_probe_rejects_scaled_gains(example_id, p, channel, factor):
@@ -407,3 +411,18 @@ def test_convexity_check_rejects_degenerate_inputs():
         convexity_check(p=2, a=1.0, b=0.0, n_samples=10, master_seed=0)
     with pytest.raises(ValueError):
         convexity_check(p=0, a=1.0, b=1.0, n_samples=10, master_seed=0)
+
+
+@pytest.mark.parametrize("overrides, match", [
+    ({"n_samples": 0}, "^n_samples must be an integer >= 1, got 0$"),
+    ({"a": math.nan}, "^a must be finite, got nan$"),
+    ({"p": 1.5}, "^p must be an integer >= 1, got 1.5$"),
+    ({"p": True}, "^p must be an integer >= 1, got True$"),
+    ({"master_seed": -1}, "^master_seed must be an integer >= 0, got -1$"),
+], ids=["no samples", "nan a", "fractional p", "bool p", "negative seed"])
+def test_convexity_check_gates_its_inputs(overrides, match):
+    # Each of these once passed vacuously, reported a bogus counterexample or
+    # escaped as numpy's own error.
+    kwargs = {"p": 2, "a": 1.0, "b": 1.0, "n_samples": 50, "master_seed": 0, **overrides}
+    with pytest.raises(ValueError, match=match):
+        convexity_check(**kwargs)

@@ -1,5 +1,6 @@
 """Tests for the backward coefficient recursions and gain schedules."""
 
+import hashlib
 import math
 import re
 
@@ -404,19 +405,40 @@ def test_higher_moment_zero_deviation_weights_stay_zero():
     assert all(v == 0.0 for v in gains.k_dev)
 
 
-def test_literal_recursion_matches_only_for_unit_moment():
+def test_literal_recursion_matches_only_for_unit_moment(literal_solve):
     # Rademacher noise has every even moment equal to 1, so dropping the
     # moment factor changes nothing; unit Gaussian at o = 2 has m4 = 3 and
     # the two recursions must part ways.
     unit = _higher_spec(4, o=2, dist=Rademacher(scale=1.0))
     inclusive, _ = solve(unit)
-    literal, _ = solve(unit, literal_recursion=True)
+    literal, _ = literal_solve(unit)
     np.testing.assert_allclose(inclusive.alpha, literal.alpha, rtol=1e-14)
 
     gaussian = _higher_spec(4, o=2, dist=Gaussian(sigma=1.0))
     inclusive, _ = solve(gaussian)
-    literal, _ = solve(gaussian, literal_recursion=True)
+    literal, _ = literal_solve(gaussian)
     assert not math.isclose(inclusive.alpha[0], literal.alpha[0], rel_tol=1e-3)
+
+
+def test_literal_solve_reproduces_the_removed_solver_option(literal_solve):
+    # sha256 of repr((alpha, k_dev, alpha_bar)) as solve(spec,
+    # literal_recursion=True) returned them before that option was removed.
+    expected = {
+        "ex4 p1": "7e98b99ac7485048efc94cae94898e41053e98e871b4c8aa81b156274d746d65",
+        "ex4 p2": "d3105dfde09635cb974bb6eeece4c82ff44aec03833337363037be5a1b36e156",
+        "ex4 p3": "7cde2007b79b3a131fc870292a29135ed76c6f25202856e1db2bf56bc09e48eb",
+        "gaussian o2": "c69135013d1e8b366e360674f69afe04d0054e96eba107c87e4faf5c19778a84",
+        "rademacher o2": "c0d42b8ab020dd68d8214c68dc3b0e2053a5fa1533bada00b32179bb57762551",
+    }
+    specs = {f"ex4 p{p}": example_config(4, p).problem for p in (1, 2, 3)}
+    specs["gaussian o2"] = _higher_spec(4, o=2, dist=Gaussian(sigma=1.0))
+    specs["rademacher o2"] = _higher_spec(4, o=2, dist=Rademacher(scale=1.0))
+    digests = {}
+    for name, spec in specs.items():
+        schedule, gains = literal_solve(spec)
+        values = repr((schedule.alpha, gains.k_dev, schedule.alpha_bar))
+        digests[name] = hashlib.sha256(values.encode()).hexdigest()
+    assert digests == expected
 
 
 @pytest.mark.parametrize("p, expected", [(1, 1.5), (2, 1.125), (3, 1.03125)])
