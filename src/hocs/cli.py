@@ -32,7 +32,6 @@ from .config import (
     example_config,
     load_config,
     render_config,
-    EXAMPLE_IDS,
     EXAMPLE_POWERS,
 )
 from .control import BaselineKind, BaselinePolicy, FeedbackPolicy
@@ -43,11 +42,13 @@ from .model import (
     NotConverged,
     ProblemClass,
     ProblemSpec,
+    _integer,
     validate,
 )
 from .oracle import PROBE_GRID, brute_force_deterministic, local_optimality_probe, mc_validate
 from .recursion import CoefficientSchedule, GainSchedule, solve
 from .simulate import (
+    _ZETAS,
     _common_draws,
     central_moment,
     kpi,
@@ -59,9 +60,6 @@ from .simulate import (
 __all__ = ["main", "run_kpi_study", "PROBE_GRID"]
 
 _SCHEDULE_HEADER = ("k", "alpha_bar", "alpha", "gamma_bar", "k_mean", "k_dev")
-
-#: The risk powers zeta that kpi accepts, in the order the KPI CSVs list them.
-_ZETAS = (1, 2, 3)
 
 
 # --------------------------------------------------------------------------
@@ -281,8 +279,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_example(args) -> int:
-    if args.id not in EXAMPLE_IDS:
-        raise ConfigError(f"--id must be one of {EXAMPLE_IDS}, got {args.id}")
     base_out = Path(args.out) if args.out else Path(".")
     for p in EXAMPLE_POWERS:
         config = example_config(args.id, p)
@@ -320,10 +316,11 @@ def run_kpi_study(n_seeds: int, base_seed: int = 42, n_paths: int = 1):
         total over the three cases at that seed.
 
     Raises:
-        ValueError: If n_seeds < 1, before anything is solved or rolled out.
+        ValueError: If n_seeds is not an int >= 1 or base_seed not an int >= 0
+            (bools are refused), before anything is solved or rolled out.
     """
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    _integer(n_seeds, "n_seeds", 1)
+    _integer(base_seed, "base_seed", 0)
     config = example_config(4, 3)
     spec = config.problem
     _, gains = solve(spec)

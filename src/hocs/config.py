@@ -58,6 +58,7 @@ from .model import (
     ProblemSpec,
     Rademacher,
     UniformSymmetric,
+    _integer as _at_least,
 )
 
 __all__ = [
@@ -86,11 +87,11 @@ class RunSettings:
     out_dir: str = "."
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_paths, int) or isinstance(self.n_paths, bool) or self.n_paths < 1:
-            raise ConfigError(f"run.n_paths must be an integer >= 1, got {self.n_paths!r}")
-        if (not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool)
-                or self.master_seed < 0):
-            raise ConfigError(f"run.master_seed must be an integer >= 0, got {self.master_seed!r}")
+        try:
+            _at_least(self.n_paths, "run.n_paths", 1)
+            _at_least(self.master_seed, "run.master_seed", 0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not isinstance(self.out_dir, str):
             raise ConfigError("run.out_dir must be a string")
 

@@ -35,7 +35,8 @@ ArrayLike = Union[float, np.ndarray]
 
 
 def _check_step(k: int, n_steps: int) -> None:
-    if not 0 <= k < n_steps:
+    """Refuse a step outside 0..n_steps-1 or not an int (numpy integers pass, bools do not)."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < n_steps:
         raise IndexOutOfRange(f"step {k} outside control range 0..{n_steps - 1}")
 
 

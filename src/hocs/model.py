@@ -113,7 +113,7 @@ def signed_root(x: float, n: int) -> float:
 
 
 def _power(base: float, exponent: int) -> float:
-    """base**exponent for base >= 0; inf past the float range."""
+    """base**exponent for an even exponent, or base >= 0; inf past the float range."""
     try:
         return base ** exponent
     except OverflowError:
@@ -553,10 +553,6 @@ def validate(spec: ProblemSpec) -> ValidationReport:
         checks.append(_check("deviation weights strictly positive",
                              all(v > 0.0 for v in (*spec.q, spec.q_terminal, *spec.r)),
                              "q, q_terminal, r must all be > 0"))
-
-    # Finiteness and nonzero b_bar are enforced at construction; restated so
-    # the report covers every static condition in one place.
-    checks.append(ValidationCheck("dynamics finite", PASS, "enforced at construction"))
 
     need = "needs a" if has_deviation_channel else "admits no"
     checks.append(_check("class/noise compatibility",

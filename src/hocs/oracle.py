@@ -15,8 +15,9 @@ Three routes, none of which reuse the backward recursions they are checking:
   feedback against the coefficient-based prediction, judged at three
   plug-in standard errors of the mean per-path moment cost.
 - Common-random-number perturbation probes that scale one gain channel at a
-  time, roll every grid point out on one reused draw of initial states and
-  noise, and require that channel's cost minimum at scale 1.
+  time, roll each channel's grid points out on one reused draw of initial
+  states and noise (one path for the mean channel, whose cost the mean path
+  fixes), and require that channel's cost minimum at scale 1.
 
 The direct route compares its optimum against the closed-form controls,
 rolled out by the simulator's mean channel; that reuse sits on the side
@@ -308,23 +309,24 @@ def local_optimality_probe(
 ) -> ProbeReport:
     """Check that the solved gains are cost-minimizing along scaling rays.
 
-    Every point of PROBE_GRID reuses one draw of initial states and noise (common
-    random numbers, the same draw a fresh ensemble with this master seed
-    would make), so the cost curves are directly comparable. It compares
-    realized costs with each other only, so it needs no price.
+    Each channel scans PROBE_GRID on one reused draw of initial states and
+    noise (common random numbers, the same draw a fresh ensemble with this
+    master seed would make), so its cost curve is directly comparable. It
+    compares realized costs with each other only, so it needs no price.
 
     Each channel is priced on its own terms, so a small moment cost is not
     lost in the rounding of a large mean cost: the mean scan compares
-    state_power + control_power, exact given the mean path (stderr 0), and
-    the deviation scan state_moment + control_moment, with its plug-in
-    stderr. A channel's minimum must sit at scale 1.0, with three of its
-    standard errors of slack plus a rounding floor of 1e-12 times its cost
-    at scale 1.0.
+    state_power + control_power, exact given the mean path (stderr 0), which
+    the spec and the policy alone fix, so it rolls out one path; the
+    deviation scan compares state_moment + control_moment over n_paths
+    paths, with its plug-in stderr. A channel's minimum must sit at scale
+    1.0, with three of its standard errors of slack plus a rounding floor of
+    1e-12 times its cost at scale 1.0.
 
     Args:
         spec: The problem to probe.
         gains: Solved gains, the scale-1.0 point.
-        n_paths: Paths per probe point.
+        n_paths: Paths per deviation-scan point.
         master_seed: Seed shared by every probe point.
     """
     channels = ["mean"] if gains.k_dev is None else ["mean", "dev"]
@@ -333,9 +335,10 @@ def local_optimality_probe(
     with _common_draws():
         for channel in channels:
             points = []
+            paths = 1 if channel == "mean" else n_paths
             for factor in PROBE_GRID:
                 perturbed = _scaled_gains(gains, channel, factor)
-                ensemble = simulate_ensemble(spec, FeedbackPolicy(perturbed), n_paths, master_seed)
+                ensemble = simulate_ensemble(spec, FeedbackPolicy(perturbed), paths, master_seed)
                 report = realized_cost(spec, ensemble)
                 # The next rollout allocates its own block; this one is spent.
                 del ensemble

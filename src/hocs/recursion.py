@@ -39,6 +39,7 @@ from .model import (
     NonPositiveCoefficient,
     ProblemClass,
     ProblemSpec,
+    _power,
     signed_root,
 )
 
@@ -142,15 +143,12 @@ def _power_channel(
         c = signed_root(alpha[k + 1] * b[k] * m / r[k], root_order)
         gain = c * a[k] / (1.0 + c * b[k])
         closed_loop = a[k] - b[k] * gain
-        try:
-            value = (
-                q[k]
-                + r[k] * gain ** two_s
-                + alpha[k + 1] * m * closed_loop ** two_s
-                + alpha[k + 1] * offset
-            )
-        except OverflowError:
-            value = math.inf
+        value = (
+            q[k]
+            + r[k] * _power(gain, two_s)
+            + alpha[k + 1] * m * _power(closed_loop, two_s)
+            + alpha[k + 1] * offset
+        )
         if not (math.isfinite(gain) and math.isfinite(value)):
             raise NonFiniteCoefficient(f"{name}[{k}] = {value}, gain {gain} at step {k}")
         alpha[k] = value

@@ -27,12 +27,13 @@ draw kept by a scope, every buffer holds one value per path or at most
 _BLOCK values per step: realized_cost powers both channels' deviations one
 path block at a time, and central_moment and kpi read per-step moments that
 the ensemble computes once, on first use, in slabs of whole steps. A run
-whose footprint would exceed physical memory is refused before anything is
-allocated.
+whose footprint would exceed physical memory, the process's address-space
+limit or its cgroup v2 memory limit is refused before anything is allocated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from contextlib import contextmanager
@@ -52,6 +53,7 @@ from .model import (
     ProblemClass,
     ProblemSpec,
     _integer,
+    _power,
 )
 from .recursion import CoefficientSchedule
 
@@ -68,6 +70,9 @@ __all__ = [
 #: Paths per noise block and per cost block; a moment slab holds
 #: max(1, _BLOCK // n_paths) steps.
 _BLOCK = 8192
+
+#: The risk powers zeta that kpi accepts, in the order the KPI CSVs list them.
+_ZETAS = (1, 2, 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,19 +232,67 @@ def _draw(spec: ProblemSpec, n_paths: int, master_seed: int):
     return x0, blocks
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not report them."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _address_space_limit() -> int | None:
+    """The soft RLIMIT_AS in bytes, or None where it is unlimited or unreadable."""
+    try:
+        import resource
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    except (ImportError, AttributeError, ValueError, OSError):
+        return None
+    return None if soft == resource.RLIM_INFINITY else soft
+
+
+@functools.cache
+def _cgroup_dir() -> str | None:
+    """This process's cgroup v2 directory, from the 0::<path> line of
+    /proc/self/cgroup, or None where there is no such line (cgroup v1 only)
+    or the file is unreadable. Read once per process."""
+    try:
+        with open("/proc/self/cgroup", encoding="utf-8") as handle:
+            return next((f"/sys/fs/cgroup{line[3:].strip().rstrip('/')}"
+                         for line in handle if line.startswith("0::")), None)
+    except OSError:
+        return None
+
+
+def _cgroup_memory_max() -> int | None:
+    """The memory.max of this process's cgroup v2 in bytes, or None where it
+    is "max", missing or unreadable."""
+    directory = _cgroup_dir()
+    if directory is None:
+        return None
+    try:
+        with open(f"{directory}/memory.max", encoding="utf-8") as handle:
+            text = handle.read().strip()
+        return None if text == "max" else int(text)
+    except (OSError, ValueError):
+        return None
+
+
 def _check_footprint(n_steps: int, n_paths: int) -> None:
-    """Raise MemoryError, naming the bytes, before allocating an ensemble whose
-    block, plus the draw a _common_draws() scope keeps, plus O(_BLOCK),
-    exceeds physical memory (where the system reports it)."""
+    """Raise MemoryError, naming the bytes and the limit, before allocating an
+    ensemble whose block, plus the draw a _common_draws() scope keeps, plus
+    O(_BLOCK), exceeds the smallest of physical memory, the soft RLIMIT_AS
+    and the cgroup v2 memory.max (each where the system reports it)."""
     columns = 2 * n_steps + 1 + (n_steps + 1 if _DRAWS.get() is not None else 0)
     needed = 8 * columns * (n_paths + _BLOCK)
-    try:
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return
-    if needed > physical > 0:
+    limits = [(limit, name) for limit, name in (
+        (_physical_memory(), "physical memory"),
+        (_address_space_limit(), "address-space limit (RLIMIT_AS)"),
+        (_cgroup_memory_max(), "cgroup memory limit (memory.max)"),
+    ) if limit is not None and limit > 0]
+    limit, name = min(limits, default=(None, None))
+    if limit is not None and needed > limit:
         raise MemoryError(f"{n_paths} paths of {n_steps} steps need {needed} bytes, "
-                          f"more than the {physical} bytes of physical memory")
+                          f"more than the {limit} bytes of {name}")
 
 
 def simulate_ensemble(
@@ -260,7 +313,8 @@ def simulate_ensemble(
         ValueError: If n_paths or master_seed is not such an int (bools are refused).
         InvalidPolicy: If the policy pins a different horizon.
         MissingMoment: If the noise or initial law has nothing to sample.
-        MemoryError: If the run would not fit in physical memory.
+        MemoryError: If the run would not fit in physical memory or the
+            process's address-space or cgroup memory limit.
     """
     _integer(n_paths, "n_paths", 1)
     _integer(master_seed, "master_seed", 0)
@@ -395,11 +449,8 @@ def predicted_cost(schedule: CoefficientSchedule, initial) -> float:
 
 
 def _mean_term(schedule: CoefficientSchedule, initial) -> float:
-    """The mean-channel part alpha_bar[0] xbar0**2p; inf where it overflows."""
-    try:
-        return schedule.alpha_bar[0] * initial.mean ** (2 * schedule.p)
-    except OverflowError:
-        return math.inf
+    """The mean-channel part alpha_bar[0] xbar0**2p; past the float range inf, or nan at 0 * inf."""
+    return schedule.alpha_bar[0] * _power(initial.mean, 2 * schedule.p)
 
 
 def _deviation_term(schedule: CoefficientSchedule, initial) -> float:
@@ -435,8 +486,9 @@ def kpi(ensemble: TrajectoryEnsemble, zeta: int) -> tuple[float, float]:
     Returns:
         The pair (kpi_x, kpi_u).
     """
-    if zeta not in (1, 2, 3):
-        raise ValueError(f"zeta must be 1, 2, or 3, got {zeta}")
+    if zeta not in _ZETAS:
+        raise ValueError(f"zeta must be 1, 2, or 3, got {zeta!r}")
+    _integer(zeta, "zeta", 1)  # refuses 2.0 and True, which equal members of _ZETAS
     centers = (ensemble.mean_path, ensemble.mean_controls)
     return tuple(float(np.sum(means[zeta - 1]) + np.sum(_even_power(center, 2 * zeta)))
                  for means, center in zip(ensemble._deviation_means, centers))

@@ -38,6 +38,7 @@ from hocs import (
     oracle,
     predicted_cost,
     riccati_lqr,
+    simulate,
     simulate_ensemble,
     solve,
 )
@@ -240,8 +241,10 @@ def test_out_of_memory_is_exit_3(tmp_path, capsys, monkeypatch, command, layer, 
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
-def test_run_over_physical_memory_is_refused_with_exit_3(tmp_path, capsys, command):
+def test_run_over_physical_memory_is_refused_with_exit_3(tmp_path, capsys, monkeypatch, command):
     # 10**15 paths: numpy would refuse the block at once, but in its own words.
+    monkeypatch.setattr(simulate, "_address_space_limit", lambda: None)
+    monkeypatch.setattr(simulate, "_cgroup_memory_max", lambda: None)
     config = _write_example_config(tmp_path, 2, 2)
     argv = [command, "--config", str(config), "--paths", str(10**15)]
     argv += ["--out", str(tmp_path / "run")] if command == "simulate" else []
@@ -657,7 +660,8 @@ def test_verify_serves_every_ensemble_from_one_draw(tmp_path, monkeypatch):
     monkeypatch.setattr(oracle, "realized_cost", recording_cost)
     path = _write_example_config(tmp_path, 4, 3)
     assert main(["verify", "--config", str(path), "--paths", "300", "--seed", "411"]) == 0
-    assert held == [1] * 11
+    # mc_validate's draw, then the probe's mean scan adds its one-path draw.
+    assert held == [1] + [2] * 10
     assert _DRAWS.get() is None
 
 
@@ -677,8 +681,11 @@ def test_example_bundle_layout(tmp_path):
         assert render_config(parse_config(text)) == text
 
 
-def test_example_rejects_unknown_id(tmp_path):
+def test_example_rejects_unknown_id(tmp_path, capsys):
     assert main(["example", "--id", "9", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "config error: example id must be one of (1, 2, 3, 4), got 9\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_kpi_study_tables(tmp_path, capsys):
@@ -736,15 +743,23 @@ def test_kpi_rejects_bad_seed_count(tmp_path):
     assert main(["kpi", "--seeds", "0", "--out", str(tmp_path)]) == 3
 
 
-@pytest.mark.parametrize("n_seeds", [0, -1])
-def test_kpi_study_rejects_no_seeds_before_solving(monkeypatch, n_seeds):
+@pytest.mark.parametrize("n_seeds,base_seed,message", [
+    pytest.param(0, 42, "n_seeds must be an integer >= 1, got 0", id="0"),
+    pytest.param(-1, 42, "n_seeds must be an integer >= 1, got -1", id="-1"),
+    pytest.param(2.5, 42, "n_seeds must be an integer >= 1, got 2.5", id="2.5"),
+    pytest.param("3", 42, "n_seeds must be an integer >= 1, got '3'", id="text"),
+    pytest.param(True, 42, "n_seeds must be an integer >= 1, got True", id="True"),
+    pytest.param(1, True, "base_seed must be an integer >= 0, got True", id="base_seed-True"),
+    pytest.param(1, -1, "base_seed must be an integer >= 0, got -1", id="base_seed--1"),
+])
+def test_kpi_study_rejects_no_seeds_before_solving(monkeypatch, n_seeds, base_seed, message):
     def unreachable(*args, **kwargs):
         raise AssertionError("solved or rolled out with no seeds")
 
     monkeypatch.setattr(cli, "solve", unreachable)
     monkeypatch.setattr(cli, "simulate_ensemble", unreachable)
-    with pytest.raises(ValueError, match=rf"^n_seeds must be >= 1, got {n_seeds}$"):
-        run_kpi_study(n_seeds)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_kpi_study(n_seeds, base_seed=base_seed)
 
 
 # --------------------------------------------------------------------------

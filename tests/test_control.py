@@ -99,6 +99,20 @@ def test_feedback_policy_checks_step():
         FeedbackPolicy(GAINS).control(7, np.zeros(2), 0.0)
 
 
+@pytest.mark.parametrize("k", [1.0, True, np.float64(1.0), np.True_],
+                         ids=["float", "bool", "numpy-float", "numpy-bool"])
+def test_step_index_must_be_an_int(k):
+    with pytest.raises(IndexOutOfRange):
+        POLICY.control(k, 1.0, 1.0)
+    with pytest.raises(IndexOutOfRange):
+        POLICY.mean_control(k, 1.0)
+
+
+def test_step_index_may_be_a_numpy_integer():
+    assert POLICY.control(np.int64(1), 1.0, 1.0) == POLICY.control(1, 1.0, 1.0)
+    assert POLICY.mean_control(np.int32(1), 1.0) == POLICY.mean_control(1, 1.0)
+
+
 def test_baseline_policy_object_has_open_horizon():
     policy = BaselinePolicy(BaselineKind.SIGN_CONTROLLER)
     assert policy.n_steps is None

@@ -33,6 +33,7 @@ from hocs import (
     validate,
 )
 from hocs.config import EXAMPLE_IDS, EXAMPLE_POWERS
+from hocs.model import _power
 
 
 # --------------------------------------------------------------------------
@@ -179,6 +180,12 @@ def test_moments_past_float_range_are_inf():
     assert Rademacher(scale=1e200).even_moment(4) == math.inf
     assert UniformSymmetric(halfwidth=1e200).even_moment(4) == math.inf
     assert Empirical(samples=(-1e200, 1e200)).even_moment(4) == math.inf
+
+
+def test_even_power_of_a_negative_base_past_float_range_is_inf():
+    # The recursions power signed gains and closed-loop factors through _power.
+    assert _power(-1e200, 4) == math.inf
+    assert _power(-3.0, 2) == 9.0
 
 
 def test_gaussian_moment_with_an_overflowing_double_factorial():

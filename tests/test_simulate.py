@@ -1,7 +1,9 @@
 """Tests for seeded simulation, cost evaluation, and performance indices."""
 
 import dataclasses
+import io
 import math
+import resource
 import tracemalloc
 
 import numpy as np
@@ -31,6 +33,7 @@ from hocs import (
 )
 from hocs.cli import main
 from hocs.config import render_config
+from hocs import simulate
 from hocs.simulate import _BLOCK, _DRAWS, _common_draws, _draw, _even_power
 
 
@@ -204,8 +207,10 @@ def test_ensemble_outside_a_scope_holds_its_block_and_one_noise_block():
     assert peak <= block_bytes + 8 * n_paths + 8 * (n + 6) * _BLOCK
 
 
-def test_footprint_over_physical_memory_is_refused_before_allocating():
+def test_footprint_over_physical_memory_is_refused_before_allocating(monkeypatch):
     # numpy fails at once on 2**50 paths, but with its own message.
+    monkeypatch.setattr(simulate, "_address_space_limit", lambda: None)
+    monkeypatch.setattr(simulate, "_cgroup_memory_max", lambda: None)
     spec = example_config(2, 2).problem
     _, policy = _solved_policy(spec)
     needed = 8 * (2 * spec.n_steps + 1) * (2**50 + _BLOCK)
@@ -214,6 +219,64 @@ def test_footprint_over_physical_memory_is_refused_before_allocating():
         simulate_ensemble(spec, policy, n_paths=2**50, master_seed=0)
     with _common_draws(), pytest.raises(MemoryError, match=f"need {needed + 8 * 11 * (2**50 + _BLOCK)} bytes"):
         simulate_ensemble(spec, policy, n_paths=2**50, master_seed=0)
+
+
+@pytest.fixture
+def fake_files(monkeypatch):
+    """A path -> text map that serves ``open`` in the simulate module (other
+    paths are missing), with the cached cgroup directory read afresh."""
+    files = {}
+
+    def fake_open(path, *args, **kwargs):
+        if path not in files:
+            raise FileNotFoundError(path)
+        return io.StringIO(files[path])
+
+    monkeypatch.setattr(simulate, "open", fake_open, raising=False)
+    simulate._cgroup_dir.cache_clear()
+    yield files
+    simulate._cgroup_dir.cache_clear()
+
+
+@pytest.mark.parametrize("soft,binds", [(2**20, True), (resource.RLIM_INFINITY, False)])
+def test_address_space_limit_binds_unless_unlimited(monkeypatch, soft, binds):
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (soft, resource.RLIM_INFINITY))
+    monkeypatch.setattr(simulate, "_cgroup_memory_max", lambda: None)
+    spec = example_config(2, 2).problem
+    _, policy = _solved_policy(spec)
+    needed = 8 * (2 * spec.n_steps + 1) * (100 + _BLOCK)
+    assert simulate._address_space_limit() == (soft if binds else None)
+    if binds:
+        with pytest.raises(MemoryError, match=rf"^100 paths of 10 steps need {needed} bytes, "
+                                              rf"more than the {2**20} bytes of address-space "
+                                              r"limit \(RLIMIT_AS\)$"):
+            simulate_ensemble(spec, policy, n_paths=100, master_seed=0)
+    else:
+        assert simulate_ensemble(spec, policy, n_paths=100, master_seed=0).n_paths == 100
+
+
+@pytest.mark.parametrize("files,limit", [
+    ({"/proc/self/cgroup": "0::/box\n", "/sys/fs/cgroup/box/memory.max": "1048576\n"}, 2**20),
+    ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/memory.max": "1048576\n"}, 2**20),
+    ({"/proc/self/cgroup": "0::/box\n", "/sys/fs/cgroup/box/memory.max": "max\n"}, None),
+    ({"/proc/self/cgroup": "0::/box\n"}, None),
+    ({"/proc/self/cgroup": "4:memory:/box\n", "/sys/fs/cgroup/box/memory.max": "1048576\n"}, None),
+    ({}, None),
+], ids=["nested", "root", "unlimited", "no-memory.max", "v1-only", "unreadable"])
+def test_cgroup_memory_max_binds_unless_max_or_missing(monkeypatch, fake_files, files, limit):
+    fake_files.update(files)
+    monkeypatch.setattr(simulate, "_address_space_limit", lambda: None)
+    spec = example_config(2, 2).problem
+    _, policy = _solved_policy(spec)
+    needed = 8 * (2 * spec.n_steps + 1) * (100 + _BLOCK)
+    assert simulate._cgroup_memory_max() == limit
+    if limit is not None:
+        with pytest.raises(MemoryError, match=rf"^100 paths of 10 steps need {needed} bytes, "
+                                              rf"more than the {limit} bytes of cgroup memory "
+                                              r"limit \(memory.max\)$"):
+            simulate_ensemble(spec, policy, n_paths=100, master_seed=0)
+    else:
+        assert simulate_ensemble(spec, policy, n_paths=100, master_seed=0).n_paths == 100
 
 
 # --------------------------------------------------------------------------
@@ -458,6 +521,13 @@ def test_kpi_rejects_unknown_power():
     ensemble = _hand_ensemble([[1.0, 0.5]], [[-0.5]], [1.0, 0.5], [-0.5])
     with pytest.raises(ValueError):
         kpi(ensemble, 4)
+
+
+@pytest.mark.parametrize("zeta", [2.0, True])
+def test_kpi_refuses_a_zeta_that_is_not_an_int(zeta):
+    ensemble = _hand_ensemble([[1.0, 0.5]], [[-0.5]], [1.0, 0.5], [-0.5])
+    with pytest.raises(ValueError, match=rf"^zeta must be an integer >= 1, got {zeta}$"):
+        kpi(ensemble, zeta)
 
 
 def test_kpi_monotone_in_power_for_large_components():
