@@ -64,11 +64,9 @@ from .simulate import (
     simulate_ensemble,
 )
 from .oracle import (
-    ConvexityReport,
     OracleReport,
     ProbeReport,
     brute_force_deterministic,
-    convexity_check,
     local_optimality_probe,
     mc_validate,
 )

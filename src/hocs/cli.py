@@ -27,7 +27,6 @@ import numpy as np
 
 from .config import (
     ConfigError,
-    RunConfig,
     RunSettings,
     example_config,
     load_config,
@@ -115,22 +114,26 @@ def _schedule_rows(schedule: CoefficientSchedule, gains: GainSchedule):
 # --------------------------------------------------------------------------
 
 def _check_flags(args) -> None:
-    """Reject out-of-range counts and seeds before any command runs.
+    """Reject out-of-range counts and seeds before any command runs, through
+    the model's integer gate, as config errors.
 
     For commands that take --seed, a set HOCS_SEED replaces the flag here.
     """
     env = os.environ.get("HOCS_SEED")
-    if env is not None and hasattr(args, "seed"):
+    from_env = env is not None and hasattr(args, "seed")
+    if from_env:
         try:
             args.seed = int(env)
         except ValueError:
             raise ConfigError(f"HOCS_SEED must be an integer, got {env!r}") from None
-        if args.seed < 0:
-            raise ConfigError(f"HOCS_SEED must be >= 0, got {args.seed}")
-    for flag, minimum in (("seed", 0), ("paths", 1), ("sample_paths", 0), ("seeds", 1)):
-        value = getattr(args, flag, None)
-        if value is not None and value < minimum:
-            raise ConfigError(f"--{flag.replace('_', '-')} must be >= {minimum}, got {value}")
+    try:
+        for flag, minimum in (("seed", 0), ("paths", 1), ("sample_paths", 0), ("seeds", 1)):
+            value = getattr(args, flag, None)
+            if value is not None:
+                name = "HOCS_SEED" if flag == "seed" and from_env else f"--{flag.replace('_', '-')}"
+                _integer(value, name, minimum)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _effective_seed(args, run: RunSettings) -> int:

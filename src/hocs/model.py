@@ -529,14 +529,33 @@ def _check(name: str, ok: bool, detail: str) -> ValidationCheck:
     return ValidationCheck(name, PASS if ok else FAIL, "" if ok else detail)
 
 
+#: The weight-sign rule: for each channel, its weight fields in order, each
+#: with whether solve() needs it > 0 (True) or only >= 0 (False). validate()
+#: asks > 0 of every one. The deterministic class has no deviation channel.
+_WEIGHT_SIGNS = (
+    ("mean", (("q_bar", False), ("q_bar_terminal", True), ("r_bar", True))),
+    ("deviation", (("q", False), ("q_terminal", False), ("r", True))),
+)
+
+
+def _signed_weights(spec: ProblemSpec):
+    """(channel, ((name, values, strict), ...)) for each channel of the spec's class;
+    a terminal weight's values are its one value."""
+    rows = _WEIGHT_SIGNS[:1] if spec.problem_class is ProblemClass.DETERMINISTIC else _WEIGHT_SIGNS
+    for channel, weights in rows:
+        yield channel, tuple(
+            (name, (getattr(spec, name),) if name.endswith("terminal") else getattr(spec, name), strict)
+            for name, strict in weights)
+
+
 def validate(spec: ProblemSpec) -> ValidationReport:
     """Run every static validity check on a spec and report pass/fail.
 
     Nothing is raised here; the report lists each condition so a caller can
     print all failures at once. The weight checks imply the sign rule that
-    solve() enforces, under which every gain denominator 1 + c b is >= 1.
-    The class rules solve() relies on are stated here only: outside the
-    higher-moment class, (a, b) = (a_bar, b_bar) and o = 1.
+    solve() enforces (_WEIGHT_SIGNS), under which every gain denominator
+    1 + c b is >= 1. The class rules solve() relies on are stated here only:
+    outside the higher-moment class, (a, b) = (a_bar, b_bar) and o = 1.
 
     Args:
         spec: A fully populated problem description.
@@ -546,13 +565,10 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     """
     klass = spec.problem_class
     has_deviation_channel = klass is not ProblemClass.DETERMINISTIC
-    checks = [_check("mean weights strictly positive",
-                     all(v > 0.0 for v in (*spec.q_bar, spec.q_bar_terminal, *spec.r_bar)),
-                     "q_bar, q_bar_terminal, r_bar must all be > 0")]
-    if has_deviation_channel:
-        checks.append(_check("deviation weights strictly positive",
-                             all(v > 0.0 for v in (*spec.q, spec.q_terminal, *spec.r)),
-                             "q, q_terminal, r must all be > 0"))
+    checks = [_check(f"{channel} weights strictly positive",
+                     all(v > 0.0 for _, values, _ in weights for v in values),
+                     f"{', '.join(name for name, _, _ in weights)} must all be > 0")
+              for channel, weights in _signed_weights(spec)]
 
     need = "needs a" if has_deviation_channel else "admits no"
     checks.append(_check("class/noise compatibility",

@@ -22,9 +22,6 @@ Three routes, none of which reuse the backward recursions they are checking:
 The direct route compares its optimum against the closed-form controls,
 rolled out by the simulator's mean channel; that reuse sits on the side
 being checked, so the optimizer stays independent.
-
-Plus the midpoint convexity check for z -> z**2p + (a z + b)**2p, which
-underpins the global-optimality claim of the direct route.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .control import FeedbackPolicy
-from .model import NotConverged, ProblemSpec, ProblemClass, _integer, _number
+from .model import NotConverged, ProblemSpec, ProblemClass
 from .recursion import CoefficientSchedule, GainSchedule, solve
 from .simulate import (
     _common_draws,
@@ -50,11 +47,9 @@ from .simulate import (
 __all__ = [
     "OracleReport",
     "ProbeReport",
-    "ConvexityReport",
     "brute_force_deterministic",
     "mc_validate",
     "local_optimality_probe",
-    "convexity_check",
 ]
 
 #: Scale-relative slack by which the oracle may edge out the closed form.
@@ -357,62 +352,3 @@ def local_optimality_probe(
             if unit_cost > best_cost + slack:
                 ok = False
     return ProbeReport(curves=curves, min_at_unit=ok)
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    """Result of the random midpoint-inequality sweep."""
-
-    passed: bool
-    n_checked: int
-    counterexample: tuple[float, float] | None = None
-
-
-def convexity_check(
-    p: int, a: float, b: float, n_samples: int, master_seed: int
-) -> ConvexityReport:
-    """Strict midpoint convexity of f(z) = z**2p + (a z + b)**2p.
-
-    Samples pairs z1 != z2 uniformly from [-10, 10] (rejecting pairs closer
-    than 0.05, where the midpoint gap would drown in rounding) and requires
-    f((z1+z2)/2) to undercut the chord midpoint by more than 1e-12 times the
-    local value scale.
-
-    Args:
-        p: Half-power, an integer >= 1.
-        a: Slope inside the second term; finite and nonzero.
-        b: Offset inside the second term; finite and nonzero.
-        n_samples: Number of random pairs to test, >= 1.
-        master_seed: Seed for the pair draws, >= 0.
-
-    Returns:
-        A ConvexityReport; ``counterexample`` holds the first failing pair.
-
-    Raises:
-        ValueError, TypeError: If an input fails the model's gates, so that
-            no input passes vacuously.
-    """
-    p = _integer(p, "p", 1)
-    n_samples = _integer(n_samples, "n_samples", 1)
-    master_seed = _integer(master_seed, "master_seed", 0)
-    a, b = _number(a, "a"), _number(b, "b")
-    if a == 0.0 or b == 0.0:
-        raise ValueError("a and b must both be nonzero")
-    two_p = 2 * p
-
-    def f(z: float) -> float:
-        return z ** two_p + (a * z + b) ** two_p
-
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(master_seed)))
-    checked = 0
-    while checked < n_samples:
-        z1, z2 = rng.uniform(-10.0, 10.0, 2)
-        if abs(z1 - z2) < 0.05:
-            continue
-        checked += 1
-        f1, f2 = f(z1), f(z2)
-        fm = f(0.5 * (z1 + z2))
-        margin = 1e-12 * max(1.0, abs(f1), abs(f2), abs(fm))
-        if 0.5 * (f1 + f2) - fm <= margin:
-            return ConvexityReport(passed=False, n_checked=checked, counterexample=(z1, z2))
-    return ConvexityReport(passed=True, n_checked=checked)

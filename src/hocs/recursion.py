@@ -21,12 +21,13 @@ couples:
 - multiplicative state: d = M;
 - additive: the offset gamma_bar[k] = gamma_bar[k+1] + alpha[k+1] M, gamma_bar[N] = 0.
 
-solve() checks the weight signs once, before either pass: in every channel
-it solves, each control weight r > 0 and each state weight q >= 0, and the
-mean channel's terminal weight is > 0. The noise moments are >= 0 by
-construction. Then alpha[k+1] >= 0 gives c[k] b[k] >= 0 in floats, so
-1 + c b >= 1 and alpha[k] >= 0, and the pass itself only checks finiteness:
-an overflow raises NonFiniteCoefficient naming the step.
+solve() checks the weight signs once, before either pass, by the table in
+model (_WEIGHT_SIGNS): in every channel it solves, each control weight
+r > 0 and each state weight q >= 0, and the mean channel's terminal weight
+is > 0. The noise moments are >= 0 by construction. Then alpha[k+1] >= 0
+gives c[k] b[k] >= 0 in floats, so 1 + c b >= 1 and alpha[k] >= 0, and the
+pass itself only checks finiteness: an overflow raises NonFiniteCoefficient
+naming the step.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .model import (
     ProblemClass,
     ProblemSpec,
     _power,
+    _signed_weights,
     signed_root,
 )
 
@@ -159,17 +161,13 @@ def _power_channel(
 
 def _check_signs(spec: ProblemSpec) -> None:
     """Raise NonPositiveCoefficient naming the first weight of the wrong sign."""
-    weights = [("q_bar", spec.q_bar, False), ("q_bar_terminal", (spec.q_bar_terminal,), True),
-               ("r_bar", spec.r_bar, True)]
-    if spec.problem_class is not ProblemClass.DETERMINISTIC:
-        weights += [("q", spec.q, False), ("q_terminal", (spec.q_terminal,), False),
-                    ("r", spec.r, True)]
-    for name, values, strict in weights:
-        for k, value in enumerate(values):
-            if value < 0.0 or (strict and value == 0.0):
-                where = "" if name.endswith("terminal") else f"[{k}]"
-                raise NonPositiveCoefficient(
-                    f"{name}{where} = {value}; solve needs {'> 0' if strict else '>= 0'}")
+    for _, weights in _signed_weights(spec):
+        for name, values, strict in weights:
+            for k, value in enumerate(values):
+                if value < 0.0 or (strict and value == 0.0):
+                    where = "" if name.endswith("terminal") else f"[{k}]"
+                    raise NonPositiveCoefficient(
+                        f"{name}{where} = {value}; solve needs {'> 0' if strict else '>= 0'}")
 
 
 def solve(spec: ProblemSpec) -> tuple[CoefficientSchedule, GainSchedule]:

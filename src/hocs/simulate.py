@@ -252,15 +252,25 @@ def _address_space_limit() -> int | None:
 
 @functools.cache
 def _cgroup_dir() -> str | None:
-    """This process's cgroup v2 directory, from the 0::<path> line of
-    /proc/self/cgroup, or None where there is no such line (cgroup v1 only)
-    or the file is unreadable. Read once per process."""
+    """This process's cgroup v2 directory: the path on the 0::<path> line of
+    /proc/self/cgroup, taken below the root of a cgroup2 mount in
+    /proc/self/mountinfo that holds it and joined to that mount's point
+    (/sys/fs/cgroup on a unified host, /sys/fs/cgroup/unified on a hybrid
+    one). None where there is no such line (cgroup v1 only) or mount, or a
+    file is unreadable. Read once per process."""
     try:
         with open("/proc/self/cgroup", encoding="utf-8") as handle:
-            return next((f"/sys/fs/cgroup{line[3:].strip().rstrip('/')}"
-                         for line in handle if line.startswith("0::")), None)
+            path = next((line[3:].strip() for line in handle if line.startswith("0::")), None)
+        with open("/proc/self/mountinfo", encoding="utf-8") as handle:
+            # ID parent major:minor root mount-point options ... - cgroup2 source options
+            mounts = [line.split()[3:5] for line in handle if " - cgroup2 " in line]
     except OSError:
         return None
+    for root, point in mounts:
+        root = root.rstrip("/")
+        if path is not None and (path == root or path.startswith(f"{root}/")):
+            return f"{point}{path[len(root):]}".rstrip("/")
+    return None
 
 
 def _cgroup_memory_max() -> int | None:

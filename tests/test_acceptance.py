@@ -18,7 +18,6 @@ from hocs import (
     Moments,
     brute_force_deterministic,
     ProblemSpec,
-    convexity_check,
     example_config,
     mc_validate,
     predicted_cost,
@@ -30,6 +29,8 @@ from hocs import (
 )
 from hocs.cli import main, run_kpi_study
 from hocs.config import render_config
+
+from convexity import convexity_check
 
 
 @contextlib.contextmanager

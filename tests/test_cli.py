@@ -945,6 +945,27 @@ def test_negative_seed_is_a_config_error(tmp_path, monkeypatch, source):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv,env,message", [
+    (["simulate", "--seed", "-1"], None, "--seed must be an integer >= 0, got -1"),
+    (["simulate", "--paths", "0"], None, "--paths must be an integer >= 1, got 0"),
+    (["simulate", "--sample-paths", "-1"], None, "--sample-paths must be an integer >= 0, got -1"),
+    (["kpi", "--seeds", "0"], None, "--seeds must be an integer >= 1, got 0"),
+    (["simulate", "--seed", "5"], "-1", "HOCS_SEED must be an integer >= 0, got -1"),
+    (["simulate"], "x", "HOCS_SEED must be an integer, got 'x'"),
+], ids=["seed", "paths", "sample-paths", "seeds", "HOCS_SEED", "HOCS_SEED-text"])
+def test_flag_below_its_minimum_exits_3_in_the_integer_gate_s_words(
+        tmp_path, monkeypatch, capsys, argv, env, message):
+    monkeypatch.delenv("HOCS_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("HOCS_SEED", env)
+    if argv[0] == "simulate":
+        argv = [*argv, "--config", str(_write_example_config(tmp_path, 2, 1))]
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_negative_sample_paths_is_a_config_error(tmp_path):
     path = _write_example_config(tmp_path, 2, 1)
     out = tmp_path / "run"

@@ -12,7 +12,6 @@ from hocs import (
     NotConverged,
     ProblemSpec,
     brute_force_deterministic,
-    convexity_check,
     example_config,
     local_optimality_probe,
     mc_validate,
@@ -26,6 +25,8 @@ from hocs.cli import main
 from hocs.config import render_config
 from hocs.oracle import PROBE_GRID, _scaled_gains
 from hocs.simulate import _BLOCK, _DRAWS, _common_draws, _deviation_term
+
+from convexity import convexity_check
 
 
 def _random_deterministic_spec(rng):

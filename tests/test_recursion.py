@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from hocs import (
     ProblemClass,
     ProblemSpec,
     Rademacher,
+    UniformSymmetric,
     example_config,
     riccati_lqr,
     solve,
     validate,
 )
+from hocs.model import _PER_STEP_FIELDS
 
 
 def _det_spec(n, a_bar, b_bar, q_bar, q_bar_terminal, r_bar, p, mean=1.0):
@@ -115,6 +118,39 @@ def test_zero_state_weight_over_a_zero_step_gives_a_zero_coefficient():
     schedule, gains = solve(spec)
     assert schedule.alpha_bar == (1.0, 0.0, 1.0)
     assert gains.k_mean == (0.0, 0.0)
+
+
+# The weight-sign rule, written out here apart from the package's table: (field, validate's row, whether solve needs > 0).
+_SIGN_RULE = [
+    ("q_bar", "mean", False), ("q_bar_terminal", "mean", True), ("r_bar", "mean", True),
+    ("q", "deviation", False), ("q_terminal", "deviation", False), ("r", "deviation", True),
+]
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0], ids=["negative", "zero"])
+@pytest.mark.parametrize("field,row,strict", _SIGN_RULE, ids=[f for f, _, _ in _SIGN_RULE])
+def test_validate_and_solve_read_one_sign_rule(field, row, strict, value):
+    spec = _sign_gate_spec(**{field: value})
+    assert [check.name for check in validate(spec).failures] == [f"{row} weights strictly positive"]
+    if value < 0.0 or strict:
+        where = "" if field.endswith("terminal") else r"\[0\]"
+        need = "> 0" if strict else ">= 0"
+        with pytest.raises(NonPositiveCoefficient, match=rf"^{field}{where} = {value}; solve needs {need}$"):
+            solve(spec)
+    else:
+        # validate asks > 0 of a state weight and solve only >= 0: pinned on purpose.
+        solve(spec)
+
+
+def test_zero_state_weights_solve_but_do_not_validate():
+    spec = ProblemSpec("additive", 3, a_bar=1.0, b_bar=1.0, q_bar=0.0, q_bar_terminal=1.0,
+                       r_bar=1.0, p=1, q=0.0, q_terminal=0.0, r=1.0, noise=Gaussian(sigma=1.0),
+                       initial=InitialLaw(mean=1.0))
+    assert [check.detail for check in validate(spec).failures] == [
+        "q_bar, q_bar_terminal, r_bar must all be > 0", "q, q_terminal, r must all be > 0"]
+    _, gains = solve(spec)
+    assert gains.k_mean == (0.25, 1.0 / 3.0, 0.5)
+    assert gains.k_dev == (0.0, 0.0, 0.0)
 
 
 @st.composite
@@ -644,3 +680,107 @@ def test_unit_moment_power_deviation_gains_ignore_p(example_id):
     # o = 1 on these presets, so p never reaches the deviation channel.
     gains = _preset_gains(example_id)
     assert gains[1].k_dev == gains[2].k_dev == gains[3].k_dev
+
+
+# --------------------------------------------------------------------------
+# Exact structural relations on random specs
+# --------------------------------------------------------------------------
+
+def _noise(rng):
+    law = (Gaussian, Rademacher, UniformSymmetric)[int(rng.integers(3))]
+    return law(float(rng.uniform(0.1, 3.0)))
+
+
+def _deviation_weights(rng, n):
+    return dict(q=list(rng.uniform(0.1, 5.0, n)), q_terminal=float(rng.uniform(0.1, 5.0)),
+                r=list(rng.uniform(0.1, 5.0, n)))
+
+
+def _random_specs(count=400, seed=14):
+    """(spec, rng) for count specs, the four classes in turn: N 1-20, p and o
+    1-3, dynamics of either sign and magnitude 0.1-3, weights 0.1-5, and
+    Gaussian, Rademacher or uniform noise. Each spec comes with its own rng
+    for the test's choices, so every test sees the same specs."""
+    rng = np.random.default_rng(seed)
+    classes = list(ProblemClass)
+    for i in range(count):
+        klass = classes[i % len(classes)]
+        n = int(rng.integers(1, 21))
+
+        def dynamics():
+            return list(rng.uniform(0.1, 3.0, n) * rng.choice([-1.0, 1.0], n))
+
+        kwargs = dict(a_bar=dynamics(), b_bar=dynamics(), q_bar=list(rng.uniform(0.1, 5.0, n)),
+                      q_bar_terminal=float(rng.uniform(0.1, 5.0)),
+                      r_bar=list(rng.uniform(0.1, 5.0, n)), p=int(rng.integers(1, 4)),
+                      initial=InitialLaw(mean=1.0))
+        if klass is not ProblemClass.DETERMINISTIC:
+            kwargs.update(_deviation_weights(rng, n), noise=_noise(rng))
+        if klass is ProblemClass.HIGHER_MOMENT:
+            kwargs.update(a=dynamics(), b=dynamics(), o=int(rng.integers(1, 4)))
+        spec = ProblemSpec(klass, n, **kwargs)
+        assert validate(spec).ok
+        yield spec, np.random.default_rng([seed, i])
+
+
+def _bits(values, scale=1.0):
+    """The bytes of values times scale, or None; equal bytes are equal bits."""
+    return None if values is None else np.asarray([v * scale for v in values]).tobytes()
+
+
+def _solved(spec):
+    """solve(spec) as {name: bits} for every coefficient and gain sequence."""
+    schedule, gains = solve(spec)
+    return {name: _bits(getattr(record, name)) for record, names in (
+        (schedule, ("alpha_bar", "alpha", "gamma_bar")), (gains, ("k_mean", "k_dev")))
+        for name in names}
+
+
+def _negated_at(values, j):
+    return None if values is None else tuple(-v if k == j else v for k, v in enumerate(values))
+
+
+@pytest.mark.parametrize("mean,deviation", [("a_bar", "a"), ("b_bar", "b")], ids=["a", "b"])
+def test_negating_one_step_s_dynamics_negates_only_its_gains(mean, deviation):
+    # The pair is negated together, so the other classes keep (a, b) = (a_bar, b_bar).
+    for spec, rng in _random_specs():
+        j = int(rng.integers(spec.n_steps))
+        _, gains = solve(spec)
+        flipped = replace(spec, **{name: _negated_at(getattr(spec, name), j)
+                                   for name in (mean, deviation)})
+        expected = {**_solved(spec), "k_mean": _bits(_negated_at(gains.k_mean, j)),
+                    "k_dev": _bits(_negated_at(gains.k_dev, j))}
+        assert _solved(flipped) == expected, (spec, j)
+
+
+def _scaled(value, scale):
+    return value * scale if isinstance(value, float) else tuple(v * scale for v in value)
+
+
+def test_power_of_two_weights_scale_the_coefficients_exactly_and_keep_the_gains():
+    for spec, rng in _random_specs():
+        scale = 2.0 ** int(rng.choice([-8, -3, -1, 1, 2, 9]))
+        schedule, gains = solve(spec)
+        scaled = replace(spec, **{name: _scaled(getattr(spec, name), scale) for name, _, _ in _SIGN_RULE})
+        expected = {**{name: _bits(getattr(schedule, name), scale)
+                       for name in ("alpha_bar", "alpha", "gamma_bar")},
+                    "k_mean": _bits(gains.k_mean), "k_dev": _bits(gains.k_dev)}
+        assert _solved(scaled) == expected, (spec, scale)
+
+
+def test_a_suffix_of_the_horizon_solves_to_the_tail_of_the_schedule():
+    for spec, rng in _random_specs():
+        k = int(rng.integers(spec.n_steps))
+        suffix = replace(spec, n_steps=spec.n_steps - k,
+                         **{name: getattr(spec, name)[k:] for name in _PER_STEP_FIELDS})
+        tails = {name: None if bits is None else bits[8 * k:] for name, bits in _solved(spec).items()}
+        assert _solved(suffix) == tails, (spec, k)
+
+
+def test_the_mean_channel_ignores_deviation_weights_and_noise():
+    for spec, rng in _random_specs():
+        if spec.problem_class is ProblemClass.DETERMINISTIC:
+            continue
+        other = replace(spec, **_deviation_weights(rng, spec.n_steps), noise=_noise(rng))
+        before, after = _solved(spec), _solved(other)
+        assert (after["alpha_bar"], after["k_mean"]) == (before["alpha_bar"], before["k_mean"]), spec

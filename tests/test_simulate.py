@@ -255,14 +255,39 @@ def test_address_space_limit_binds_unless_unlimited(monkeypatch, soft, binds):
         assert simulate_ensemble(spec, policy, n_paths=100, master_seed=0).n_paths == 100
 
 
+# /proc/self/mountinfo of a unified host, of a hybrid one (the cgroup2 tree
+# below a tmpfs of v1 hierarchies) and of a container whose cgroup2 mount
+# shows the host's tree from /ctr down.
+_UNIFIED = "30 24 0:26 / /sys/fs/cgroup rw,nosuid shared:4 - cgroup2 cgroup2 rw\n"
+_HYBRID = ("32 24 0:28 / /sys/fs/cgroup rw - tmpfs tmpfs rw,mode=755\n"
+           "36 32 0:32 / /sys/fs/cgroup/memory rw - cgroup cgroup rw,memory\n"
+           "42 32 0:38 / /sys/fs/cgroup/unified rw,relatime - cgroup2 cgroup2 rw\n")
+_CONTAINER = "51 40 0:26 /ctr /sys/fs/cgroup ro - cgroup2 cgroup2 rw\n"
+
+
 @pytest.mark.parametrize("files,limit", [
-    ({"/proc/self/cgroup": "0::/box\n", "/sys/fs/cgroup/box/memory.max": "1048576\n"}, 2**20),
-    ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/memory.max": "1048576\n"}, 2**20),
-    ({"/proc/self/cgroup": "0::/box\n", "/sys/fs/cgroup/box/memory.max": "max\n"}, None),
-    ({"/proc/self/cgroup": "0::/box\n"}, None),
-    ({"/proc/self/cgroup": "4:memory:/box\n", "/sys/fs/cgroup/box/memory.max": "1048576\n"}, None),
+    ({"/proc/self/cgroup": "0::/box\n", "/proc/self/mountinfo": _UNIFIED,
+      "/sys/fs/cgroup/box/memory.max": "1048576\n"}, 2**20),
+    ({"/proc/self/cgroup": "0::/\n", "/proc/self/mountinfo": _UNIFIED,
+      "/sys/fs/cgroup/memory.max": "1048576\n"}, 2**20),
+    ({"/proc/self/cgroup": "0::/box\n", "/proc/self/mountinfo": _UNIFIED,
+      "/sys/fs/cgroup/box/memory.max": "max\n"}, None),
+    ({"/proc/self/cgroup": "0::/box\n", "/proc/self/mountinfo": _UNIFIED}, None),
+    ({"/proc/self/cgroup": "4:memory:/box\n", "/proc/self/mountinfo": _UNIFIED,
+      "/sys/fs/cgroup/box/memory.max": "1048576\n"}, None),
     ({}, None),
-], ids=["nested", "root", "unlimited", "no-memory.max", "v1-only", "unreadable"])
+    ({"/proc/self/cgroup": "4:memory:/box\n0::/box\n", "/proc/self/mountinfo": _HYBRID,
+      "/sys/fs/cgroup/box/memory.max": "1\n",
+      "/sys/fs/cgroup/unified/box/memory.max": "1048576\n"}, 2**20),
+    ({"/proc/self/cgroup": "0::/ctr/box\n", "/proc/self/mountinfo": _CONTAINER,
+      "/sys/fs/cgroup/box/memory.max": "1048576\n"}, 2**20),
+    ({"/proc/self/cgroup": "0::/other\n", "/proc/self/mountinfo": _CONTAINER,
+      "/sys/fs/cgroup/memory.max": "1\n", "/sys/fs/cgroup/other/memory.max": "1\n"}, None),
+    ({"/proc/self/cgroup": "0::/box\n", "/proc/self/mountinfo": _HYBRID.replace("cgroup2", "ext4"),
+      "/sys/fs/cgroup/box/memory.max": "1\n"}, None),
+    ({"/proc/self/cgroup": "0::/box\n", "/sys/fs/cgroup/box/memory.max": "1\n"}, None),
+], ids=["nested", "root", "unlimited", "no-memory.max", "v1-only", "unreadable", "hybrid",
+        "container-root", "outside-the-mount", "no-cgroup2-mount", "no-mountinfo"])
 def test_cgroup_memory_max_binds_unless_max_or_missing(monkeypatch, fake_files, files, limit):
     fake_files.update(files)
     monkeypatch.setattr(simulate, "_address_space_limit", lambda: None)
@@ -277,6 +302,17 @@ def test_cgroup_memory_max_binds_unless_max_or_missing(monkeypatch, fake_files, 
             simulate_ensemble(spec, policy, n_paths=100, master_seed=0)
     else:
         assert simulate_ensemble(spec, policy, n_paths=100, master_seed=0).n_paths == 100
+
+
+def test_cgroup_directory_is_read_once_and_memory_max_on_every_call(fake_files):
+    fake_files.update({"/proc/self/cgroup": "0::/box\n", "/proc/self/mountinfo": _HYBRID,
+                       "/sys/fs/cgroup/unified/box/memory.max": "1048576\n"})
+    assert simulate._cgroup_memory_max() == 2**20
+    fake_files["/sys/fs/cgroup/unified/box/memory.max"] = "max\n"
+    fake_files["/proc/self/mountinfo"] = _UNIFIED
+    assert simulate._cgroup_memory_max() is None
+    assert simulate._cgroup_dir() == "/sys/fs/cgroup/unified/box"
+    assert simulate._cgroup_dir.cache_info().misses == 1
 
 
 # --------------------------------------------------------------------------
