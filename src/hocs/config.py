@@ -29,6 +29,12 @@ offsets that get centered automatically, with the subtracted mean kept in
 "values": {"2": 1.0}}; it prices but cannot be sampled, and two keys that
 name the same order (say "10" and "1_0") are an error.
 
+The config reads no number, integer or bool itself: it hands each value, as
+JSON gave it, to the domain model's input gate for that field and puts the
+record's path in front of the gate's message, e.g. "problem.noise: sigma must
+be a number, got '1'" or "problem: q_bar[9] must be a number, got 'x'". It
+only turns a moments law's text keys into int orders.
+
 Unknown keys are rejected everywhere, and so is a missing key without a
 default. The defaults: deviation_dynamics copies the mean pair, noise is no
 law, allow_uncontrollable is false, o is 1, q, q_terminal and r are 0,
@@ -129,55 +135,22 @@ def _check_keys(node: dict, keys, context: str, optional=_OPTIONAL) -> None:
         raise ConfigError(f"{context} is missing required key {missing[0]!r}")
 
 
-def _number(node: Any, context: str) -> int | float:
-    """The node itself; the domain model's gates make it a finite float."""
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigError(f"{context} must be a number, got {node!r}")
-    return node
-
-
-def _integer(node: Any, context: str) -> int:
-    if isinstance(node, bool) or not isinstance(node, int):
-        raise ConfigError(f"{context} must be an integer, got {node!r}")
-    return node
-
-
-def _boolean(node: Any, context: str) -> bool:
-    if not isinstance(node, bool):
-        raise ConfigError(f"{context} must be a boolean")
-    return node
-
-
-def _scalar_or_list(node: Any, context: str):
-    if isinstance(node, list):
-        return [_number(v, f"{context}[{i}]") for i, v in enumerate(node)]
-    return _number(node, context)
-
-
-def _samples(node: Any, context: str) -> tuple[float, ...]:
-    if not isinstance(node, list) or not node:
-        raise ConfigError(f"{context} must be a non-empty list")
-    return tuple(_number(v, f"{context}[{i}]") for i, v in enumerate(node))
-
-
-def _orders(node: Any, context: str) -> dict[int, float]:
+def _orders(node: Any, context: str) -> dict:
+    """A moments law's values keyed by int order; JSON keys are text. Moments gates the values."""
     node = _require_map(node, context)
-    orders = {int(order): _number(value, f"{context}[{order}]") for order, value in node.items()}
+    orders = {int(order): value for order, value in node.items()}
     if len(orders) < len(node):
         raise ConfigError(f"{context} names one moment order twice among {sorted(node)}")
     return orders
 
 
-#: The problem's blocks: block -> {key: reader}, in rendering order. Each key is
-#: the ProblemSpec field it holds, so the parsed keys go to ProblemSpec as they are.
+#: The problem's blocks: block -> keys, in rendering order. Each key is the
+#: ProblemSpec field it holds, so the parsed values go to ProblemSpec as they are.
 _LAYOUT = {
-    "horizon": {"n_steps": _integer},
-    "mean_dynamics": {"a_bar": _scalar_or_list, "b_bar": _scalar_or_list,
-                      "allow_uncontrollable": _boolean},
-    "deviation_dynamics": {"a": _scalar_or_list, "b": _scalar_or_list},
-    "cost": {"p": _integer, "o": _integer, "q_bar": _scalar_or_list,
-             "q_bar_terminal": _number, "r_bar": _scalar_or_list,
-             "q": _scalar_or_list, "q_terminal": _number, "r": _scalar_or_list},
+    "horizon": ("n_steps",),
+    "mean_dynamics": ("a_bar", "b_bar", "allow_uncontrollable"),
+    "deviation_dynamics": ("a", "b"),
+    "cost": ("p", "o", "q_bar", "q_bar_terminal", "r_bar", "q", "q_terminal", "r"),
 }
 
 #: Law kind -> Distribution class; a law's keys are the fields of its class.
@@ -193,11 +166,11 @@ def _read_record(cls, node: Any, context: str):
     names = [f.name for f in fields(cls)]
     _check_keys(node, names, context, {f.name for f in fields(cls) if f.default is not MISSING})
     try:
-        return cls(**{name: _READERS.get(name, _number)(node[name], f"{context}.{name}")
-                      for name in names if name in node})
+        return cls(**{name: _READERS[name](value, f"{context}.{name}") if name in _READERS
+                      else value for name, value in node.items()})
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from None
 
 
@@ -212,9 +185,8 @@ def _parse_distribution(node: Any, context: str, *, initial_law: bool) -> Distri
     return _read_record(cls, {key: v for key, v in node.items() if key != "kind"}, context)
 
 
-#: Law and initial-law fields that are not one number: field -> reader.
+#: Law and initial-law fields that are not passed on as they are: field -> reader.
 _READERS = {
-    "samples": _samples,
     "values": _orders,
     "law": lambda node, context: _parse_distribution(node, context, initial_law=True),
 }
@@ -228,18 +200,17 @@ def _parse_problem(node: Any) -> ProblemSpec:
     except ValueError:
         valid = ", ".join(c.value for c in ProblemClass)
         raise ConfigError(f"problem.class must be one of {valid}; got {node['class']!r}") from None
-    for block, readers in _LAYOUT.items():
+    for block, keys in _LAYOUT.items():
         if block in node:
             values = _require_map(node[block], f"problem.{block}")
-            _check_keys(values, readers, f"problem.{block}")
-            args.update((key, read(values[key], f"problem.{block}.{key}"))
-                        for key, read in readers.items() if key in values)
+            _check_keys(values, keys, f"problem.{block}")
+            args.update(values)
     if "noise" in node:
         args["noise"] = _parse_distribution(node["noise"], "problem.noise", initial_law=False)
     args["initial"] = _read_record(InitialLaw, node["initial"], "problem.initial")
     try:
         return ProblemSpec(**args)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"problem: {exc}") from None
 
 
@@ -252,7 +223,8 @@ def parse_config(text: str) -> RunConfig:
     """
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers an int past Python's digit limit; RecursionError, deep nesting.
         raise ConfigError(f"invalid JSON: {exc}") from None
     document = _require_map(document, "config")
     _check_keys(document, ["problem", "run"], "config", optional={"run"})
@@ -268,7 +240,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)
 
@@ -300,8 +272,8 @@ def render_config(config: RunConfig) -> str:
     """Serialize a config to canonical, full-form JSON text (stable across runs)."""
     spec = config.problem
     problem = {"class": spec.problem_class.value}
-    for block, readers in _LAYOUT.items():
-        problem[block] = {key: _plain(getattr(spec, key)) for key in readers}
+    for block, keys in _LAYOUT.items():
+        problem[block] = {key: _plain(getattr(spec, key)) for key in keys}
     if spec.noise is not None:
         problem["noise"] = _render_distribution(spec.noise)
     problem["initial"] = _render_record(spec.initial)

@@ -28,13 +28,15 @@ by the gain formulas, the moment tables of the noise and initial laws, the
 static validity checks consumed by the backward solvers, and three input
 gates: every number the model takes is a finite float (a spread also >= 0),
 a sequence of them, or an int >= a minimum, and text, bytes and bools are
-refused with an error that names the field. The laws and the one flag are
-checked for type the same way.
+refused with an error that names the field (a sequence element by its
+index). The laws and the one flag are checked for type the same way. The
+config hands these gates its raw values and prefixes their messages.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import KW_ONLY, dataclass, fields
 from enum import Enum
 
@@ -163,8 +165,17 @@ def _number(value, name: str, *, spread: bool = False) -> float:
 
 
 def _numbers(values, name: str) -> tuple[float, ...]:
-    """The sequence gate: each element a finite float; text is one value, not a sequence."""
-    out = tuple(_real(v, name) for v in ([values] if isinstance(values, (str, bytes)) else values))
+    """The sequence gate: a sequence (not text or a map) of finite floats; an element
+    that is not a number is named by its index."""
+    if isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable):
+        raise TypeError(f"{name} must be a sequence of numbers, got {values!r}")
+    out = []
+    for index, value in enumerate(values):
+        try:
+            out.append(_real(value, name))
+        except TypeError:
+            raise TypeError(f"{name}[{index}] must be a number, got {value!r}") from None
+    out = tuple(out)
     if not all(math.isfinite(v) for v in out):
         raise ValueError(f"{name} must contain only finite values, got {out}")
     return out
@@ -304,7 +315,7 @@ class Empirical(Distribution):
     def __post_init__(self) -> None:
         samples = _numbers(self.samples, "samples")
         if len(samples) == 0:
-            raise ValueError("Empirical needs at least one sample")
+            raise ValueError("samples must not be empty")
         shift = _number(self.shift, "shift")
         # Center until the mean is negligible at the samples' own scale. A rebuild
         # from the stored samples then subtracts nothing, so it is bit-exact.
@@ -335,8 +346,13 @@ class Moments(Distribution):
     values: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
+        try:
+            entries = dict(self.values)
+        except (TypeError, ValueError):
+            raise TypeError("values must be a map or a sequence of (order, moment) pairs, "
+                            f"got {self.values!r}") from None
         # By order; an order that is not an int sorts last, for the gate to refuse.
-        entries = sorted(dict(self.values).items(),
+        entries = sorted(entries.items(),
                          key=lambda entry: entry[0] if isinstance(entry[0], int) else math.inf)
         values = []
         for order, value in entries:
@@ -389,15 +405,16 @@ _PER_STEP_FIELDS = ("a_bar", "b_bar", "a", "b", "q", "q_bar", "r", "r_bar")
 
 def _per_step(value, n_steps: int, name: str) -> tuple[float, ...]:
     """N finite floats from a scalar, a length-1 sequence or a length-N sequence."""
-    # Text is taken whole, for the gate to refuse, rather than split into characters or bytes.
-    scalar = isinstance(value, (int, float, str, bytes, np.generic))
-    values = (value,) if scalar else tuple(value)
+    # Text is taken whole, for the scalar gate to refuse, rather than split into characters.
+    if isinstance(value, (int, float, str, bytes, np.generic)):
+        return (_number(value, name),) * n_steps
+    values = _numbers(value, name)
     if len(values) == 1:
-        values *= n_steps
-    elif len(values) != n_steps:
+        return values * n_steps
+    if len(values) != n_steps:
         raise LengthMismatch(
             f"{name}: expected a scalar or a sequence of length {n_steps}, got length {len(values)}")
-    return _numbers(values, name)
+    return values
 
 
 @dataclass(frozen=True)

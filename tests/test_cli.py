@@ -199,16 +199,26 @@ def test_missing_required_key_is_a_config_error(tmp_path, capsys, path):
 
 
 @pytest.mark.parametrize("path,value,message", [
-    (("horizon", "n_steps"), 2.5, "problem.horizon.n_steps must be an integer, got 2.5"),
-    (("cost", "p"), True, "problem.cost.p must be an integer, got True"),
+    (("horizon", "n_steps"), 2.5, "problem: n_steps must be an integer >= 1, got 2.5"),
+    (("cost", "p"), True, "problem: p must be an integer >= 1, got True"),
     (("mean_dynamics", "allow_uncontrollable"), "yes",
-     "problem.mean_dynamics.allow_uncontrollable must be a boolean"),
+     "problem: allow_uncontrollable must be of type bool, got 'yes'"),
     (("initial", "mean"), math.nan, "problem.initial: mean must be finite, got nan"),
     # An int past the float range is inf to the input gates, not an OverflowError.
     (("initial", "mean"), 10**400, "problem.initial: mean must be finite, got inf"),
     (("noise", "sigma"), -10**400, "problem.noise: sigma must be finite and >= 0, got -inf"),
+    # The config hands each value to the model's gate, which names a bad element by its index.
+    (("cost", "q_bar"), None, "problem: q_bar must be a sequence of numbers, got None"),
+    (("mean_dynamics", "a_bar"), {"2": 1.0},
+     "problem: a_bar must be a sequence of numbers, got {'2': 1.0}"),
+    (("cost", "q_bar"), [1.0] * 9 + [[1.0]], "problem: q_bar[9] must be a number, got [1.0]"),
+    (("initial", "law"), {"kind": "empirical", "samples": 5},
+     "problem.initial.law: samples must be a sequence of numbers, got 5"),
+    (("initial", "law"), {"kind": "moments", "values": {"2": "1.0"}},
+     "problem.initial.law: moment of order 2 must be a number, got '1.0'"),
 ], ids=["fractional-n_steps", "bool-p", "string-allow_uncontrollable", "nan-initial-mean",
-        "huge-int-initial-mean", "huge-int-noise-sigma"])
+        "huge-int-initial-mean", "huge-int-noise-sigma", "null-per-step", "map-per-step",
+        "nested-list-element", "int-samples", "text-moment"])
 def test_bad_problem_value_is_a_config_error(tmp_path, capsys, path, value, message):
     def mutate(doc):
         doc["problem"][path[0]][path[1]] = value
@@ -257,6 +267,20 @@ def test_run_over_physical_memory_is_refused_with_exit_3(tmp_path, capsys, monke
 
 def test_missing_config_file_is_a_config_error(tmp_path):
     assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 3
+
+
+# Each once ended in a traceback and exit 1, the code of an invalid problem.
+@pytest.mark.parametrize("data,prefix", [
+    (b"\xff\xfe{}", "config error: cannot read config "),
+    (b"[" * 100_000, "config error: invalid JSON: "),
+    (b'{"problem": ' + b"1" * 5000 + b"}", "config error: invalid JSON: "),
+], ids=["non-utf-8", "deep-nesting", "int-past-the-digit-limit"])
+def test_unreadable_config_text_is_a_config_error(tmp_path, capsys, data, prefix):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    assert main(["validate", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
 
 
 def test_config_round_trips_bit_exactly():

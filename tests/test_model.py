@@ -403,6 +403,30 @@ def test_problem_spec_refuses_laws_and_flags_of_the_wrong_type(make, match):
         make()
 
 
+@pytest.mark.parametrize("make, match", [
+    pytest.param(_direct_spec(q_bar=None), r"^q_bar must be a sequence of numbers, got None$",
+                 id="q_bar-none"),
+    pytest.param(_direct_spec(a_bar={1: 1.0}),
+                 r"^a_bar must be a sequence of numbers, got \{1: 1.0\}$", id="a_bar-map"),
+    pytest.param(_direct_spec(r=(1.0, [1.0], 1.0)), r"^r\[1\] must be a number, got \[1.0\]$",
+                 id="r-nested-list"),
+    pytest.param(lambda: Empirical(samples=5), r"^samples must be a sequence of numbers, got 5$",
+                 id="samples-int"),
+    pytest.param(lambda: Empirical(samples=None),
+                 r"^samples must be a sequence of numbers, got None$", id="samples-none"),
+    pytest.param(lambda: Moments(values=5),
+                 r"^values must be a map or a sequence of \(order, moment\) pairs, got 5$",
+                 id="values-int"),
+    pytest.param(lambda: Moments(values=[2.0, 1.0]),
+                 r"^values must be a map or a sequence of \(order, moment\) pairs, "
+                 r"got \[2.0, 1.0\]$", id="values-not-pairs"),
+])
+def test_sequence_fields_refuse_a_non_sequence_naming_the_field(make, match):
+    # Each once raised a bare "'NoneType' object is not iterable" or the like.
+    with pytest.raises(TypeError, match=match):
+        make()
+
+
 # --------------------------------------------------------------------------
 # Input gates: every number a law, the initial law and a spec's terminal weights take
 # --------------------------------------------------------------------------
@@ -435,8 +459,10 @@ def test_numeric_field_sweep_covers_every_law_field():
 @pytest.mark.parametrize("build, name, spread", NUMERIC_FIELDS)
 @pytest.mark.parametrize("value", ["5", b"5", True], ids=["str", "bytes", "bool"])
 def test_numeric_field_refuses_text_and_bools(build, name, spread, value):
-    # float() would read each of these as 5.0 or 1.0.
-    match = rf"^{name} must be a number, got {re.escape(repr(value))}$"
+    # float() would read each of these as 5.0 or 1.0. The sequence gate names the
+    # element it refuses by its index.
+    name = {"samples": "samples[0]"}.get(name, name)
+    match = rf"^{re.escape(name)} must be a number, got {re.escape(repr(value))}$"
     with pytest.raises(TypeError, match=match):
         build(value)
 
