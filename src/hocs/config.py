@@ -32,8 +32,8 @@ name the same order (say "10" and "1_0") are an error.
 The config reads no number, integer or bool itself: it hands each value, as
 JSON gave it, to the domain model's input gate for that field and puts the
 record's path in front of the gate's message, e.g. "problem.noise: sigma must
-be a number, got '1'" or "problem: q_bar[9] must be a number, got 'x'". It
-only turns a moments law's text keys into int orders.
+be a number, got '1'" or "run: n_paths must be an integer >= 1, got 0"; run is
+read like every other record. It only turns moments keys into int orders.
 
 Unknown keys are rejected everywhere, and so is a missing key without a
 default. The defaults: deviation_dynamics copies the mean pair, noise is no
@@ -64,7 +64,8 @@ from .model import (
     ProblemSpec,
     Rademacher,
     UniformSymmetric,
-    _integer as _at_least,
+    _instance,
+    _integer,
 )
 
 __all__ = [
@@ -93,13 +94,9 @@ class RunSettings:
     out_dir: str = "."
 
     def __post_init__(self) -> None:
-        try:
-            _at_least(self.n_paths, "run.n_paths", 1)
-            _at_least(self.master_seed, "run.master_seed", 0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if not isinstance(self.out_dir, str):
-            raise ConfigError("run.out_dir must be a string")
+        _integer(self.n_paths, "n_paths", 1)
+        _integer(self.master_seed, "master_seed", 0)
+        _instance(self.out_dir, "out_dir", str)
 
 
 @dataclass(frozen=True)
@@ -229,10 +226,7 @@ def parse_config(text: str) -> RunConfig:
     document = _require_map(document, "config")
     _check_keys(document, ["problem", "run"], "config", optional={"run"})
     problem = _parse_problem(document["problem"])
-    node = _require_map(document.get("run", {}), "run")
-    names = [f.name for f in fields(RunSettings)]
-    _check_keys(node, names, "run", optional=names)
-    return RunConfig(problem=problem, run=RunSettings(**node))
+    return RunConfig(problem=problem, run=_read_record(RunSettings, document.get("run", {}), "run"))
 
 
 def load_config(path) -> RunConfig:

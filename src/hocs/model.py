@@ -165,20 +165,19 @@ def _number(value, name: str, *, spread: bool = False) -> float:
 
 
 def _numbers(values, name: str) -> tuple[float, ...]:
-    """The sequence gate: a sequence (not text or a map) of finite floats; an element
-    that is not a number is named by its index."""
+    """The sequence gate: a sequence (not text or a map) whose elements pass the
+    scalar gate; the element it refuses is named by its index."""
     if isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable):
         raise TypeError(f"{name} must be a sequence of numbers, got {values!r}")
     out = []
     for index, value in enumerate(values):
         try:
-            out.append(_real(value, name))
-        except TypeError:
-            raise TypeError(f"{name}[{index}] must be a number, got {value!r}") from None
-    out = tuple(out)
-    if not all(math.isfinite(v) for v in out):
-        raise ValueError(f"{name} must contain only finite values, got {out}")
-    return out
+            out.append(_number(value, name))
+        except (TypeError, ValueError):
+            break
+    else:
+        return tuple(out)
+    _number(value, f"{name}[{index}]")  # fails again, naming the element
 
 
 def _instance(value, name: str, kind: type) -> None:
@@ -351,13 +350,9 @@ class Moments(Distribution):
         except (TypeError, ValueError):
             raise TypeError("values must be a map or a sequence of (order, moment) pairs, "
                             f"got {self.values!r}") from None
-        # By order; an order that is not an int sorts last, for the gate to refuse.
-        entries = sorted(entries.items(),
-                         key=lambda entry: entry[0] if isinstance(entry[0], int) else math.inf)
-        values = []
-        for order, value in entries:
-            _integer(order, "moment order", 2, even=True)
-            values.append((order, _number(value, f"moment of order {order}", spread=True)))
+        values = sorted((_integer(order, "moment order", 2, even=True),
+                         _number(value, f"moment of order {order}", spread=True))
+                        for order, value in entries.items())
         object.__setattr__(self, "values", tuple(values))
 
     def _even_moment(self, order: int) -> float:
@@ -406,11 +401,13 @@ _PER_STEP_FIELDS = ("a_bar", "b_bar", "a", "b", "q", "q_bar", "r", "r_bar")
 def _per_step(value, n_steps: int, name: str) -> tuple[float, ...]:
     """N finite floats from a scalar, a length-1 sequence or a length-N sequence."""
     # Text is taken whole, for the scalar gate to refuse, rather than split into characters.
-    if isinstance(value, (int, float, str, bytes, np.generic)):
-        return (_number(value, name),) * n_steps
-    values = _numbers(value, name)
+    scalar = isinstance(value, (int, float, str, bytes, np.generic))
+    values = (_number(value, name),) if scalar else _numbers(value, name)
     if len(values) == 1:
-        return values * n_steps
+        try:
+            return values * n_steps
+        except (OverflowError, MemoryError):  # refused before any memory is filled
+            raise ValueError(f"n_steps must fit {name} per step in memory, got {n_steps}") from None
     if len(values) != n_steps:
         raise LengthMismatch(
             f"{name}: expected a scalar or a sequence of length {n_steps}, got length {len(values)}")
@@ -565,14 +562,23 @@ def _signed_weights(spec: ProblemSpec):
             for name, strict in weights)
 
 
+def _class_rules(spec: ProblemSpec) -> ValidationReport:
+    """The rules solve()'s deviation pass relies on, outside the higher-moment class."""
+    return ValidationReport(() if spec.problem_class is ProblemClass.HIGHER_MOMENT else (
+        _check("deviation dynamics equal mean dynamics",
+               spec.a == spec.a_bar and spec.b == spec.b_bar,
+               "distinct (a, b) are legal only for the higher-moment class"),
+        _check("moment power o = 1", spec.o == 1,
+               f"class {spec.problem_class.value} penalizes the variance only, got o={spec.o}")))
+
+
 def validate(spec: ProblemSpec) -> ValidationReport:
     """Run every static validity check on a spec and report pass/fail.
 
     Nothing is raised here; the report lists each condition so a caller can
     print all failures at once. The weight checks imply the sign rule that
     solve() enforces (_WEIGHT_SIGNS), under which every gain denominator
-    1 + c b is >= 1. The class rules solve() relies on are stated here only:
-    outside the higher-moment class, (a, b) = (a_bar, b_bar) and o = 1.
+    1 + c b is >= 1. solve() also enforces the class rules (_class_rules).
 
     Args:
         spec: A fully populated problem description.
@@ -591,12 +597,7 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     checks.append(_check("class/noise compatibility",
                          (spec.noise is not None) == has_deviation_channel,
                          f"class {klass.value} {need} noise law"))
-    if klass is not ProblemClass.HIGHER_MOMENT:
-        checks.append(_check("deviation dynamics equal mean dynamics",
-                             spec.a == spec.a_bar and spec.b == spec.b_bar,
-                             "distinct (a, b) are legal only for the higher-moment class"))
-        checks.append(_check("moment power o = 1", spec.o == 1,
-                             f"class {klass.value} penalizes the variance only, got o={spec.o}"))
+    checks += _class_rules(spec).checks
     if klass is ProblemClass.DETERMINISTIC:
         checks.append(_check("initial law is a point mass", isinstance(spec.initial.law, Dirac),
                              "the deterministic class admits no initial spread"))

@@ -40,6 +40,7 @@ from .model import (
     NonPositiveCoefficient,
     ProblemClass,
     ProblemSpec,
+    _class_rules,
     _power,
     _signed_weights,
     signed_root,
@@ -174,8 +175,7 @@ def solve(spec: ProblemSpec) -> tuple[CoefficientSchedule, GainSchedule]:
     """Solve the mean channel and, for stochastic classes, the deviation channel.
 
     Args:
-        spec: A spec that passed validate(). The deviation channel relies on
-            its a = a_bar, b = b_bar and o = 1 outside the higher-moment class.
+        spec: A spec that passed validate().
 
     Returns:
         The coefficient schedule and the feedback gains.
@@ -183,6 +183,7 @@ def solve(spec: ProblemSpec) -> tuple[CoefficientSchedule, GainSchedule]:
     Raises:
         NonPositiveCoefficient: If a weight has the wrong sign (see the
             module docstring); checked before either pass.
+        ValueError: If a stochastic spec breaks a class rule (model._class_rules).
         MissingMoment: If a required noise moment is unavailable.
         NonFiniteCoefficient: If a coefficient or gain overflows.
     """
@@ -194,6 +195,9 @@ def solve(spec: ProblemSpec) -> tuple[CoefficientSchedule, GainSchedule]:
     )
     alpha = k_dev = gamma_bar = None
     if klass is not ProblemClass.DETERMINISTIC:
+        broken = _class_rules(spec).failures
+        if broken:
+            raise ValueError(f"{broken[0].name} fails: {broken[0].detail}")
         m = spec.noise_moment(2 * spec.o)
         alpha, k_dev = _power_channel(
             spec.a, spec.b, spec.q, spec.q_terminal, spec.r, spec.o,

@@ -152,14 +152,22 @@ def test_unknown_config_key_is_rejected(tmp_path):
     assert main(["validate", "--config", str(path)]) == 3
 
 
+# The ids state each rule by the key's path in the document; they stay fixed as the messages change.
 @pytest.mark.parametrize("key,value,message", [
-    ("n_paths", 0, "run.n_paths must be an integer >= 1, got 0"),
-    ("n_paths", -1, "run.n_paths must be an integer >= 1, got -1"),
-    ("n_paths", True, "run.n_paths must be an integer >= 1, got True"),
-    ("n_paths", 2.5, "run.n_paths must be an integer >= 1, got 2.5"),
-    ("master_seed", -1, "run.master_seed must be an integer >= 0, got -1"),
-    ("master_seed", True, "run.master_seed must be an integer >= 0, got True"),
-    ("out_dir", 3, "run.out_dir must be a string"),
+    pytest.param("n_paths", 0, "run: n_paths must be an integer >= 1, got 0",
+                 id="n_paths-0-run.n_paths must be an integer >= 1, got 0"),
+    pytest.param("n_paths", -1, "run: n_paths must be an integer >= 1, got -1",
+                 id="n_paths--1-run.n_paths must be an integer >= 1, got -1"),
+    pytest.param("n_paths", True, "run: n_paths must be an integer >= 1, got True",
+                 id="n_paths-True-run.n_paths must be an integer >= 1, got True"),
+    pytest.param("n_paths", 2.5, "run: n_paths must be an integer >= 1, got 2.5",
+                 id="n_paths-2.5-run.n_paths must be an integer >= 1, got 2.5"),
+    pytest.param("master_seed", -1, "run: master_seed must be an integer >= 0, got -1",
+                 id="master_seed--1-run.master_seed must be an integer >= 0, got -1"),
+    pytest.param("master_seed", True, "run: master_seed must be an integer >= 0, got True",
+                 id="master_seed-True-run.master_seed must be an integer >= 0, got True"),
+    pytest.param("out_dir", 3, "run: out_dir must be of type str, got 3",
+                 id="out_dir-3-run.out_dir must be a string"),
     ("mean_mode", "exact", "unknown keys ['mean_mode'] in run"),
     ("oracle_tol", 1e-06, "unknown keys ['oracle_tol'] in run"),
     ("literal_recursion", False, "unknown keys ['literal_recursion'] in run"),
@@ -227,6 +235,64 @@ def test_bad_problem_value_is_a_config_error(tmp_path, capsys, path, value, mess
     assert main(["validate", "--config", str(config)]) == 3
     err = capsys.readouterr().err
     assert err == f"config error: {message}\n"
+
+
+def _scalar_per_step(doc):
+    """Put the first value of each per-step list in its place."""
+    for block in ("mean_dynamics", "deviation_dynamics", "cost"):
+        node = doc["problem"][block]
+        node.update({key: value[0] for key, value in node.items() if isinstance(value, list)})
+
+
+# A bad element of a long per-step list is named by its index on one short line; a
+# nan at step 999 once printed a 5,067-byte line listing every value and no index.
+@pytest.mark.parametrize("element,message", [
+    (math.nan, "must be finite, got nan"),
+    ("x", "must be a number, got 'x'"),
+], ids=["nan", "text"])
+def test_a_bad_element_of_a_long_list_is_named_by_its_index(tmp_path, capsys, element, message):
+    def mutate(doc):
+        _scalar_per_step(doc)
+        doc["problem"]["horizon"]["n_steps"] = 1000
+        doc["problem"]["mean_dynamics"]["a_bar"] = [1.0] * 999 + [element]
+
+    config = _write_example_config(tmp_path, 1, 1, mutate)
+    assert main(["validate", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"config error: problem: a_bar[999] {message}\n"
+    assert len(err.encode()) < 200
+
+
+# A horizon whose per-step values cannot be held is refused naming n_steps, with
+# nothing allocated: past sys.maxsize it was an OverflowError traceback, at 10**18
+# a bare "memory error: out of memory".
+@pytest.mark.parametrize("n_steps", [10**19, 10**18], ids=["past-maxsize", "past-memory"])
+def test_a_horizon_too_long_to_hold_is_a_config_error(tmp_path, capsys, n_steps):
+    def mutate(doc):
+        _scalar_per_step(doc)
+        doc["problem"]["horizon"]["n_steps"] = n_steps
+
+    config = _write_example_config(tmp_path, 1, 1, mutate)
+    tracemalloc.start()
+    try:
+        assert main(["validate", "--config", str(config)]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err == ("config error: problem: n_steps must fit a_bar per step in memory, "
+                   f"got {n_steps}\n")
+    assert peak < 10**6
+
+
+def test_run_settings_raise_their_gates_errors():
+    # ConfigError is a ValueError, so a caller's `except ValueError` still catches these.
+    with pytest.raises(ValueError, match=r"^n_paths must be an integer >= 1, got 0$"):
+        RunSettings(n_paths=0)
+    with pytest.raises(ValueError, match=r"^master_seed must be an integer >= 0, got -1$"):
+        RunSettings(master_seed=-1)
+    with pytest.raises(TypeError, match=r"^out_dir must be of type str, got 3$"):
+        RunSettings(out_dir=3)
 
 
 # numpy names the allocation it could not make; a bare MemoryError names nothing.
@@ -837,7 +903,7 @@ def test_power_overflow_is_a_recursion_failure(tmp_path, capsys):
     ([1.797e308, 1.797e308], "solve", 0, ""),
     # Centered at their mean 5.99e307, the samples pass the float range.
     ([1.7976931348623157e308, 1.7976931348623157e308, -1.7976931348623157e308], "validate", 3,
-     "config error: problem.initial.law: centered samples must contain only finite values"),
+     "config error: problem.initial.law: centered samples[2] must be finite, got -inf\n"),
 ], ids=["unequal-validate", "unequal-solve", "equal-validate", "equal-solve",
         "centered-past-range"])
 def test_empirical_law_past_the_float_range_keeps_the_exit_code_contract(

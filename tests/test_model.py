@@ -285,6 +285,22 @@ def test_moments_law_rejects_bad_entries(values):
         Moments(values)
 
 
+# Each entry passes the gates in the order given; the gated pairs are then sorted.
+@pytest.mark.parametrize("values,error,match", [
+    ({2: -1.0, 3: 1.0}, ValueError, r"^moment of order 2 must be finite and >= 0, got -1.0$"),
+    ({3: 1.0, 2: -1.0}, ValueError, r"^moment order must be an even integer >= 2, got 3$"),
+    ({"4": 1.0, 2: math.nan}, ValueError, r"^moment order must be an even integer >= 2, got '4'$"),
+    ({2: "1", 4.0: 1.0}, TypeError, r"^moment of order 2 must be a number, got '1'$"),
+], ids=["bad-value-first", "bad-order-first", "text-order-first", "text-value-first"])
+def test_moments_law_refuses_a_bad_order_and_a_bad_value_in_the_gates_words(values, error, match):
+    with pytest.raises(error, match=match):
+        Moments(values)
+
+
+def test_moments_law_sorts_the_gated_pairs():
+    assert Moments({6: 15, 2: 1, 4: 3.0}).values == ((2, 1.0), (4, 3.0), (6, 15.0))
+
+
 # --------------------------------------------------------------------------
 # InitialLaw
 # --------------------------------------------------------------------------
@@ -339,7 +355,7 @@ def _direct_spec(**changes):
                    f"^{name}: expected a scalar or a sequence of length 3, got length 2$",
                    id=f"{name}-length") for name in PER_STEP_FIELDS],
     *[pytest.param(_direct_spec(**{name: (1.0, math.nan, 1.0)}), ValueError,
-                   f"^{name} must contain only finite values", id=f"{name}-nan")
+                   rf"^{name}\[1\] must be finite, got nan$", id=f"{name}-nan")
       for name in PER_STEP_FIELDS],
     # float() parses text, and a str or bytes is a sequence: "123" would pass as
     # (1.0, 2.0, 3.0) and b"123" as (49.0, 50.0, 51.0).
@@ -382,6 +398,16 @@ def test_problem_spec_checks_every_field(make, error, match):
         return
     with pytest.raises(error, match=match):
         make()
+
+
+@pytest.mark.parametrize("a_bar", [1.0, [1.0]], ids=["scalar", "length-1"])
+@pytest.mark.parametrize("n_steps", [10**19, 10**18], ids=["past-maxsize", "past-memory"])
+def test_a_horizon_too_long_to_hold_names_n_steps(a_bar, n_steps):
+    # A bare OverflowError or MemoryError once; the allocator refuses before filling anything.
+    match = rf"^n_steps must fit a_bar per step in memory, got {n_steps}$"
+    with pytest.raises(ValueError, match=match):
+        ProblemSpec("deterministic", n_steps, a_bar=a_bar, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0,
+                    r_bar=1.0, p=1, initial=InitialLaw(mean=1.0))
 
 
 @pytest.mark.parametrize("make, match", [
@@ -475,7 +501,8 @@ def test_numeric_field_must_be_finite_and_a_spread_nonnegative(build, name, spre
     if value == -1.0 and not spread:
         build(value)
         return
-    with pytest.raises(ValueError, match=f"^{name} must "):
+    name = {"samples": "samples[0]"}.get(name, name)
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must "):
         build(value)
 
 
