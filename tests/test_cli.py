@@ -435,6 +435,56 @@ def test_builtin_schedules_match_golden_checksums(tmp_path, capsys):
         assert digest == expected, f"example {example_id} p={p}: the solved schedule drifted"
 
 
+# What the Monte-Carlo commands write for one seed: the sha256 of each output
+# file. A refactor of the CLI, the rollout or the reductions must leave them
+# bit for bit; like the schedules, they assume glibc's pow.
+GOLDEN_KPI_SHA256 = {
+    "kpi_seeds.csv": "7500d4791776fe40a317a1da573d5c89e1c1729d7f71668a2c8f3052c50d7e8c",
+    "kpi_aggregate.csv": "f7bfdeb5a5044dac9492a324ac2195b8d4ac4fa629e418a176ccb6496121a4db",
+}
+GOLDEN_EXAMPLE3_SHA256 = {
+    "p1/cost.csv": "5f47cb0061edd9ac4098501055a7f904888a656af48bb7c497e8cf5efcdc7401",
+    "p1/kpi.csv": "3a22f18619705d14bfa35dd21386bd2dabcc635bbd2a7e467c7f66b735b60b7c",
+    "p1/mean_path.csv": "4a1c9fb94d07b2eae3c394f02276b407517cdd630200c2b52074d83eccab5f18",
+    "p1/moments.csv": "646c6a05c8bae9ba3c8002a8231ca87c8356a7a8a21744abe7e7a80f46f786c0",
+    "p1/paths.csv": "3caeb9715d0034d448cd938330e0fa7efc59f2db3f69874772c4160cf5c27016",
+    "p1/schedule.csv": "bbe76cefeaba971312ec380a5d657cf560c9e360a0b842aced6e10481e3687cf",
+    "p2/cost.csv": "eee01c67746f71a3282b0e213be1355f81dc8b372c8a3bd0e9d30537ff574524",
+    "p2/kpi.csv": "ec3abb362825424cf8a5d224876800de6be6b18a6fa0ba1e3fba2e6efd8a0aa0",
+    "p2/mean_path.csv": "169e23bd2ae1e5d2a014e620e7d20adad0b2c350012bfb61ae810991093cf67d",
+    "p2/moments.csv": "177b402595c21507e4c12b939a1a017e4c6931998a68115c58643edc5759f310",
+    "p2/paths.csv": "c1066319a5655ae891ab525f7f9bc8c5ced6e9290b7e0dfe3fb7ae1a1c174c7b",
+    "p2/schedule.csv": "248e65a5f4be417ab47a7e0a17bc92db33c12bc4ac3431925b32c4bc5ce5c015",
+    "p3/cost.csv": "2f945c9ae923efe95f2ef6daeef4b150371a1020fffdf97428c79b6242082ee9",
+    "p3/kpi.csv": "7907deaf4cf36d402db3d7fc8a154c864c6d91eb92abef24a51d8c7d20e0972e",
+    "p3/mean_path.csv": "138ce6b5e3967e922de26623541a8558cde757bf705c5ad7fa9fa17eb503a8f4",
+    "p3/moments.csv": "05156bb543a9803cc680f84439be402216a5b5e7f3fc44cd5fd0af7e2f18ff95",
+    "p3/paths.csv": "61a01f66f05f1d9e9375b912e9b0c1c1faa37e6fe13788e5c629ff3a57abbd69",
+    "p3/schedule.csv": "c5179c877bd852d82bafbaf51cf3aae1f609d948adbeaceaaa673ba4b72d945a",
+}
+GOLDEN_VERIFY_EX4_P3_SHA256 = "67a6d5f00dedf9542570dbf67a6d82f69b24a3a5dda79b0f14d53a26cf1122e3"
+
+
+def _digests(root: Path, pattern: str) -> dict:
+    return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.glob(pattern))}
+
+
+def test_monte_carlo_outputs_match_golden_checksums(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("HOCS_SEED", raising=False)
+    assert main(["kpi", "--seeds", "5", "--seed", "3", "--paths", "2",
+                 "--out", str(tmp_path / "kpi")]) == 0
+    assert _digests(tmp_path / "kpi", "*.csv") == GOLDEN_KPI_SHA256
+    assert main(["example", "--id", "3", "--paths", "3000", "--seed", "5",
+                 "--out", str(tmp_path)]) == 0
+    assert _digests(tmp_path / "example3", "p*/*.csv") == GOLDEN_EXAMPLE3_SHA256
+    capsys.readouterr()
+    path = _write_example_config(tmp_path, 4, 3)
+    assert main(["verify", "--config", str(path), "--paths", "4000", "--seed", "5"]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(stdout).hexdigest() == GOLDEN_VERIFY_EX4_P3_SHA256
+
+
 def test_readme_config_example_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```json\n(.*?)```", readme, re.DOTALL)
