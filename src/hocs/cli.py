@@ -4,8 +4,10 @@ Exit codes are part of the contract: 0 success, 1 a validity check failed,
 2 a recursion or verification failure (a weight of the wrong sign, a
 non-finite coefficient, a missing moment, oracle disagreement), 3 an
 unreadable config, a malformed or out-of-range flag or an unknown command,
-an I/O problem or running out of memory. The environment variable HOCS_SEED
-overrides --seed when set.
+an I/O problem or running out of memory. Run settings resolve in one place,
+_run_settings: the seed is HOCS_SEED, else --seed, else the config's
+run.master_seed, else the RunSettings default; --paths and a directory --out
+replace run.n_paths and run.out_dir likewise, and kpi starts from one path.
 
 All CSV output uses a comma delimiter, a header row, Unix newlines, '.' as
 the radix, and 17 significant digits for floats, so files round-trip to the
@@ -21,6 +23,7 @@ import functools
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -136,12 +139,11 @@ def _check_flags(args) -> None:
         raise ConfigError(str(exc)) from None
 
 
-def _effective_seed(args, run: RunSettings) -> int:
-    return args.seed if args.seed is not None else run.master_seed
-
-
-def _effective_paths(args, run: RunSettings) -> int:
-    return args.paths if getattr(args, "paths", None) is not None else run.n_paths
+def _run_settings(args, run: RunSettings) -> RunSettings:
+    """The settings a command runs with: each given --paths, --seed (HOCS_SEED
+    already in its place) and directory --out replaces its value in ``run``."""
+    flags = {"n_paths": args.paths, "master_seed": args.seed, "out_dir": getattr(args, "out", None)}
+    return replace(run, **{key: value for key, value in flags.items() if value is not None})
 
 
 def _validate_or_print(spec: ProblemSpec) -> bool:
@@ -152,18 +154,11 @@ def _validate_or_print(spec: ProblemSpec) -> bool:
     return report.ok
 
 
-def _simulation_bundle(
-    spec: ProblemSpec,
-    schedule: CoefficientSchedule,
-    gains: GainSchedule,
-    out_dir: Path,
-    n_paths: int,
-    seed: int,
-    sample_cap: int,
-) -> None:
+def _simulation_bundle(spec: ProblemSpec, schedule: CoefficientSchedule, gains: GainSchedule,
+                       out_dir: Path, run: RunSettings, sample_cap: int) -> None:
     """Price, then write mean_path/paths/moments/kpi/cost CSVs for one solved problem."""
     price = predicted_cost(schedule, spec.initial)
-    ensemble = simulate_ensemble(spec, FeedbackPolicy(gains), n_paths, seed)
+    ensemble = simulate_ensemble(spec, FeedbackPolicy(gains), run.n_paths, run.master_seed)
     report = realized_cost(spec, ensemble)
     n = ensemble.n_steps
 
@@ -204,6 +199,7 @@ def _simulation_bundle(
     )
     print(f"realized cost {report.realized_mean:.6g} "
           f"(stderr {report.realized_stderr:.3g}), predicted {price:.6g}")
+    print(f"wrote {out_dir}")
 
 
 # --------------------------------------------------------------------------
@@ -233,24 +229,17 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
-    spec, run = config.problem, config.run
+    spec, run = config.problem, _run_settings(args, config.run)
     if not _validate_or_print(spec):
         return 1
     schedule, gains = solve(spec)
-    out_dir = Path(args.out) if args.out else Path(run.out_dir)
-    _simulation_bundle(
-        spec, schedule, gains, out_dir,
-        n_paths=_effective_paths(args, run),
-        seed=_effective_seed(args, run),
-        sample_cap=args.sample_paths,
-    )
-    print(f"wrote {out_dir}")
+    _simulation_bundle(spec, schedule, gains, Path(run.out_dir), run, args.sample_paths)
     return 0
 
 
 def cmd_verify(args) -> int:
     config = load_config(args.config)
-    spec, run = config.problem, config.run
+    spec, run = config.problem, _run_settings(args, config.run)
     if not _validate_or_print(spec):
         return 1
     if spec.problem_class is ProblemClass.DETERMINISTIC:
@@ -264,14 +253,12 @@ def cmd_verify(args) -> int:
         return 2 if report.discrepant else 0
 
     schedule, gains = solve(spec)
-    n_paths = _effective_paths(args, run)
-    seed = _effective_seed(args, run)
     with _common_draws():
-        report = mc_validate(spec, schedule, gains, n_paths, seed)
-        probe = local_optimality_probe(spec, gains, n_paths, seed)
+        report = mc_validate(spec, schedule, gains, run.n_paths, run.master_seed)
+        probe = local_optimality_probe(spec, gains, run.n_paths, run.master_seed)
     print(f"predicted cost       : {report.closed_form_cost:.12g}")
     print(f"monte-carlo cost     : {report.oracle_cost:.12g} "
-          f"+/- {report.stderr:.3g} ({n_paths} paths)")
+          f"+/- {report.stderr:.3g} ({run.n_paths} paths)")
     print(f"total gap            : {abs(report.closed_form_cost - report.oracle_cost):.3g}")
     print(f"prediction agreement : {'DISCREPANT' if report.discrepant else 'ok'}")
     print(f"moment gate z-score  : {report.moment_z:.3g}")
@@ -282,25 +269,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_example(args) -> int:
-    base_out = Path(args.out) if args.out else Path(".")
     for p in EXAMPLE_POWERS:
         config = example_config(args.id, p)
-        spec, run = config.problem, config.run
-        out_dir = base_out / f"example{args.id}" / f"p{p}"
+        spec, run = config.problem, _run_settings(args, config.run)
+        out_dir = Path(run.out_dir) / f"example{args.id}" / f"p{p}"
         schedule, gains = solve(spec)
         _write_text_atomic(out_dir / "config.json", render_config(config))
         _write_csv(out_dir / "schedule.csv", _SCHEDULE_HEADER, _schedule_rows(schedule, gains))
-        _simulation_bundle(
-            spec, schedule, gains, out_dir,
-            n_paths=_effective_paths(args, run),
-            seed=_effective_seed(args, run),
-            sample_cap=args.sample_paths,
-        )
-        print(f"wrote {out_dir}")
+        _simulation_bundle(spec, schedule, gains, out_dir, run, args.sample_paths)
     return 0
 
 
-def run_kpi_study(n_seeds: int, base_seed: int = 42, n_paths: int = 1):
+def run_kpi_study(n_seeds: int, base_seed: int = RunSettings.master_seed, n_paths: int = 1):
     """Compare the two reference controllers against the solved one.
 
     The arena is the built-in example-4 problem with o = p = 3. Case 1 is the
@@ -322,54 +302,48 @@ def run_kpi_study(n_seeds: int, base_seed: int = 42, n_paths: int = 1):
         ValueError: If n_seeds is not an int >= 1 or base_seed not an int >= 0
             (bools are refused), before anything is solved or rolled out.
     """
-    _integer(n_seeds, "n_seeds", 1)
-    _integer(base_seed, "base_seed", 0)
-    config = example_config(4, 3)
-    spec = config.problem
+    n_seeds = _integer(n_seeds, "n_seeds", 1)
+    base_seed = _integer(base_seed, "base_seed", 0)
+    spec = example_config(4, 3).problem
     _, gains = solve(spec)
     policies = {
         1: BaselinePolicy(BaselineKind.SIGN_CONTROLLER),
         2: BaselinePolicy(BaselineKind.LINEAR_FEEDBACK),
         3: FeedbackPolicy(gains),
     }
-    cases = tuple(policies)
     rows = []
-    wins = {(zeta, case): 0 for zeta in _ZETAS for case in cases}
+    wins = {(zeta, case): 0 for zeta in _ZETAS for case in policies}
     for i in range(n_seeds):
         seed = base_seed + i
-        indices = {}
+        seed_rows = {}
         with _common_draws():
             # One ensemble alive at a time: reduce it, then drop it before the next rollout.
             for case, policy in policies.items():
                 ensemble = simulate_ensemble(spec, policy, n_paths, seed)
                 for zeta in _ZETAS:
-                    indices[zeta, case] = kpi(ensemble, zeta)
+                    kpi_x, kpi_u = kpi(ensemble, zeta)
+                    seed_rows[zeta, case] = (seed, zeta, case, kpi_x, kpi_u, kpi_x + kpi_u)
                 del ensemble
         for zeta in _ZETAS:
-            totals = {}
-            for case in cases:
-                kpi_x, kpi_u = indices[zeta, case]
-                totals[case] = kpi_x + kpi_u
-                rows.append((seed, zeta, case, kpi_x, kpi_u, totals[case]))
-            best = min(totals.values())
-            winners = [case for case in cases if totals[case] == best]
+            zeta_rows = [seed_rows[zeta, case] for case in policies]
+            rows.extend(zeta_rows)
+            best = min(row[5] for row in zeta_rows)
+            winners = [row[2] for row in zeta_rows if row[5] == best]
             if len(winners) == 1:
-                wins[(zeta, winners[0])] += 1
+                wins[zeta, winners[0]] += 1
     aggregate = []
-    for zeta in _ZETAS:
-        for case in cases:
-            # Summed in seed order, as the rows were written.
-            columns = zip(*(row[3:] for row in rows if row[1:3] == (zeta, case)))
-            means = (sum(column) / n_seeds for column in columns)
-            aggregate.append((zeta, case, *means, wins[(zeta, case)], wins[(zeta, case)] / n_seeds))
+    for (zeta, case), won in wins.items():
+        # Summed in seed order, as the rows were written.
+        columns = zip(*(row[3:] for row in rows if row[1:3] == (zeta, case)))
+        aggregate.append((zeta, case, *(sum(column) / n_seeds for column in columns),
+                          won, won / n_seeds))
     return rows, aggregate
 
 
 def cmd_kpi(args) -> int:
-    base_seed = _effective_seed(args, RunSettings())
-    n_paths = args.paths if args.paths is not None else 1
-    rows, aggregate = run_kpi_study(args.seeds, base_seed=base_seed, n_paths=n_paths)
-    out_dir = Path(args.out) if args.out else Path(".")
+    run = _run_settings(args, RunSettings(n_paths=1))
+    rows, aggregate = run_kpi_study(args.seeds, base_seed=run.master_seed, n_paths=run.n_paths)
+    out_dir = Path(run.out_dir)
     _write_csv(out_dir / "kpi_seeds.csv",
                ("seed", "zeta", "case", "kpi_x", "kpi_u", "total"), rows)
     _write_csv(out_dir / "kpi_aggregate.csv",
@@ -408,12 +382,12 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.set_defaults(handler=handler)
         return cmd
 
-    def add_run_flags(cmd, *, sample_cap: bool = False):
-        cmd.add_argument("--paths", type=int, default=None,
-                         help="Monte-Carlo paths (default: config n_paths, 100000)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="master seed (default: config master_seed, 42); "
-                              "HOCS_SEED overrides")
+    config_paths = f"Monte-Carlo paths (default: config n_paths, {RunSettings.n_paths})"
+    config_seed = f"master seed (default: config master_seed, {RunSettings.master_seed})"
+
+    def add_run_flags(cmd, paths_help: str, seed_help: str, *, sample_cap: bool = False):
+        cmd.add_argument("--paths", type=int, default=None, help=paths_help)
+        cmd.add_argument("--seed", type=int, default=None, help=f"{seed_help}; HOCS_SEED overrides")
         if sample_cap:
             cmd.add_argument("--sample-paths", type=int, default=20,
                              help="paths written to paths.csv (default 20)")
@@ -428,24 +402,22 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = command("simulate", cmd_simulate, "simulate the closed loop and write CSVs")
     cmd.add_argument("--config", required=True, help="config JSON path")
     cmd.add_argument("--out", default=None, help="output directory (default: config out_dir)")
-    add_run_flags(cmd, sample_cap=True)
+    add_run_flags(cmd, config_paths, config_seed, sample_cap=True)
 
     cmd = command("verify", cmd_verify, "run the class-appropriate oracle checks")
     cmd.add_argument("--config", required=True, help="config JSON path")
-    add_run_flags(cmd)
+    add_run_flags(cmd, config_paths, config_seed)
 
     cmd = command("example", cmd_example, "write the data bundle for a built-in example")
     cmd.add_argument("--id", type=int, required=True, help="example id, 1..4")
     cmd.add_argument("--out", default=None, help="output directory (default .)")
-    add_run_flags(cmd, sample_cap=True)
+    add_run_flags(cmd, config_paths, config_seed, sample_cap=True)
 
     cmd = command("kpi", cmd_kpi, "run the three-controller comparison study")
     cmd.add_argument("--seeds", type=int, default=100, help="number of master seeds (default 100)")
     cmd.add_argument("--out", default=None, help="output directory (default .)")
-    cmd.add_argument("--paths", type=int, default=None,
-                     help="paths per case per seed (default 1: one realized experiment)")
-    cmd.add_argument("--seed", type=int, default=None,
-                     help="base master seed (default 42); HOCS_SEED overrides")
+    add_run_flags(cmd, "paths per case per seed (default 1: one realized experiment)",
+                  f"base master seed (default {RunSettings.master_seed})")
 
     return parser
 

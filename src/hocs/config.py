@@ -94,8 +94,8 @@ class RunSettings:
     out_dir: str = "."
 
     def __post_init__(self) -> None:
-        _integer(self.n_paths, "n_paths", 1)
-        _integer(self.master_seed, "master_seed", 0)
+        object.__setattr__(self, "n_paths", _integer(self.n_paths, "n_paths", 1))
+        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed", 0))
         _instance(self.out_dir, "out_dir", str)
 
 

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import IndexOutOfRange
+from .model import IndexOutOfRange, _is_integer
 from .recursion import GainSchedule
 
 __all__ = [
@@ -35,8 +35,8 @@ ArrayLike = Union[float, np.ndarray]
 
 
 def _check_step(k: int, n_steps: int) -> None:
-    """Refuse a step outside 0..n_steps-1 or not an int (numpy integers pass, bools do not)."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < n_steps:
+    """Refuse a step outside 0..n_steps-1 or not an integer, by the model's integer type rule."""
+    if not _is_integer(k) or not 0 <= k < n_steps:
         raise IndexOutOfRange(f"step {k} outside control range 0..{n_steps - 1}")
 
 

@@ -186,13 +186,17 @@ def _instance(value, name: str, kind: type) -> None:
         raise TypeError(f"{name} must be of type {kind.__name__}, got {value!r}")
 
 
+def _is_integer(value) -> bool:
+    """The integer type rule: an int or a numpy integer, not a bool (numpy bools are no integer)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _integer(value, name: str, minimum: int, *, even: bool = False) -> int:
-    """The integer gate: an int, not a bool, >= minimum (and even, if asked)."""
-    if (isinstance(value, bool) or not isinstance(value, int) or value < minimum
-            or (even and value % 2)):
+    """The integer gate: the type rule above, >= minimum (and even, if asked); returns an int."""
+    if not _is_integer(value) or value < minimum or (even and value % 2):
         kind = "an even integer" if even else "an integer"
         raise ValueError(f"{name} must be {kind} >= {minimum}, got {value!r}")
-    return value
+    return int(value)
 
 
 # --------------------------------------------------------------------------
@@ -474,7 +478,7 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "problem_class", ProblemClass(self.problem_class))
         for name in ("n_steps", "p", "o"):
-            _integer(getattr(self, name), name, 1)
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
         for name in _PER_STEP_FIELDS:
             value = getattr(self, name)
             if value is None and name in ("a", "b"):

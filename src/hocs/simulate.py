@@ -326,8 +326,8 @@ def simulate_ensemble(
         MemoryError: If the run would not fit in physical memory or the
             process's address-space or cgroup memory limit.
     """
-    _integer(n_paths, "n_paths", 1)
-    _integer(master_seed, "master_seed", 0)
+    n_paths = _integer(n_paths, "n_paths", 1)
+    master_seed = _integer(master_seed, "master_seed", 0)
     n = spec.n_steps
     if policy.n_steps is not None and policy.n_steps != n:
         raise InvalidPolicy(f"policy solved for horizon {policy.n_steps}, problem has {n}")
@@ -374,7 +374,7 @@ def simulate_ensemble(
 
 def central_moment(ensemble: TrajectoryEnsemble, order: int) -> np.ndarray:
     """Ensemble averages of (x[k] - xbar[k])**order, k = 0..N, for even order."""
-    _integer(order, "moment order", 2, even=True)
+    order = _integer(order, "moment order", 2, even=True)
     if order <= 6:
         return ensemble._deviation_means[0][order // 2 - 1].copy()
     means = np.empty(ensemble.states.shape[1])
@@ -498,7 +498,7 @@ def kpi(ensemble: TrajectoryEnsemble, zeta: int) -> tuple[float, float]:
     """
     if zeta not in _ZETAS:
         raise ValueError(f"zeta must be 1, 2, or 3, got {zeta!r}")
-    _integer(zeta, "zeta", 1)  # refuses 2.0 and True, which equal members of _ZETAS
+    zeta = _integer(zeta, "zeta", 1)  # refuses 2.0 and True, which equal members of _ZETAS
     centers = (ensemble.mean_path, ensemble.mean_controls)
     return tuple(float(np.sum(means[zeta - 1]) + np.sum(_even_power(center, 2 * zeta)))
                  for means, center in zip(ensemble._deviation_means, centers))

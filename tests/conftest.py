@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from hocs import signed_root, solve
+from hocs import InitialLaw, ProblemSpec, signed_root, solve
 
 
 def _literal_solve(spec):
@@ -37,3 +37,30 @@ def _literal_solve(spec):
 def literal_solve():
     """The moment-free recursion variant, as a function of the spec."""
     return _literal_solve
+
+
+def _random_deterministic_spec(rng):
+    """A deterministic spec of criterion 2's family: N in 1..10, p in 1..3, signed
+    dynamics and positive weights, all drawn from ``rng``."""
+    n = int(rng.integers(1, 11))
+    p = int(rng.integers(1, 4))
+
+    def draw(size=None):
+        magnitude = rng.uniform(0.1, 5.0, size)
+        return magnitude * rng.choice([-1.0, 1.0], size=size)
+
+    return ProblemSpec(
+        "deterministic", n,
+        a_bar=list(draw(n)), b_bar=list(draw(n)),
+        q_bar=list(rng.uniform(0.1, 5.0, n)),
+        q_bar_terminal=float(rng.uniform(0.1, 5.0)),
+        r_bar=list(rng.uniform(0.1, 5.0, n)),
+        p=p,
+        initial=InitialLaw(mean=float(draw())),
+    )
+
+
+@pytest.fixture
+def random_deterministic_spec():
+    """The random deterministic spec generator, as a function of a numpy Generator."""
+    return _random_deterministic_spec

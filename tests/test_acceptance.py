@@ -44,25 +44,6 @@ def _criterion(number, capsys):
             print(f"criterion {number}: {'PASS' if ok else 'FAIL'}", flush=True)
 
 
-def _random_deterministic_spec(rng):
-    n = int(rng.integers(1, 11))
-    p = int(rng.integers(1, 4))
-
-    def draw(size=None):
-        magnitude = rng.uniform(0.1, 5.0, size)
-        return magnitude * rng.choice([-1.0, 1.0], size=size)
-
-    return ProblemSpec(
-        "deterministic", n,
-        a_bar=list(draw(n)), b_bar=list(draw(n)),
-        q_bar=list(rng.uniform(0.1, 5.0, n)),
-        q_bar_terminal=float(rng.uniform(0.1, 5.0)),
-        r_bar=list(rng.uniform(0.1, 5.0, n)),
-        p=p,
-        initial=InitialLaw(mean=float(draw())),
-    )
-
-
 # ---------------------------------------------------------------------------
 # 1. Deterministic consistency: realized closed-loop cost equals the
 #    coefficient prediction alpha_bar[0] * xbar_0**2p to relative 1e-10.
@@ -90,12 +71,12 @@ def test_criterion_01_deterministic_consistency(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_02_oracle_agreement(capsys):
+def test_criterion_02_oracle_agreement(capsys, random_deterministic_spec):
     with _criterion(2, capsys):
         start = time.monotonic()
         specs = [example_config(1, p).problem for p in (1, 2, 3)]
         rng = np.random.default_rng(20260816)
-        specs.extend(_random_deterministic_spec(rng) for _ in range(100))
+        specs.extend(random_deterministic_spec(rng) for _ in range(100))
         for spec in specs:
             report = brute_force_deterministic(spec)
             assert report.relative_gap < 1e-6
@@ -110,12 +91,12 @@ def test_criterion_02_oracle_agreement(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_03_riccati_reduction(capsys):
+def test_criterion_03_riccati_reduction(capsys, random_deterministic_spec):
     with _criterion(3, capsys):
         start = time.monotonic()
         rng = np.random.default_rng(31415)
         for _ in range(50):
-            spec = _random_deterministic_spec(rng)
+            spec = random_deterministic_spec(rng)
             if spec.p != 1:
                 spec = ProblemSpec(
                     "deterministic", spec.n_steps,

@@ -18,6 +18,7 @@ from hocs import (
     GainSchedule,
     Gaussian,
     GaussianVariance,
+    IndexOutOfRange,
     InitialLaw,
     LengthMismatch,
     MissingMoment,
@@ -25,14 +26,19 @@ from hocs import (
     ProblemClass,
     ProblemSpec,
     Rademacher,
+    RunConfig,
+    RunSettings,
     UniformSymmetric,
+    central_moment,
     example_config,
+    kpi,
     signed_root,
     simulate_ensemble,
     solve,
     validate,
 )
-from hocs.config import EXAMPLE_IDS, EXAMPLE_POWERS
+from hocs.cli import run_kpi_study
+from hocs.config import EXAMPLE_IDS, EXAMPLE_POWERS, render_config
 from hocs.model import _power
 
 
@@ -398,6 +404,54 @@ def test_problem_spec_checks_every_field(make, error, match):
         return
     with pytest.raises(error, match=match):
         make()
+
+
+def _ex4_p3():
+    """The mean-field preset at p = 3 and its solved feedback policy."""
+    spec = example_config(4, 3).problem
+    return spec, FeedbackPolicy(solve(spec)[1])
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_integer_gate_takes_numpy_integers_as_ints(kind):
+    # A count, seed, order, zeta or step index read from a numpy array is an integer too.
+    spec = _direct_spec(problem_class="higher_moment", n_steps=kind(3), p=kind(2), o=kind(2),
+                        noise=Moments({kind(2): 1.0, kind(4): 3.0}))()
+    stored = (spec.n_steps, spec.p, spec.o, spec.noise.values[0][0])
+    assert stored == (3, 2, 2, 2) and all(type(value) is int for value in stored)
+    run = RunSettings(n_paths=kind(10), master_seed=kind(5))
+    assert (type(run.n_paths), type(run.master_seed)) == (int, int)
+    assert '"n_paths": 10' in render_config(RunConfig(spec, run))
+
+    spec, policy = _ex4_p3()
+    ensemble = simulate_ensemble(spec, policy, kind(10), kind(5))
+    expected = simulate_ensemble(spec, policy, 10, 5)
+    np.testing.assert_array_equal(ensemble.states, expected.states)
+    np.testing.assert_array_equal(central_moment(ensemble, kind(4)), central_moment(expected, 4))
+    assert kpi(ensemble, kind(2)) == kpi(expected, 2)
+    assert Gaussian(1.0).even_moment(kind(4)) == 3.0
+    assert run_kpi_study(kind(2), kind(3)) == run_kpi_study(2, 3)
+    assert policy.control(kind(1), 1.0, 1.0) == policy.control(1, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(_direct_spec(n_steps=np.True_), ValueError, id="n_steps"),
+    pytest.param(_direct_spec(p=np.True_), ValueError, id="p"),
+    pytest.param(_direct_spec(o=np.True_), ValueError, id="o"),
+    pytest.param(lambda: Moments({np.True_: 1.0}), ValueError, id="moment-order"),
+    pytest.param(lambda: RunSettings(n_paths=np.True_), ValueError, id="n_paths"),
+    pytest.param(lambda: RunSettings(master_seed=np.False_), ValueError, id="master_seed"),
+    pytest.param(lambda: simulate_ensemble(*_ex4_p3(), np.True_, 5), ValueError,
+                 id="simulate-n_paths"),
+    pytest.param(lambda: kpi(simulate_ensemble(*_ex4_p3(), 2, 5), np.True_), ValueError,
+                 id="zeta"),
+    pytest.param(lambda: run_kpi_study(np.True_), ValueError, id="n_seeds"),
+    pytest.param(lambda: _ex4_p3()[1].control(np.True_, 1.0, 1.0), IndexOutOfRange, id="step"),
+])
+def test_integer_gate_refuses_numpy_bools(call, error):
+    with pytest.raises(error, match=r"must be an (even )?integer >= \d, got np\.(True|False)_$"
+                                    r"|^step True outside"):
+        call()
 
 
 @pytest.mark.parametrize("a_bar", [1.0, [1.0]], ids=["scalar", "length-1"])

@@ -29,25 +29,6 @@ from hocs.simulate import _BLOCK, _DRAWS, _common_draws, _deviation_term
 from convexity import convexity_check
 
 
-def _random_deterministic_spec(rng):
-    n = int(rng.integers(1, 11))
-    p = int(rng.integers(1, 4))
-
-    def draw(size=None):
-        magnitude = rng.uniform(0.1, 5.0, size)
-        return magnitude * rng.choice([-1.0, 1.0], size=size)
-
-    return ProblemSpec(
-        "deterministic", n,
-        a_bar=list(draw(n)), b_bar=list(draw(n)),
-        q_bar=list(rng.uniform(0.1, 5.0, n)),
-        q_bar_terminal=float(rng.uniform(0.1, 5.0)),
-        r_bar=list(rng.uniform(0.1, 5.0, n)),
-        p=p,
-        initial=InitialLaw(mean=float(draw())),
-    )
-
-
 def test_oracle_recovers_quartic_desk_solution():
     spec = ProblemSpec(
         "deterministic", 1,
@@ -81,10 +62,10 @@ def test_oracle_agrees_with_closed_form_on_reference_problem(p):
     assert report.control_max_abs_diff < 1e-8
 
 
-def test_oracle_agrees_on_random_problems():
+def test_oracle_agrees_on_random_problems(random_deterministic_spec):
     rng = np.random.default_rng(31)
     for _ in range(30):
-        report = brute_force_deterministic(_random_deterministic_spec(rng))
+        report = brute_force_deterministic(random_deterministic_spec(rng))
         assert not report.discrepant
         assert report.relative_gap < 1e-6
         assert report.control_max_abs_diff < 1e-5
@@ -119,13 +100,13 @@ def test_oracle_resolves_flat_controls_on_stiff_spec():
     assert not report.discrepant
 
 
-def test_oracle_finishes_p1_crawl_spec_in_a_few_newton_steps():
+def test_oracle_finishes_p1_crawl_spec_in_a_few_newton_steps(random_deterministic_spec):
     # The 120th criterion-2-family draw from default_rng(1): N = 10, p = 1.
     # A damped float loop crawled 1,247 iterations on it.
     rng = np.random.default_rng(1)
     for _ in range(119):
-        _random_deterministic_spec(rng)
-    spec = _random_deterministic_spec(rng)
+        random_deterministic_spec(rng)
+    spec = random_deterministic_spec(rng)
     assert (spec.n_steps, spec.p) == (10, 1)
     report = brute_force_deterministic(spec)
     assert report.iterations <= 10
