@@ -49,7 +49,6 @@ from .recursion import (
     solve,
 )
 from .control import (
-    BaselineKind,
     BaselinePolicy,
     FeedbackPolicy,
     Policy,

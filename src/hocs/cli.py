@@ -36,7 +36,7 @@ from .config import (
     render_config,
     EXAMPLE_POWERS,
 )
-from .control import BaselineKind, BaselinePolicy, FeedbackPolicy
+from .control import BaselinePolicy, FeedbackPolicy
 from .model import (
     MissingMoment,
     NonFiniteCoefficient,
@@ -62,6 +62,7 @@ from .simulate import (
 __all__ = ["main", "run_kpi_study", "PROBE_GRID"]
 
 _SCHEDULE_HEADER = ("k", "alpha_bar", "alpha", "gamma_bar", "k_mean", "k_dev")
+_SAMPLE_PATHS = 20
 
 
 # --------------------------------------------------------------------------
@@ -130,10 +131,10 @@ def _check_flags(args) -> None:
         except ValueError:
             raise ConfigError(f"HOCS_SEED must be an integer, got {env!r}") from None
     try:
-        for flag, minimum in (("seed", 0), ("paths", 1), ("sample_paths", 0), ("seeds", 1)):
+        for flag, minimum in (("seed", 0), ("paths", 1), ("seeds", 1)):
             value = getattr(args, flag, None)
             if value is not None:
-                name = "HOCS_SEED" if flag == "seed" and from_env else f"--{flag.replace('_', '-')}"
+                name = "HOCS_SEED" if flag == "seed" and from_env else f"--{flag}"
                 _integer(value, name, minimum)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -155,7 +156,7 @@ def _validate_or_print(spec: ProblemSpec) -> bool:
 
 
 def _simulation_bundle(spec: ProblemSpec, schedule: CoefficientSchedule, gains: GainSchedule,
-                       out_dir: Path, run: RunSettings, sample_cap: int) -> None:
+                       out_dir: Path, run: RunSettings) -> None:
     """Price, then write mean_path/paths/moments/kpi/cost CSVs for one solved problem."""
     price = predicted_cost(schedule, spec.initial)
     ensemble = simulate_ensemble(spec, FeedbackPolicy(gains), run.n_paths, run.master_seed)
@@ -168,7 +169,7 @@ def _simulation_bundle(spec: ProblemSpec, schedule: CoefficientSchedule, gains: 
         ((k, ensemble.mean_path[k], ensemble.mean_controls[k] if k < n else None)
          for k in range(n + 1)),
     )
-    shown = min(sample_cap, ensemble.n_paths)
+    shown = min(_SAMPLE_PATHS, ensemble.n_paths)
     _write_csv(
         out_dir / "paths.csv",
         ("k", *(f"path{j}" for j in range(shown))),
@@ -233,7 +234,7 @@ def cmd_simulate(args) -> int:
     if not _validate_or_print(spec):
         return 1
     schedule, gains = solve(spec)
-    _simulation_bundle(spec, schedule, gains, Path(run.out_dir), run, args.sample_paths)
+    _simulation_bundle(spec, schedule, gains, Path(run.out_dir), run)
     return 0
 
 
@@ -274,9 +275,11 @@ def cmd_example(args) -> int:
         spec, run = config.problem, _run_settings(args, config.run)
         out_dir = Path(run.out_dir) / f"example{args.id}" / f"p{p}"
         schedule, gains = solve(spec)
-        _write_text_atomic(out_dir / "config.json", render_config(config))
+        # The run's paths and seed, so simulate reproduces the bundle; out_dir is the preset's.
+        recorded = replace(config, run=replace(run, out_dir=config.run.out_dir))
+        _write_text_atomic(out_dir / "config.json", render_config(recorded))
         _write_csv(out_dir / "schedule.csv", _SCHEDULE_HEADER, _schedule_rows(schedule, gains))
-        _simulation_bundle(spec, schedule, gains, out_dir, run, args.sample_paths)
+        _simulation_bundle(spec, schedule, gains, out_dir, run)
     return 0
 
 
@@ -284,13 +287,14 @@ def run_kpi_study(n_seeds: int, base_seed: int = RunSettings.master_seed, n_path
     """Compare the two reference controllers against the solved one.
 
     The arena is the built-in example-4 problem with o = p = 3. Case 1 is the
-    sign controller, Case 2 the linear-feedback controller, Case 3 the solved
-    risk-aware feedback. Each master seed (base_seed + i) is one experiment:
-    all three cases roll out on one shared draw of initial states and noise
-    (common random numbers, drawn once per seed and dropped before the next),
-    and the per-case performance indices are computed per seed for each
-    zeta in 1, 2, 3. One path per case per seed by default, so a seed is a
-    single realized experiment rather than an expectation.
+    sign controller, Case 2 the linear feedback u = -3 (xbar - x) - 3 xbar as
+    the constant gains k_mean = 3, k_dev = -3, Case 3 the solved risk-aware
+    feedback. Each master seed (base_seed + i) is one experiment: all three
+    cases roll out on one shared draw of initial states and noise (common
+    random numbers, drawn once per seed and dropped before the next), and the
+    per-case performance indices are computed per seed for each zeta in 1, 2,
+    3. One path per case per seed by default, so a seed is a single realized
+    experiment rather than an expectation.
 
     Returns:
         (rows, aggregate): rows of (seed, zeta, case, kpi_x, kpi_u, total),
@@ -306,9 +310,10 @@ def run_kpi_study(n_seeds: int, base_seed: int = RunSettings.master_seed, n_path
     base_seed = _integer(base_seed, "base_seed", 0)
     spec = example_config(4, 3).problem
     _, gains = solve(spec)
+    n = spec.n_steps
     policies = {
-        1: BaselinePolicy(BaselineKind.SIGN_CONTROLLER),
-        2: BaselinePolicy(BaselineKind.LINEAR_FEEDBACK),
+        1: BaselinePolicy(),
+        2: FeedbackPolicy(GainSchedule(k_mean=(3.0,) * n, k_dev=(-3.0,) * n)),
         3: FeedbackPolicy(gains),
     }
     rows = []
@@ -385,12 +390,9 @@ def _build_parser() -> argparse.ArgumentParser:
     config_paths = f"Monte-Carlo paths (default: config n_paths, {RunSettings.n_paths})"
     config_seed = f"master seed (default: config master_seed, {RunSettings.master_seed})"
 
-    def add_run_flags(cmd, paths_help: str, seed_help: str, *, sample_cap: bool = False):
+    def add_run_flags(cmd, paths_help: str, seed_help: str):
         cmd.add_argument("--paths", type=int, default=None, help=paths_help)
         cmd.add_argument("--seed", type=int, default=None, help=f"{seed_help}; HOCS_SEED overrides")
-        if sample_cap:
-            cmd.add_argument("--sample-paths", type=int, default=20,
-                             help="paths written to paths.csv (default 20)")
 
     cmd = command("validate", cmd_validate, "print the validity report for a config")
     cmd.add_argument("--config", required=True, help="config JSON path")
@@ -402,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = command("simulate", cmd_simulate, "simulate the closed loop and write CSVs")
     cmd.add_argument("--config", required=True, help="config JSON path")
     cmd.add_argument("--out", default=None, help="output directory (default: config out_dir)")
-    add_run_flags(cmd, config_paths, config_seed, sample_cap=True)
+    add_run_flags(cmd, config_paths, config_seed)
 
     cmd = command("verify", cmd_verify, "run the class-appropriate oracle checks")
     cmd.add_argument("--config", required=True, help="config JSON path")
@@ -411,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = command("example", cmd_example, "write the data bundle for a built-in example")
     cmd.add_argument("--id", type=int, required=True, help="example id, 1..4")
     cmd.add_argument("--out", default=None, help="output directory (default .)")
-    add_run_flags(cmd, config_paths, config_seed, sample_cap=True)
+    add_run_flags(cmd, config_paths, config_seed)
 
     cmd = command("kpi", cmd_kpi, "run the three-controller comparison study")
     cmd.add_argument("--seeds", type=int, default=100, help="number of master seeds (default 100)")

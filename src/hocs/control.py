@@ -1,13 +1,13 @@
-"""Feedback-law evaluation: solved gains and the two fixed reference policies.
+"""Feedback-law evaluation: solved gains and the fixed sign controller.
 
 The solved controller is affine in the state decomposition,
 
     u[k] = -k_dev[k] (x[k] - xbar[k]) - k_mean[k] xbar[k],
 
-with the deviation term absent for the deterministic class. Two hand-picked
-reference controllers are provided for performance comparisons: a bang-bang
+with the deviation term absent for the deterministic class. One hand-picked
+reference controller is provided for performance comparisons: a bang-bang
 sign controller u = -3 sgn(xbar - x) - 3 sgn(xbar) (five possible actions,
-with sgn(0) = 0) and a fixed linear feedback u = -3 (xbar - x) - 3 xbar.
+with sgn(0) = 0). A fixed linear feedback is a FeedbackPolicy of constant gains.
 
 Everything here is a pure function of its inputs and vectorized in x, so the
 simulator can evaluate whole path ensembles at once.
@@ -16,7 +16,6 @@ simulator can evaluate whole path ensembles at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Union
 
 import numpy as np
@@ -25,7 +24,6 @@ from .model import IndexOutOfRange, _is_integer
 from .recursion import GainSchedule
 
 __all__ = [
-    "BaselineKind",
     "Policy",
     "FeedbackPolicy",
     "BaselinePolicy",
@@ -38,13 +36,6 @@ def _check_step(k: int, n_steps: int) -> None:
     """Refuse a step outside 0..n_steps-1 or not an integer, by the model's integer type rule."""
     if not _is_integer(k) or not 0 <= k < n_steps:
         raise IndexOutOfRange(f"step {k} outside control range 0..{n_steps - 1}")
-
-
-class BaselineKind(Enum):
-    """Which fixed reference controller to apply."""
-
-    SIGN_CONTROLLER = "sign_controller"
-    LINEAR_FEEDBACK = "linear_feedback"
 
 
 class Policy:
@@ -89,18 +80,11 @@ class FeedbackPolicy(Policy):
 
 @dataclass(frozen=True)
 class BaselinePolicy(Policy):
-    """A fixed reference controller, applicable to any horizon.
+    """The sign controller, applicable to any horizon.
 
-    SIGN_CONTROLLER returns -3 sgn(xbar - x) - 3 sgn(xbar), so its output is
-    always one of {-6, -3, 0, 3, 6}; LINEAR_FEEDBACK returns
-    -3 (xbar - x) - 3 xbar. Both are vectorized in x.
+    It returns -3 sgn(xbar - x) - 3 sgn(xbar), vectorized in x, so its output
+    is always one of {-6, -3, 0, 3, 6}.
     """
 
-    kind: BaselineKind
-
     def control(self, k: int, x: ArrayLike, x_bar: float) -> ArrayLike:
-        if self.kind is BaselineKind.SIGN_CONTROLLER:
-            return -3.0 * np.sign(x_bar - x) - 3.0 * np.sign(x_bar)
-        if self.kind is BaselineKind.LINEAR_FEEDBACK:
-            return -3.0 * (x_bar - x) - 3.0 * x_bar
-        raise ValueError(f"unknown baseline kind {self.kind!r}")
+        return -3.0 * np.sign(x_bar - x) - 3.0 * np.sign(x_bar)

@@ -53,6 +53,7 @@ from .model import (
     ProblemClass,
     ProblemSpec,
     _integer,
+    _is_integer,
     _power,
 )
 from .recursion import CoefficientSchedule
@@ -496,9 +497,8 @@ def kpi(ensemble: TrajectoryEnsemble, zeta: int) -> tuple[float, float]:
     Returns:
         The pair (kpi_x, kpi_u).
     """
-    if zeta not in _ZETAS:
+    if not (_is_integer(zeta) and zeta in _ZETAS):  # refuses 2.0 and True, which equal members
         raise ValueError(f"zeta must be 1, 2, or 3, got {zeta!r}")
-    zeta = _integer(zeta, "zeta", 1)  # refuses 2.0 and True, which equal members of _ZETAS
     centers = (ensemble.mean_path, ensemble.mean_controls)
     return tuple(float(np.sum(means[zeta - 1]) + np.sum(_even_power(center, 2 * zeta)))
                  for means, center in zip(ensemble._deviation_means, centers))

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hocs import (
-    BaselineKind,
     BaselinePolicy,
     Dirac,
     Empirical,
@@ -25,6 +24,7 @@ from hocs import (
     GaussianVariance,
     InitialLaw,
     Moments,
+    Policy,
     ProblemClass,
     ProblemSpec,
     Rademacher,
@@ -821,6 +821,30 @@ def test_example_bundle_layout(tmp_path):
         assert render_config(parse_config(text)) == text
 
 
+@pytest.mark.parametrize("example_id", [1, 2, 3, 4])
+def test_example_config_reproduces_its_bundle(tmp_path, example_id):
+    # Each config.json records the paths and seed its bundle ran with, so
+    # simulate on it writes the same five CSVs.
+    assert main(["example", "--id", str(example_id), "--out", str(tmp_path / "ex"),
+                 "--paths", "300", "--seed", "5"]) == 0
+    for p in (1, 2, 3):
+        bundle, rerun = tmp_path / "ex" / f"example{example_id}" / f"p{p}", tmp_path / f"p{p}"
+        assert main(["simulate", "--config", str(bundle / "config.json"), "--out", str(rerun)]) == 0
+        for name in ("mean_path.csv", "paths.csv", "moments.csv", "kpi.csv", "cost.csv"):
+            assert (rerun / name).read_bytes() == (bundle / name).read_bytes(), (p, name)
+
+
+@pytest.mark.parametrize("example_id", [1, 2, 3, 4])
+def test_example_without_run_flags_writes_the_preset_config(tmp_path, monkeypatch, example_id):
+    # --out picks the directory only; the config keeps the preset's out_dir.
+    monkeypatch.delenv("HOCS_SEED", raising=False)
+    assert main(["example", "--id", str(example_id), "--out", str(tmp_path)]) == 0
+    for p in (1, 2, 3):
+        text = (tmp_path / f"example{example_id}" / f"p{p}" / "config.json").read_text(
+            encoding="utf-8")
+        assert text == render_config(example_config(example_id, p))
+
+
 def test_example_rejects_unknown_id(tmp_path, capsys):
     assert main(["example", "--id", "9", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
@@ -844,12 +868,19 @@ def test_kpi_study_tables(tmp_path, capsys):
         assert math.isclose(sum(block), 1.0) or sum(block) <= 1.0
 
 
+class _LinearFeedback(Policy):
+    """The KPI study's Case 2 written out, independently of its constant gains."""
+
+    def control(self, k, x, x_bar):
+        return -3.0 * (x_bar - x) - 3.0 * x_bar
+
+
 @pytest.mark.parametrize("n_paths", [1, 6])
 def test_kpi_study_rows_equal_fresh_draw_loop(n_paths):
     spec = example_config(4, 3).problem
     policies = {
-        1: BaselinePolicy(BaselineKind.SIGN_CONTROLLER),
-        2: BaselinePolicy(BaselineKind.LINEAR_FEEDBACK),
+        1: BaselinePolicy(),
+        2: _LinearFeedback(),
         3: FeedbackPolicy(solve(spec)[1]),
     }
     expected = []
@@ -1088,11 +1119,10 @@ def test_negative_seed_is_a_config_error(tmp_path, monkeypatch, source):
 @pytest.mark.parametrize("argv,env,message", [
     (["simulate", "--seed", "-1"], None, "--seed must be an integer >= 0, got -1"),
     (["simulate", "--paths", "0"], None, "--paths must be an integer >= 1, got 0"),
-    (["simulate", "--sample-paths", "-1"], None, "--sample-paths must be an integer >= 0, got -1"),
     (["kpi", "--seeds", "0"], None, "--seeds must be an integer >= 1, got 0"),
     (["simulate", "--seed", "5"], "-1", "HOCS_SEED must be an integer >= 0, got -1"),
     (["simulate"], "x", "HOCS_SEED must be an integer, got 'x'"),
-], ids=["seed", "paths", "sample-paths", "seeds", "HOCS_SEED", "HOCS_SEED-text"])
+], ids=["seed", "paths", "seeds", "HOCS_SEED", "HOCS_SEED-text"])
 def test_flag_below_its_minimum_exits_3_in_the_integer_gate_s_words(
         tmp_path, monkeypatch, capsys, argv, env, message):
     monkeypatch.delenv("HOCS_SEED", raising=False)
@@ -1103,14 +1133,6 @@ def test_flag_below_its_minimum_exits_3_in_the_integer_gate_s_words(
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists()
-
-
-def test_negative_sample_paths_is_a_config_error(tmp_path):
-    path = _write_example_config(tmp_path, 2, 1)
-    out = tmp_path / "run"
-    assert main(["simulate", "--config", str(path), "--out", str(out),
-                 "--paths", "10", "--sample-paths", "-3"]) == 3
     assert not out.exists()
 
 
@@ -1141,11 +1163,18 @@ def test_verify_tolerance_must_be_positive(tmp_path, capsys, tol):
     (["kpi", "--seeds", "1.5"], "argument --seeds: invalid int value: '1.5'"),
     (["bogus"], "argument command: invalid choice: 'bogus'"),
     ([], "the following arguments are required: command"),
+    # paths.csv always holds the first 20 paths; no flag moves that.
+    (["simulate", "--config", "CONFIG", "--out", "OUT", "--sample-paths", "5"],
+     "unrecognized arguments: --sample-paths 5"),
+    (["example", "--id", "2", "--out", "OUT", "--sample-paths", "5"],
+     "unrecognized arguments: --sample-paths 5"),
 ], ids=["paths-abc", "paths-fraction", "seed-abc", "config-no-value", "seeds-fraction",
-        "unknown-command", "no-command"])
+        "unknown-command", "no-command", "sample-paths-simulate", "sample-paths-example"])
 def test_usage_error_is_a_config_error(tmp_path, capsys, argv, message):
     path = _write_example_config(tmp_path, 1, 1)
-    assert main([str(path) if arg == "CONFIG" else arg for arg in argv]) == 3
+    stand_ins = {"CONFIG": str(path), "OUT": str(tmp_path / "out")}
+    assert main([stand_ins.get(arg, arg) for arg in argv]) == 3
+    assert not (tmp_path / "out").exists()
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"config error: {message}")

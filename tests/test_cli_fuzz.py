@@ -146,8 +146,6 @@ def argvs(draw):
                  "--paths", str(draw(PATHS))]
     elif command in ("simulate", "verify"):
         argv += ["--paths", str(draw(PATHS))]
-    if command in ("simulate", "example") and draw(st.booleans()):
-        argv += ["--sample-paths", str(draw(st.integers(-1, 60)))]
     if draw(st.integers(0, 3)) == 0:
         # A value the flag's type rejects, or a flag no command takes.
         argv += draw(st.sampled_from([["--paths", "abc"], ["--paths", "1.5"], ["--seed", "1.5"],

@@ -1,4 +1,4 @@
-"""Tests for feedback laws and the fixed baseline controllers."""
+"""Tests for feedback laws, the sign controller and the constant-gain linear baseline."""
 
 import math
 
@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hocs import (
-    BaselineKind,
     BaselinePolicy,
     FeedbackPolicy,
     GainSchedule,
@@ -17,6 +16,8 @@ from hocs import (
 
 GAINS = GainSchedule(k_mean=(0.25, 0.5), k_dev=(0.5, 0.25))
 POLICY = FeedbackPolicy(GAINS)
+# The KPI study's linear baseline u = -3 (x_bar - x) - 3 x_bar, as constant gains.
+LINEAR = FeedbackPolicy(GainSchedule(k_mean=(3.0,), k_dev=(-3.0,)))
 
 
 def test_control_action_desk_value():
@@ -53,22 +54,22 @@ def test_control_action_is_odd(x, x_bar):
 
 def test_sign_baseline_desk_value():
     # -3 sign(x_bar - x) - 3 sign(x_bar): the two terms cancel here.
-    assert BaselinePolicy(BaselineKind.SIGN_CONTROLLER).control(0, 5.0, 2.0) == 0.0
-    assert BaselinePolicy(BaselineKind.SIGN_CONTROLLER).control(0, 0.0, 2.0) == -6.0
+    assert BaselinePolicy().control(0, 5.0, 2.0) == 0.0
+    assert BaselinePolicy().control(0, 0.0, 2.0) == -6.0
 
 
 def test_sign_baseline_range_is_exact():
     rng = np.random.default_rng(5)
     x = rng.normal(0.0, 3.0, 500)
     x_bar = float(rng.normal())
-    values = np.asarray(BaselinePolicy(BaselineKind.SIGN_CONTROLLER).control(0, x, x_bar))
+    values = np.asarray(BaselinePolicy().control(0, x, x_bar))
     assert set(np.unique(values)) <= {-6.0, -3.0, 0.0, 3.0, 6.0}
 
 
 def test_linear_baseline_desk_value():
-    assert BaselinePolicy(BaselineKind.LINEAR_FEEDBACK).control(0, 1.0, 1.0) == -3.0
+    assert LINEAR.control(0, 1.0, 1.0) == -3.0
     # -3 (x_bar - x) - 3 x_bar = 3 x - 6 x_bar.
-    assert BaselinePolicy(BaselineKind.LINEAR_FEEDBACK).control(0, 2.0, 0.5) == 3.0
+    assert LINEAR.control(0, 2.0, 0.5) == 3.0
 
 
 @given(
@@ -76,9 +77,9 @@ def test_linear_baseline_desk_value():
     x_bar=st.floats(min_value=-1e3, max_value=1e3),
 )
 def test_baselines_are_odd(x, x_bar):
-    for kind in BaselineKind:
-        plus = float(BaselinePolicy(kind).control(0, x, x_bar))
-        minus = float(BaselinePolicy(kind).control(0, -x, -x_bar))
+    for policy in (BaselinePolicy(), LINEAR):
+        plus = float(policy.control(0, x, x_bar))
+        minus = float(policy.control(0, -x, -x_bar))
         assert minus == -plus
 
 
@@ -114,7 +115,7 @@ def test_step_index_may_be_a_numpy_integer():
 
 
 def test_baseline_policy_object_has_open_horizon():
-    policy = BaselinePolicy(BaselineKind.SIGN_CONTROLLER)
+    policy = BaselinePolicy()
     assert policy.n_steps is None
     out = policy.control(123, np.array([0.0]), 2.0)
     assert float(np.asarray(out)[0]) == -6.0

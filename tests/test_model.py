@@ -450,7 +450,7 @@ def test_integer_gate_takes_numpy_integers_as_ints(kind):
 ])
 def test_integer_gate_refuses_numpy_bools(call, error):
     with pytest.raises(error, match=r"must be an (even )?integer >= \d, got np\.(True|False)_$"
-                                    r"|^step True outside"):
+                                    r"|^zeta must be 1, 2, or 3, got np\.True_$|^step True outside"):
         call()
 
 

@@ -215,6 +215,32 @@ def test_oracle_overflow_is_not_converged():
         brute_force_deterministic(spec)
 
 
+def test_oracle_cost_overflow_is_not_converged():
+    # With almost no weight on the state, the Newton loop settles with x[1]
+    # near a_bar x0 = 1e200, whose square is past the float range although
+    # the closed form (about 1e100) is not: pricing that iterate overflows,
+    # which is a NotConverged, not a RuntimeWarning.
+    spec = ProblemSpec(
+        "deterministic", 1,
+        a_bar=1e50, b_bar=1.0, q_bar=1e-300, q_bar_terminal=1e-300, r_bar=1.0, p=1,
+        initial=InitialLaw(mean=1e150),
+    )
+    with pytest.raises(NotConverged, match="^Newton update 1 failed"):
+        brute_force_deterministic(spec)
+
+
+def test_oracle_iteration_counts_are_pinned(random_deterministic_spec):
+    # Example 1 at p = 1, 2, 3 and criterion 2's 100 random specs: the Newton
+    # path from u = 0 to its float fixed point, update by update.
+    counts = [brute_force_deterministic(example_config(1, p).problem).iterations
+              for p in (1, 2, 3)]
+    assert counts == [3, 24, 40]
+    rng = np.random.default_rng(20260816)
+    counts += [brute_force_deterministic(random_deterministic_spec(rng)).iterations
+               for _ in range(100)]
+    assert (sum(counts), max(counts)) == (2554, 93)
+
+
 def test_oracle_rejects_wrong_class():
     with pytest.raises(ValueError):
         brute_force_deterministic(example_config(2, 1).problem)

@@ -562,7 +562,7 @@ def test_kpi_rejects_unknown_power():
 @pytest.mark.parametrize("zeta", [2.0, True])
 def test_kpi_refuses_a_zeta_that_is_not_an_int(zeta):
     ensemble = _hand_ensemble([[1.0, 0.5]], [[-0.5]], [1.0, 0.5], [-0.5])
-    with pytest.raises(ValueError, match=rf"^zeta must be an integer >= 1, got {zeta}$"):
+    with pytest.raises(ValueError, match=rf"^zeta must be 1, 2, or 3, got {zeta}$"):
         kpi(ensemble, zeta)
 
 
