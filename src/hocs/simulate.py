@@ -24,9 +24,10 @@ afresh. Either way the numbers are the same.
 
 Each ensemble is one block of states and controls. Besides that block and a
 draw kept by a scope, every buffer holds one value per path or at most
-_BLOCK values per step: realized_cost powers both channels' deviations one
-path block at a time, and central_moment and kpi read per-step moments that
-the ensemble computes once, on first use, in slabs of whole steps. A run
+_BLOCK values per step: realized_cost powers both channels' deviations in
+one pass per block of _BLOCK // 2 paths, into a buffer and a spare of that
+block's size, and central_moment and kpi read per-step moments that the
+ensemble computes once, on first use, in slabs of whole steps. A run
 whose footprint would exceed physical memory, the process's address-space
 limit or its cgroup v2 memory limit is refused before anything is allocated.
 """
@@ -148,20 +149,24 @@ class CostReport:
     n_bootstrap: ClassVar[int] = 0
 
 
-def _even_power(x: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+def _even_power(
+    x: np.ndarray, n: int, out: np.ndarray | None = None, spare: np.ndarray | None = None
+) -> np.ndarray:
     """x**n for even n >= 2 as (x*x)**(n/2), by left-to-right binary powering
     of the square: one squaring per bit of n/2 after the leading one, then a
     product with the square where that bit is set. That is O(log n) products,
     which beat numpy's generic power tenfold for n >= 4. ``out`` may be
     ``x``: only the first product reads x. Past n = 4 the running power gets
-    the one extra buffer, and the last product lands on the square in ``out``.
+    one extra buffer, ``spare`` (shaped like x) where the caller supplies it
+    and a fresh array otherwise, and the last product lands on the square in
+    ``out``. Where the buffers come from changes no bit of the result.
     """
     square = power = np.multiply(x, x, out=out)
     bits = bin(n // 2)[3:]
     for i, bit in enumerate(bits, 1):
         last = i == len(bits)
-        spare = None if power is square else power
-        power = np.multiply(power, power, out=square if last and bit == "0" else spare)
+        running = spare if power is square else power
+        power = np.multiply(power, power, out=square if last and bit == "0" else running)
         if bit == "1":
             power = np.multiply(power, square, out=square if last else power)
     return power
@@ -392,8 +397,9 @@ def realized_cost(spec: ProblemSpec, ensemble: TrajectoryEnsemble) -> CostReport
     ensemble's mean path; the moment terms are ensemble averages of per-path
     deviation powers. The standard error covers the moment terms: the
     plug-in s/sqrt(n) of the per-path moment costs, with s the population
-    standard deviation. Deviations are powered one block of _BLOCK paths at
-    a time, so the call holds O(_BLOCK) floats plus a few per-path vectors.
+    standard deviation. Deviations are powered one block of _BLOCK // 2
+    paths at a time, so the call holds O(_BLOCK) floats plus a few per-path
+    vectors.
 
     Args:
         spec: The problem the ensemble was generated from.
@@ -410,20 +416,20 @@ def realized_cost(spec: ProblemSpec, ensemble: TrajectoryEnsemble) -> CostReport
     state_power = float(np.dot(spec.q_bar, mean_powers[:-1]) + spec.q_bar_terminal * mean_powers[n])
     control_power = float(np.dot(spec.r_bar, _even_power(u_bar, two_p)))
 
-    # Per path block: controls, then states, powered column by column in one
-    # reused O(_BLOCK) buffer (a whole-buffer power would allocate its spare
-    # afresh for every block); only the per-path vectors grow with n_paths.
-    n_paths = ensemble.n_paths
-    buffer = np.empty((2 * n + 1, min(_BLOCK, n_paths))).T
+    # Per block of _BLOCK // 2 paths: controls, then states, powered in one
+    # _even_power call into a reused buffer, with a reused spare beside it;
+    # the two hold (2N+1) _BLOCK floats at most, and only the per-path
+    # vectors grow with n_paths.
+    n_paths, width = ensemble.n_paths, _BLOCK // 2
+    buffer, spare = np.empty((2, 2 * n + 1, min(width, n_paths))).transpose(0, 2, 1)
     state_moment_paths, control_moment_paths = np.empty(n_paths), np.empty(n_paths)
     q, r = np.asarray(spec.q), np.asarray(spec.r)
-    for start in range(0, n_paths, _BLOCK):
-        paths = slice(start, min(start + _BLOCK, n_paths))
+    for start in range(0, n_paths, width):
+        paths = slice(start, min(start + width, n_paths))
         powers = buffer[: paths.stop - start]
         np.subtract(ensemble.controls[paths], u_bar, out=powers[:, :n])
         np.subtract(ensemble.states[paths], x_bar, out=powers[:, n:])
-        for column in powers.T:
-            _even_power(column, two_o, out=column)
+        _even_power(powers, two_o, out=powers, spare=spare[: paths.stop - start])
         state_moment_paths[paths] = powers[:, n:-1] @ q
         state_moment_paths[paths] += spec.q_terminal * powers[:, -1]
         control_moment_paths[paths] = powers[:, :n] @ r

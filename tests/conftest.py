@@ -6,6 +6,8 @@ import pytest
 
 from hocs import InitialLaw, ProblemSpec, signed_root, solve
 
+pytest_plugins = ["pytester"]
+
 
 def _literal_solve(spec):
     """solve(spec) on a higher-moment spec, with its deviation channel mispriced.

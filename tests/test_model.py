@@ -270,6 +270,32 @@ def test_empirical_needs_samples():
         Empirical(samples=())
 
 
+@pytest.mark.parametrize("mean", [None, -2.5], ids=["law", "initial"])
+@pytest.mark.parametrize("law", [
+    pytest.param(Gaussian(0.7), id="Gaussian(0.7)"),
+    pytest.param(GaussianVariance(2.0), id="GaussianVariance(2)"),
+    pytest.param(Rademacher(1.5), id="Rademacher(1.5)"),
+    pytest.param(UniformSymmetric(0.3), id="UniformSymmetric(0.3)"),
+    pytest.param(Empirical(samples=(1.0, 2.0, 4.5)), id="Empirical(1,2,4.5)"),
+    pytest.param(Empirical(samples=(-1.0, 0.25, 2.0)), id="Empirical(-1,0.25,2)"),
+])
+def test_each_law_samples_the_moments_it_prices(law, mean):
+    # solve and the price read the law's moment table, the simulator its
+    # sampler. The sample mean and the sample moments of orders 2, 4 and 6
+    # must lie within 5 exact standard errors, taken from the table; where
+    # that error is 0 (Rademacher's even powers), the moment must equal the
+    # table to rounding. With a mean, the draws are InitialLaw's, around it.
+    n = 50_000
+    rng = np.random.default_rng(16)
+    z = law.sample(rng, n) if mean is None else InitialLaw(mean, law).sample(rng, n) - mean
+    checks = [(z.mean(), 0.0, law.even_moment(2))]
+    for order in (2, 4, 6):
+        table = law.even_moment(order)
+        checks.append((np.mean(z ** order), table, law.even_moment(2 * order) - table ** 2))
+    for observed, table, variance in checks:
+        assert abs(observed - table) <= 5 * math.sqrt(variance / n) + 1e-12 * table
+
+
 # --------------------------------------------------------------------------
 # Moments
 # --------------------------------------------------------------------------

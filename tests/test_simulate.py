@@ -406,6 +406,17 @@ def test_even_power_matches_numpy_power(n):
     result = _even_power(buffer, n, out=buffer)
     assert result is buffer
     np.testing.assert_allclose(buffer, expected, rtol=rtol, atol=0)
+    # A given spare holds the running power: the same bits, and no allocation.
+    buffer, spare = x.copy(), np.empty_like(x)
+    tracemalloc.start()
+    try:
+        result = _even_power(buffer, n, out=buffer, spare=spare)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result is buffer
+    assert np.array_equal(buffer, _even_power(x, n))
+    assert peak < 1024
 
 
 def test_central_moment_matches_exactly_summed_mean():
@@ -636,10 +647,16 @@ _REDUCTION_CASES = [
     # o = 4 takes central_moment's order-8 fallback.
     pytest.param(_O4, 2_000, id="ex4p2-o4"),
 ] + [
-    # Three cost blocks, and moment slabs of one step.
+    # Three noise blocks, five cost blocks, and moment slabs of one step.
     pytest.param(example_config(e, p).problem, 2 * _BLOCK + 7, id=f"ex{e}p{p}-blocks")
     for e, p in ((2, 2), (3, 2), (4, 3))
-] + [pytest.param(_O4, 2 * _BLOCK + 7, id="ex4p2-o4-blocks")]
+] + [pytest.param(_O4, 2 * _BLOCK + 7, id="ex4p2-o4-blocks")] + [
+    # realized_cost's cost blocks of _BLOCK // 2 paths, and their edges; the
+    # spare takes a different branch of _even_power at 2o = 6 and at 2o = 8.
+    pytest.param(spec, n_paths, id=f"{name}-{n_paths}")
+    for name, spec in (("ex4p3", example_config(4, 3).problem), ("ex4p2-o4", _O4))
+    for n_paths in (1, _BLOCK // 2, _BLOCK // 2 + 1)
+]
 
 
 @pytest.mark.parametrize("spec,n_paths", _REDUCTION_CASES)
