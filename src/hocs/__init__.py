@@ -9,13 +9,13 @@ multiplicative noise with a general moment power.
 
 Typical use::
 
-    from hocs import FeedbackPolicy, InitialLaw, ProblemSpec, simulate_ensemble, solve
+    from hocs import InitialLaw, ProblemSpec, simulate_ensemble, solve
 
     spec = ProblemSpec("deterministic", 6, a_bar=1.0, b_bar=2.0, q_bar=3.0,
                        q_bar_terminal=3.0, r_bar=4.0, p=2,
                        initial=InitialLaw(mean=10.0))   # or a config preset
-    schedule, gains = solve(spec)
-    ensemble = simulate_ensemble(spec, FeedbackPolicy(gains), 100_000, 42)
+    schedule, gains = solve(spec)    # gains: the solved FeedbackPolicy
+    ensemble = simulate_ensemble(spec, gains, 100_000, 42)
 """
 
 from .model import (
@@ -42,16 +42,14 @@ from .model import (
     signed_root,
     validate,
 )
-from .recursion import (
-    CoefficientSchedule,
-    GainSchedule,
-    riccati_lqr,
-    solve,
-)
 from .control import (
     BaselinePolicy,
     FeedbackPolicy,
     Policy,
+)
+from .recursion import (
+    CoefficientSchedule,
+    solve,
 )
 from .simulate import (
     CostReport,

@@ -48,7 +48,7 @@ from .model import (
     validate,
 )
 from .oracle import PROBE_GRID, brute_force_deterministic, local_optimality_probe, mc_validate
-from .recursion import CoefficientSchedule, GainSchedule, solve
+from .recursion import CoefficientSchedule, solve
 from .simulate import (
     _ZETAS,
     _common_draws,
@@ -100,7 +100,7 @@ def _write_csv(path: Path, header, rows) -> None:
     _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def _schedule_rows(schedule: CoefficientSchedule, gains: GainSchedule):
+def _schedule_rows(schedule: CoefficientSchedule, gains: FeedbackPolicy):
     n = schedule.n_steps
     for k in range(n + 1):
         yield (
@@ -155,11 +155,11 @@ def _validate_or_print(spec: ProblemSpec) -> bool:
     return report.ok
 
 
-def _simulation_bundle(spec: ProblemSpec, schedule: CoefficientSchedule, gains: GainSchedule,
+def _simulation_bundle(spec: ProblemSpec, schedule: CoefficientSchedule, gains: FeedbackPolicy,
                        out_dir: Path, run: RunSettings) -> None:
     """Price, then write mean_path/paths/moments/kpi/cost CSVs for one solved problem."""
     price = predicted_cost(schedule, spec.initial)
-    ensemble = simulate_ensemble(spec, FeedbackPolicy(gains), run.n_paths, run.master_seed)
+    ensemble = simulate_ensemble(spec, gains, run.n_paths, run.master_seed)
     report = realized_cost(spec, ensemble)
     n = ensemble.n_steps
 
@@ -288,13 +288,13 @@ def run_kpi_study(n_seeds: int, base_seed: int = RunSettings.master_seed, n_path
 
     The arena is the built-in example-4 problem with o = p = 3. Case 1 is the
     sign controller, Case 2 the linear feedback u = -3 (xbar - x) - 3 xbar as
-    the constant gains k_mean = 3, k_dev = -3, Case 3 the solved risk-aware
-    feedback. Each master seed (base_seed + i) is one experiment: all three
-    cases roll out on one shared draw of initial states and noise (common
-    random numbers, drawn once per seed and dropped before the next), and the
-    per-case performance indices are computed per seed for each zeta in 1, 2,
-    3. One path per case per seed by default, so a seed is a single realized
-    experiment rather than an expectation.
+    a FeedbackPolicy of constant gains k_mean = 3, k_dev = -3, Case 3 the
+    policy solve() returns. Each master seed (base_seed + i) is one
+    experiment: all three cases roll out on one shared draw of initial states
+    and noise (common random numbers, drawn once per seed and dropped before
+    the next), and the per-case performance indices are computed per seed for
+    each zeta in 1, 2, 3. One path per case per seed by default, so a seed is
+    a single realized experiment rather than an expectation.
 
     Returns:
         (rows, aggregate): rows of (seed, zeta, case, kpi_x, kpi_u, total),
@@ -313,8 +313,8 @@ def run_kpi_study(n_seeds: int, base_seed: int = RunSettings.master_seed, n_path
     n = spec.n_steps
     policies = {
         1: BaselinePolicy(),
-        2: FeedbackPolicy(GainSchedule(k_mean=(3.0,) * n, k_dev=(-3.0,) * n)),
-        3: FeedbackPolicy(gains),
+        2: FeedbackPolicy(k_mean=(3.0,) * n, k_dev=(-3.0,) * n),
+        3: gains,
     }
     rows = []
     wins = {(zeta, case): 0 for zeta in _ZETAS for case in policies}

@@ -1,6 +1,6 @@
-"""Feedback-law evaluation: solved gains and the fixed sign controller.
+"""Feedback laws: the solved linear controller and the fixed sign controller.
 
-The solved controller is affine in the state decomposition,
+The solved controller, solve()'s second output, is a FeedbackPolicy of gains,
 
     u[k] = -k_dev[k] (x[k] - xbar[k]) - k_mean[k] xbar[k],
 
@@ -20,8 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import IndexOutOfRange, _is_integer
-from .recursion import GainSchedule
+from .model import IndexOutOfRange, _is_integer, _store_finite
 
 __all__ = [
     "Policy",
@@ -60,22 +59,26 @@ class Policy:
 
 @dataclass(frozen=True)
 class FeedbackPolicy(Policy):
-    """The solved affine controller for a specific gain schedule."""
+    """The affine controller of finite per-step gains; k_dev is None for the deterministic class."""
 
-    gains: GainSchedule
+    k_mean: tuple[float, ...]
+    k_dev: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        _store_finite(self, "k_mean", "k_dev")
 
     @property
-    def n_steps(self) -> int | None:
-        return self.gains.n_steps
+    def n_steps(self) -> int:
+        return len(self.k_mean)
 
     def control(self, k: int, x: ArrayLike, x_bar: float) -> ArrayLike:
-        _check_step(k, self.gains.n_steps)
-        k_dev = 0.0 if self.gains.k_dev is None else self.gains.k_dev[k]
-        return -k_dev * (x - x_bar) - self.gains.k_mean[k] * x_bar
+        _check_step(k, len(self.k_mean))
+        k_dev = 0.0 if self.k_dev is None else self.k_dev[k]
+        return -k_dev * (x - x_bar) - self.k_mean[k] * x_bar
 
     def mean_control(self, k: int, x_bar: float) -> float:
-        _check_step(k, self.gains.n_steps)
-        return -self.gains.k_mean[k] * x_bar
+        _check_step(k, len(self.k_mean))
+        return -self.k_mean[k] * x_bar
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ gates: every number the model takes is a finite float (a spread also >= 0),
 a sequence of them, or an int >= a minimum, and text, bytes and bools are
 refused with an error that names the field (a sequence element by its
 index). The laws and the one flag are checked for type the same way. The
-config hands these gates its raw values and prefixes their messages.
+config hands these gates its raw values and prefixes their messages; the
+solved schedules and gains store theirs through the sequence gate.
 """
 
 from __future__ import annotations
@@ -197,6 +198,23 @@ def _integer(value, name: str, minimum: int, *, even: bool = False) -> int:
         kind = "an even integer" if even else "an integer"
         raise ValueError(f"{name} must be {kind} >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _store_finite(record, first: str, *optional: str) -> None:
+    """Store the named fields of a frozen record through the sequence gate, a
+    non-finite entry raising NonFiniteCoefficient. An optional field left None
+    stays None; one that is set must be as long as the first."""
+    for name in (first, *optional):
+        values = getattr(record, name)
+        if values is None and name != first:
+            continue
+        try:
+            out = _numbers(values, name)
+        except ValueError as exc:  # the type errors pass as they are
+            raise NonFiniteCoefficient(str(exc)) from None
+        object.__setattr__(record, name, out)
+        if len(out) != len(getattr(record, first)):
+            raise ValueError(f"{name} must have the same length as {first}")
 
 
 # --------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import numpy as np
 
 from .control import FeedbackPolicy
 from .model import NotConverged, ProblemSpec, ProblemClass
-from .recursion import CoefficientSchedule, GainSchedule, solve
+from .recursion import CoefficientSchedule, solve
 from .simulate import (
     _common_draws,
     _deviation_term,
@@ -155,7 +155,7 @@ def brute_force_deterministic(spec: ProblemSpec) -> OracleReport:
         raise ValueError(f"oracle expects class deterministic, got {spec.problem_class.value}")
     schedule, gains = solve(spec)
     closed_form = predicted_cost(schedule, spec.initial)
-    _, closed_u = _mean_channel(spec, FeedbackPolicy(gains))
+    _, closed_u = _mean_channel(spec, gains)
 
     two_p = 2 * spec.p
     coef = two_p * (two_p - 1)
@@ -214,7 +214,7 @@ def brute_force_deterministic(spec: ProblemSpec) -> OracleReport:
 def mc_validate(
     spec: ProblemSpec,
     schedule: CoefficientSchedule,
-    gains: GainSchedule,
+    gains: FeedbackPolicy,
     n_paths: int,
     master_seed: int,
 ) -> OracleReport:
@@ -239,7 +239,7 @@ def mc_validate(
     closed_form = predicted_cost(schedule, spec.initial)
     mean_predicted = _mean_term(schedule, spec.initial)
     moment_predicted = _deviation_term(schedule, spec.initial)
-    ensemble = simulate_ensemble(spec, FeedbackPolicy(gains), n_paths, master_seed)
+    ensemble = simulate_ensemble(spec, gains, n_paths, master_seed)
     report = realized_cost(spec, ensemble)
 
     mean_realized = report.breakdown["state_power"] + report.breakdown["control_power"]
@@ -281,14 +281,14 @@ class ProbeReport:
     min_at_unit: bool
 
 
-def _scaled_gains(gains: GainSchedule, channel: str, factor: float) -> GainSchedule:
+def _scaled_gains(gains: FeedbackPolicy, channel: str, factor: float) -> FeedbackPolicy:
     field = "k_mean" if channel == "mean" else "k_dev"
     return replace(gains, **{field: tuple(factor * g for g in getattr(gains, field))})
 
 
 def local_optimality_probe(
     spec: ProblemSpec,
-    gains: GainSchedule,
+    gains: FeedbackPolicy,
     n_paths: int,
     master_seed: int,
 ) -> ProbeReport:
@@ -310,7 +310,7 @@ def local_optimality_probe(
 
     Args:
         spec: The problem to probe.
-        gains: Solved gains, the scale-1.0 point.
+        gains: The solved controller, the scale-1.0 point.
         n_paths: Paths per deviation-scan point.
         master_seed: Seed shared by every probe point.
     """
@@ -323,7 +323,7 @@ def local_optimality_probe(
             paths = 1 if channel == "mean" else n_paths
             for factor in PROBE_GRID:
                 perturbed = _scaled_gains(gains, channel, factor)
-                ensemble = simulate_ensemble(spec, FeedbackPolicy(perturbed), paths, master_seed)
+                ensemble = simulate_ensemble(spec, perturbed, paths, master_seed)
                 report = realized_cost(spec, ensemble)
                 # The next rollout allocates its own block; this one is spent.
                 del ensemble

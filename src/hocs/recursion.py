@@ -1,4 +1,7 @@
-"""Backward coefficient recursions and feedback gains for all problem classes.
+"""Backward coefficient recursions for all problem classes.
+
+solve() runs the backward pass and returns the coefficient schedule with the
+solved controller, a control.FeedbackPolicy of the pass's gains.
 
 Every channel is solved by the same convex-completion step, run backward
 k = N-1..0 from alpha[N] = q_terminal. For power 2s, per-step noise moment
@@ -35,41 +38,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .control import FeedbackPolicy
 from .model import (
     NonFiniteCoefficient,
     NonPositiveCoefficient,
     ProblemClass,
     ProblemSpec,
     _class_rules,
+    _integer,
     _power,
     _signed_weights,
+    _store_finite,
     signed_root,
 )
 
 __all__ = [
     "CoefficientSchedule",
-    "GainSchedule",
     "solve",
-    "riccati_lqr",
 ]
-
-
-def _store_finite(record, first: str, *optional: str) -> None:
-    """Store the named fields of a frozen record as tuples of finite floats.
-
-    An optional field left None stays None; one that is set must be as long as the first.
-    """
-    for name in (first, *optional):
-        values = getattr(record, name)
-        if values is None and name != first:
-            continue
-        out = tuple(float(v) for v in values)
-        for k, value in enumerate(out):
-            if not math.isfinite(value):
-                raise NonFiniteCoefficient(f"{name}[{k}] = {value} is not finite")
-        object.__setattr__(record, name, out)
-        if len(out) != len(getattr(record, first)):
-            raise ValueError(f"{name} must have the same length as {first}")
 
 
 @dataclass(frozen=True)
@@ -79,9 +65,9 @@ class CoefficientSchedule:
     ``alpha_bar[k]`` weights xbar**(2p) in the value ansatz. ``alpha[k]``
     weights the 2o-th central moment of the state (absent for the
     deterministic class). ``gamma_bar[k]`` is the additive-noise offset
-    (present only for the additive class). The class tag and the powers are
-    carried along so a schedule is self-contained for cost prediction.
-    Every entry must be finite.
+    (present only for the additive class). The class tag (which may be given
+    by name) and the powers are carried along so a schedule is
+    self-contained for cost prediction. Every entry must be finite.
     """
 
     problem_class: ProblemClass
@@ -92,29 +78,14 @@ class CoefficientSchedule:
     gamma_bar: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "problem_class", ProblemClass(self.problem_class))
+        for name in ("p", "o"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
         _store_finite(self, "alpha_bar", "alpha", "gamma_bar")
 
     @property
     def n_steps(self) -> int:
         return len(self.alpha_bar) - 1
-
-
-@dataclass(frozen=True)
-class GainSchedule:
-    """Per-step feedback gains: u[k] = -k_dev[k] (x - xbar) - k_mean[k] xbar.
-
-    ``k_dev`` is None for the deterministic class (no deviation channel).
-    """
-
-    k_mean: tuple[float, ...]
-    k_dev: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        _store_finite(self, "k_mean", "k_dev")
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.k_mean)
 
 
 def _power_channel(
@@ -171,14 +142,15 @@ def _check_signs(spec: ProblemSpec) -> None:
                         f"{name}{where} = {value}; solve needs {'> 0' if strict else '>= 0'}")
 
 
-def solve(spec: ProblemSpec) -> tuple[CoefficientSchedule, GainSchedule]:
+def solve(spec: ProblemSpec) -> tuple[CoefficientSchedule, FeedbackPolicy]:
     """Solve the mean channel and, for stochastic classes, the deviation channel.
 
     Args:
         spec: A spec that passed validate().
 
     Returns:
-        The coefficient schedule and the feedback gains.
+        The coefficient schedule and the solved controller, whose gains are
+        the minimizers of the two passes.
 
     Raises:
         NonPositiveCoefficient: If a weight has the wrong sign (see the
@@ -213,32 +185,5 @@ def solve(spec: ProblemSpec) -> tuple[CoefficientSchedule, GainSchedule]:
         problem_class=klass, p=spec.p, o=spec.o,
         alpha_bar=alpha_bar, alpha=alpha, gamma_bar=gamma_bar,
     )
-    return schedule, GainSchedule(k_mean=k_mean, k_dev=k_dev)
+    return schedule, FeedbackPolicy(k_mean=k_mean, k_dev=k_dev)
 
-
-def riccati_lqr(spec: ProblemSpec) -> CoefficientSchedule:
-    """Independent p = 1 reference: the classical Riccati difference equation.
-
-    Implements alpha_bar[k] = q_bar[k] + alpha_bar[k+1] a_bar[k]^2 r_bar[k] /
-    (r_bar[k] + alpha_bar[k+1] b_bar[k]^2) directly, without reusing the
-    general-power solver, to cross-check the p = 1 reduction.
-    """
-    if spec.p != 1:
-        raise ValueError(f"the Riccati reference applies to p = 1 only, got p={spec.p}")
-    n = spec.n_steps
-    a_bar, b_bar, q_bar, r_bar = spec.a_bar, spec.b_bar, spec.q_bar, spec.r_bar
-
-    alpha_bar = [0.0] * (n + 1)
-    alpha_bar[n] = spec.q_bar_terminal
-    for k in reversed(range(n)):
-        alpha_bar[k] = q_bar[k] + (
-            alpha_bar[k + 1] * a_bar[k] ** 2 * r_bar[k]
-            / (r_bar[k] + alpha_bar[k + 1] * b_bar[k] ** 2)
-        )
-
-    return CoefficientSchedule(
-        problem_class=spec.problem_class,
-        p=spec.p,
-        o=spec.o,
-        alpha_bar=tuple(alpha_bar),
-    )

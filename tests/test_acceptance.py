@@ -21,16 +21,15 @@ from hocs import (
     example_config,
     mc_validate,
     predicted_cost,
-    riccati_lqr,
     simulate_ensemble,
     solve,
     realized_cost,
-    FeedbackPolicy,
 )
 from hocs.cli import main, run_kpi_study
 from hocs.config import render_config
 
 from convexity import convexity_check
+from riccati import riccati_lqr
 
 
 @contextlib.contextmanager
@@ -56,7 +55,7 @@ def test_criterion_01_deterministic_consistency(capsys):
         for p in (1, 2, 3):
             spec = example_config(1, p).problem
             schedule, gains = solve(spec)
-            ensemble = simulate_ensemble(spec, FeedbackPolicy(gains), 3, 7)
+            ensemble = simulate_ensemble(spec, gains, 3, 7)
             report = realized_cost(spec, ensemble)
             predicted = schedule.alpha_bar[0] * spec.initial.mean ** (2 * p)
             assert math.isclose(report.realized_mean, predicted, rel_tol=1e-10)

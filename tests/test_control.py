@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from hocs import (
     BaselinePolicy,
     FeedbackPolicy,
-    GainSchedule,
     IndexOutOfRange,
 )
 
-GAINS = GainSchedule(k_mean=(0.25, 0.5), k_dev=(0.5, 0.25))
-POLICY = FeedbackPolicy(GAINS)
+POLICY = FeedbackPolicy(k_mean=(0.25, 0.5), k_dev=(0.5, 0.25))
 # The KPI study's linear baseline u = -3 (x_bar - x) - 3 x_bar, as constant gains.
-LINEAR = FeedbackPolicy(GainSchedule(k_mean=(3.0,), k_dev=(-3.0,)))
+LINEAR = FeedbackPolicy(k_mean=(3.0,), k_dev=(-3.0,))
 
 
 def test_control_action_desk_value():
@@ -31,7 +29,7 @@ def test_control_action_zero_state_gives_zero_control():
 
 
 def test_control_action_without_deviation_gain():
-    policy = FeedbackPolicy(GainSchedule(k_mean=(0.25,)))
+    policy = FeedbackPolicy(k_mean=(0.25,))
     # No deviation channel: the control ignores x - x_bar entirely.
     assert policy.control(0, x=5.0, x_bar=2.0) == policy.mean_control(0, x_bar=2.0) == -0.5
 
@@ -89,15 +87,15 @@ def test_feedback_policy_matches_control_action():
     assert POLICY.n_steps == 2
     x = np.array([1.0, -2.0, 0.5])
     out = POLICY.control(1, x, x_bar=0.5)
-    u_bar = -GAINS.k_mean[1] * 0.5
-    expected = [u_bar - GAINS.k_dev[1] * (float(v) - 0.5) for v in x]
+    u_bar = -POLICY.k_mean[1] * 0.5
+    expected = [u_bar - POLICY.k_dev[1] * (float(v) - 0.5) for v in x]
     np.testing.assert_allclose(out, expected, rtol=0, atol=0)
     assert POLICY.mean_control(1, 0.5) == u_bar
 
 
 def test_feedback_policy_checks_step():
     with pytest.raises(IndexOutOfRange):
-        FeedbackPolicy(GAINS).control(7, np.zeros(2), 0.0)
+        POLICY.control(7, np.zeros(2), 0.0)
 
 
 @pytest.mark.parametrize("k", [1.0, True, np.float64(1.0), np.True_],

@@ -15,7 +15,6 @@ from hocs import (
     Distribution,
     Empirical,
     FeedbackPolicy,
-    GainSchedule,
     Gaussian,
     GaussianVariance,
     IndexOutOfRange,
@@ -435,7 +434,7 @@ def test_problem_spec_checks_every_field(make, error, match):
 def _ex4_p3():
     """The mean-field preset at p = 3 and its solved feedback policy."""
     spec = example_config(4, 3).problem
-    return spec, FeedbackPolicy(solve(spec)[1])
+    return spec, solve(spec)[1]
 
 
 @pytest.mark.parametrize("kind", [np.int64, np.int32])
@@ -650,7 +649,7 @@ def test_missing_noise_law_raises_missing_moment(klass):
         spec.noise_moment(2)
     with pytest.raises(MissingMoment):
         solve(spec)
-    policy = FeedbackPolicy(GainSchedule(k_mean=(0.1, 0.1), k_dev=(0.1, 0.1)))
+    policy = FeedbackPolicy(k_mean=(0.1, 0.1), k_dev=(0.1, 0.1))
     with pytest.raises(MissingMoment):
         simulate_ensemble(spec, policy, n_paths=2, master_seed=0)
 

@@ -2,12 +2,12 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hocs import (
-    FeedbackPolicy,
     InitialLaw,
     NotConverged,
     ProblemSpec,
@@ -289,7 +289,7 @@ def test_mc_validation_reports_the_moment_gap_in_standard_errors():
     spec = example_config(3, 1).problem
     schedule, gains = solve(spec)
     report = mc_validate(spec, schedule, gains, n_paths=4000, master_seed=46)
-    cost = realized_cost(spec, simulate_ensemble(spec, FeedbackPolicy(gains), 4000, 46))
+    cost = realized_cost(spec, simulate_ensemble(spec, gains, 4000, 46))
     moment_realized = cost.breakdown["state_moment"] + cost.breakdown["control_moment"]
     gap = moment_realized - _deviation_term(schedule, spec.initial)
     assert report.moment_z == gap / cost.realized_stderr
@@ -300,6 +300,32 @@ def test_mc_validation_reports_the_moment_gap_in_standard_errors():
     assert single.stderr == 0.0
     assert math.isnan(single.moment_z)
     assert math.isnan(brute_force_deterministic(example_config(1, 1).problem).moment_z)
+
+
+@pytest.mark.parametrize("scale, discrepant", [(1 + 1e-8, True), (1 + 1e-12, False)])
+def test_mc_mean_gate_is_tight_both_ways(scale, discrepant):
+    # Given the mean path, the mean-channel cost is exact, so mc_validate holds it
+    # to 1e-10 of its scale: a price off by 1e-8 is discrepant, one off by 1e-12
+    # is not. Seed 5 at 4,000 paths is the run the golden verify digest pins as ok.
+    spec = example_config(4, 3).problem
+    schedule, gains = solve(spec)
+    moved = replace(schedule, alpha_bar=(schedule.alpha_bar[0] * scale, *schedule.alpha_bar[1:]))
+    assert mc_validate(spec, moved, gains, 4000, 5).discrepant is discrepant
+
+
+@pytest.mark.parametrize("offset, discrepant", [
+    (-1.1e-6, True), (-0.9e-6, False),  # closed form below the optimum: the gap bound
+    (1.1e-8, True), (0.9e-8, False),  # closed form above it: the oracle beats it
+])
+def test_oracle_bounds_are_tight_both_ways(monkeypatch, offset, discrepant):
+    # GAP_TOLERANCE = 1e-6 and BEAT_TOLERANCE = 1e-8, each pinned by a closed
+    # form moved just past it and just inside it (ex1 p2 costs about 3e4 > 1).
+    spec = example_config(1, 2).problem
+    optimum = brute_force_deterministic(spec).oracle_cost
+    monkeypatch.setattr(oracle, "predicted_cost", lambda schedule, initial: optimum * (1 + offset))
+    report = brute_force_deterministic(spec)
+    assert report.oracle_cost == optimum
+    assert report.discrepant is discrepant
 
 
 def test_probe_finds_minimum_at_unit_scale_deterministically():
@@ -328,8 +354,8 @@ def test_shared_draw_reports_equal_fresh_draw_loop(example_id, p, seed):
     schedule, gains = solve(spec)
     n_paths = 300
 
-    def fresh_cost(policy_gains):
-        ensemble = simulate_ensemble(spec, FeedbackPolicy(policy_gains), n_paths, seed)
+    def fresh_cost(policy):
+        ensemble = simulate_ensemble(spec, policy, n_paths, seed)
         return realized_cost(spec, ensemble)
 
     curves = {}

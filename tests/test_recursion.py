@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hocs import (
     CoefficientSchedule,
-    GainSchedule,
+    FeedbackPolicy,
     Gaussian,
     InitialLaw,
     Moments,
@@ -23,11 +23,13 @@ from hocs import (
     Rademacher,
     UniformSymmetric,
     example_config,
-    riccati_lqr,
+    predicted_cost,
     solve,
     validate,
 )
 from hocs.model import _PER_STEP_FIELDS
+
+from riccati import riccati_lqr
 
 
 def _det_spec(n, a_bar, b_bar, q_bar, q_bar_terminal, r_bar, p, mean=1.0):
@@ -638,7 +640,55 @@ def test_schedule_rejects_inconsistent_lengths():
 
 def test_gain_schedule_rejects_nonfinite_entries():
     with pytest.raises(ValueError):
-        GainSchedule(k_mean=(float("nan"),))
+        FeedbackPolicy(k_mean=(float("nan"),))
+
+
+_RECORD_FIELDS = {
+    "k_mean": lambda v: FeedbackPolicy(k_mean=v),
+    "k_dev": lambda v: FeedbackPolicy(k_mean=(0.5, 0.5), k_dev=v),
+    "alpha_bar": lambda v: CoefficientSchedule("deterministic", 1, 1, alpha_bar=v),
+    "gamma_bar": lambda v: CoefficientSchedule(
+        "additive", 1, 1, alpha_bar=(1.0, 1.0), alpha=(1.0, 1.0), gamma_bar=v),
+}
+
+
+@pytest.mark.parametrize("field", _RECORD_FIELDS)
+@pytest.mark.parametrize("value, where", [
+    pytest.param("12", "", id="text"), pytest.param(b"12", "", id="bytes"),
+    pytest.param(("1.5", True), "[0]", id="text-element"),
+    pytest.param((b"2", 1), "[0]", id="bytes-element"),
+    pytest.param((1.0, True), "[1]", id="bool-element"),
+    pytest.param((1.0, np.True_), "[1]", id="numpy-bool-element"),
+])
+def test_solved_records_refuse_text_and_bools_naming_the_field(field, value, where):
+    # float() reads "12" as 12.0 and True as 1.0; the sequence gate refuses both.
+    with pytest.raises(TypeError, match=rf"^{field}{re.escape(where)} must be a "):
+        _RECORD_FIELDS[field](value)
+
+
+@pytest.mark.parametrize("field", _RECORD_FIELDS)
+@pytest.mark.parametrize("value", [(1.0, math.nan), (1.0, -math.inf), (1.0, 10**400)],
+                         ids=["nan", "-inf", "huge-int"])
+def test_solved_records_name_a_nonfinite_entry_by_its_index(field, value):
+    with pytest.raises(NonFiniteCoefficient, match=rf"^{field}\[1\] must be finite"):
+        _RECORD_FIELDS[field](value)
+
+
+def test_solved_records_store_numbers_as_float_tuples():
+    policy = FeedbackPolicy(k_mean=[1, np.float32(0.5)], k_dev=np.array([2.0, -1.0]))
+    assert policy == FeedbackPolicy(k_mean=(1.0, 0.5), k_dev=(2.0, -1.0))
+    assert all(type(g) is float for g in (*policy.k_mean, *policy.k_dev))
+    assert policy.n_steps == 2
+
+
+def test_schedule_takes_its_class_by_name():
+    schedule = CoefficientSchedule("deterministic", 1, 1, alpha_bar=(1.0, 2.0))
+    assert schedule.problem_class is ProblemClass.DETERMINISTIC
+    assert predicted_cost(schedule, InitialLaw(mean=1.0)) == 1.0
+    with pytest.raises(ValueError, match="'quartic' is not a valid ProblemClass"):
+        CoefficientSchedule("quartic", 1, 1, alpha_bar=(1.0, 2.0))
+    with pytest.raises(ValueError, match=r"^p must be an integer >= 1, got True$"):
+        CoefficientSchedule("deterministic", True, 1, alpha_bar=(1.0, 2.0))
 
 
 # --------------------------------------------------------------------------

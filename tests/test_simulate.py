@@ -12,7 +12,6 @@ import pytest
 from hocs import (
     Empirical,
     FeedbackPolicy,
-    GainSchedule,
     Gaussian,
     GaussianVariance,
     InitialLaw,
@@ -37,11 +36,6 @@ from hocs import simulate
 from hocs.simulate import _BLOCK, _DRAWS, _common_draws, _draw, _even_power
 
 
-def _solved_policy(spec):
-    schedule, gains = solve(spec)
-    return schedule, FeedbackPolicy(gains)
-
-
 def _hand_ensemble(states, controls, mean_path, mean_controls):
     return TrajectoryEnsemble(
         states=np.asarray(states, dtype=float),
@@ -57,7 +51,7 @@ def _hand_ensemble(states, controls, mean_path, mean_controls):
 
 def test_same_seed_reproduces_bit_identical_paths():
     spec = example_config(3, 2).problem
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     first = simulate_ensemble(spec, policy, n_paths=64, master_seed=11)
     second = simulate_ensemble(spec, policy, n_paths=64, master_seed=11)
     assert np.array_equal(first.states, second.states)
@@ -68,7 +62,7 @@ def test_same_seed_reproduces_bit_identical_paths():
 
 def test_exact_mean_path_ignores_seed_and_ensemble_size():
     spec = example_config(2, 2).problem
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     small = simulate_ensemble(spec, policy, n_paths=3, master_seed=1)
     large = simulate_ensemble(spec, policy, n_paths=200, master_seed=999)
     assert np.array_equal(small.mean_path, large.mean_path)
@@ -77,7 +71,7 @@ def test_exact_mean_path_ignores_seed_and_ensemble_size():
 
 def test_deterministic_paths_equal_mean_path():
     spec = example_config(1, 2).problem
-    schedule, policy = _solved_policy(spec)
+    schedule, policy = solve(spec)
     ensemble = simulate_ensemble(spec, policy, n_paths=3, master_seed=5)
     for row in ensemble.states:
         np.testing.assert_allclose(row, ensemble.mean_path, rtol=0, atol=0)
@@ -93,8 +87,8 @@ def test_propagate_mean_geometric_decay():
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=1.0, r_bar=1.0, p=1,
         initial=InitialLaw(mean=8.0),
     )
-    gains = GainSchedule(k_mean=(0.5, 0.5, 0.5, 0.5))
-    ensemble = simulate_ensemble(spec, FeedbackPolicy(gains), n_paths=1, master_seed=0)
+    gains = FeedbackPolicy(k_mean=(0.5, 0.5, 0.5, 0.5))
+    ensemble = simulate_ensemble(spec, gains, n_paths=1, master_seed=0)
     np.testing.assert_allclose(
         ensemble.mean_path, [8.0, 4.0, 2.0, 1.0, 0.5], rtol=0, atol=0
     )
@@ -102,7 +96,7 @@ def test_propagate_mean_geometric_decay():
 
 def test_ensemble_arrays_are_read_only():
     spec = example_config(1, 1).problem
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     ensemble = simulate_ensemble(spec, policy, n_paths=2, master_seed=0)
     with pytest.raises(ValueError):
         ensemble.states[0, 0] = 99.0
@@ -120,7 +114,7 @@ def test_moment_table_defaults_to_variance_and_risk_order(tmp_path):
 
 def test_ensemble_columns_are_contiguous_and_read_only():
     spec = example_config(4, 3).problem
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     ensemble = simulate_ensemble(spec, policy, n_paths=50, master_seed=0)
     assert ensemble.states.shape == (50, spec.n_steps + 1)
     assert ensemble.controls.shape == (50, spec.n_steps)
@@ -140,7 +134,7 @@ def test_ensemble_columns_are_contiguous_and_read_only():
 
 def test_common_draws_scope_reuses_one_draw_and_forgets_it():
     spec = example_config(4, 3).problem
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     n_paths = _BLOCK + 1  # two noise blocks
     # Outside a scope every draw is fresh: equal blocks in fresh memory.
     draws = [list(_draw(spec, n_paths, 5)[1]) for _ in range(2)]
@@ -190,7 +184,7 @@ def test_noise_blocks_equal_one_draw_bit_for_bit(law, n_paths):
 def test_ensemble_outside_a_scope_holds_its_block_and_one_noise_block():
     # The full (n_paths, N) noise matrix would cost 8 N n_paths bytes more.
     spec = example_config(2, 2).problem
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     n_paths, n = 4 * _BLOCK + 7, spec.n_steps
     simulate_ensemble(spec, policy, n_paths=1, master_seed=3)  # numpy's lazy imports
     tracemalloc.start()
@@ -212,7 +206,7 @@ def test_footprint_over_physical_memory_is_refused_before_allocating(monkeypatch
     monkeypatch.setattr(simulate, "_address_space_limit", lambda: None)
     monkeypatch.setattr(simulate, "_cgroup_memory_max", lambda: None)
     spec = example_config(2, 2).problem
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     needed = 8 * (2 * spec.n_steps + 1) * (2**50 + _BLOCK)
     with pytest.raises(MemoryError, match=rf"^{2**50} paths of 10 steps need {needed} bytes, "
                                           r"more than the \d+ bytes of physical memory$"):
@@ -243,7 +237,7 @@ def test_address_space_limit_binds_unless_unlimited(monkeypatch, soft, binds):
     monkeypatch.setattr(resource, "getrlimit", lambda which: (soft, resource.RLIM_INFINITY))
     monkeypatch.setattr(simulate, "_cgroup_memory_max", lambda: None)
     spec = example_config(2, 2).problem
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     needed = 8 * (2 * spec.n_steps + 1) * (100 + _BLOCK)
     assert simulate._address_space_limit() == (soft if binds else None)
     if binds:
@@ -292,7 +286,7 @@ def test_cgroup_memory_max_binds_unless_max_or_missing(monkeypatch, fake_files, 
     fake_files.update(files)
     monkeypatch.setattr(simulate, "_address_space_limit", lambda: None)
     spec = example_config(2, 2).problem
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     needed = 8 * (2 * spec.n_steps + 1) * (100 + _BLOCK)
     assert simulate._cgroup_memory_max() == limit
     if limit is not None:
@@ -321,7 +315,7 @@ def test_cgroup_directory_is_read_once_and_memory_max_on_every_call(fake_files):
 
 def test_simulate_rejects_bad_arguments():
     spec = example_config(1, 1).problem
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     with pytest.raises(ValueError):
         simulate_ensemble(spec, policy, n_paths=0, master_seed=0)
 
@@ -335,7 +329,7 @@ def test_simulate_checks_its_count_and_seed(name, value):
     # Before the memory check (2.0**50 paths would not fit), and before numpy,
     # which would raise its own TypeError or read True as seed 1.
     spec = example_config(1, 1).problem
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     match = rf"^{name} must be an integer >= {1 if name == 'n_paths' else 0}, got {value!r}$"
     with pytest.raises(ValueError, match=match):
         simulate_ensemble(spec, policy, **{"n_paths": 2, "master_seed": 0, name: value})
@@ -343,7 +337,7 @@ def test_simulate_checks_its_count_and_seed(name, value):
 
 def test_simulate_rejects_policy_with_wrong_horizon():
     spec = example_config(2, 1).problem
-    short = FeedbackPolicy(GainSchedule(k_mean=(0.1,), k_dev=(0.1,)))
+    short = FeedbackPolicy(k_mean=(0.1,), k_dev=(0.1,))
     with pytest.raises(InvalidPolicy):
         simulate_ensemble(spec, short, n_paths=2, master_seed=0)
 
@@ -356,7 +350,7 @@ def test_simulate_needs_a_samplable_noise_law():
         noise=Moments({2: 1.0}),
         initial=InitialLaw(mean=1.0),
     )
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     with pytest.raises(MissingMoment):
         simulate_ensemble(spec, policy, n_paths=2, master_seed=0)
 
@@ -377,7 +371,7 @@ def test_mult_state_variance_tracks_theory():
         noise=Gaussian(sigma=0.3),
         initial=InitialLaw(mean=2.0, law=Empirical(samples=(-0.3, 0.3))),
     )
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     _, gains = solve(spec)
     n_paths = 100_000
     ensemble = simulate_ensemble(spec, policy, n_paths, master_seed=2024)
@@ -421,7 +415,7 @@ def test_even_power_matches_numpy_power(n):
 
 def test_central_moment_matches_exactly_summed_mean():
     spec = example_config(3, 1).problem
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     n_paths = 100_000
     ensemble = simulate_ensemble(spec, policy, n_paths, master_seed=42)
     moments = central_moment(ensemble, 2)
@@ -442,7 +436,7 @@ def test_mult_state_point_mass_initial_has_no_spread():
         noise=Gaussian(sigma=1.0),
         initial=InitialLaw(mean=4.0),
     )
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     ensemble = simulate_ensemble(spec, policy, n_paths=50, master_seed=9)
     # Multiplicative-in-deviation noise cannot create spread from nothing.
     np.testing.assert_allclose(
@@ -457,7 +451,7 @@ def test_mult_state_point_mass_initial_has_no_spread():
 
 def test_realized_cost_breakdown_sums_exactly():
     spec = example_config(2, 2).problem
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     ensemble = simulate_ensemble(spec, policy, n_paths=300, master_seed=17)
     report = realized_cost(spec, ensemble)
     assert sum(report.breakdown.values()) == report.realized_mean
@@ -471,7 +465,7 @@ def test_realized_cost_breakdown_sums_exactly():
 def test_realized_cost_without_bootstrap_has_no_stderr():
     # A single path has no spread to estimate, and no resamples are drawn.
     spec = example_config(2, 1).problem
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     ensemble = simulate_ensemble(spec, policy, n_paths=1, master_seed=17)
     report = realized_cost(spec, ensemble)
     assert report.realized_stderr == 0.0
@@ -491,7 +485,7 @@ def _per_path_moment_costs(spec, ensemble):
 
 def test_realized_stderr_is_plug_in_standard_error():
     spec = example_config(3, 2).problem
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     ensemble = simulate_ensemble(spec, policy, n_paths=300, master_seed=17)
     report = realized_cost(spec, ensemble)
     per_path = _per_path_moment_costs(spec, ensemble)
@@ -502,7 +496,7 @@ def test_realized_stderr_is_plug_in_standard_error():
 @pytest.mark.parametrize("example_id,p", [(2, 1), (3, 1), (4, 1), (4, 2), (4, 3)])
 def test_realized_stderr_agrees_with_path_bootstrap(example_id, p):
     spec = example_config(example_id, p).problem
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     n_paths = 20_000
     ensemble = simulate_ensemble(spec, policy, n_paths, master_seed=42)
     report = realized_cost(spec, ensemble)
@@ -516,7 +510,7 @@ def test_realized_stderr_agrees_with_path_bootstrap(example_id, p):
 def test_additive_cost_matches_prediction_within_noise():
     config = example_config(2, 1)
     spec = config.problem
-    schedule, policy = _solved_policy(spec)
+    schedule, policy = solve(spec)
     ensemble = simulate_ensemble(spec, policy, n_paths=20_000, master_seed=42)
     report = realized_cost(spec, ensemble)
     assert report.realized_stderr > 0.0
@@ -593,7 +587,7 @@ def test_kpi_monotone_in_power_for_large_components():
 
 def test_kpi_is_nonnegative():
     spec = example_config(3, 2).problem
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     ensemble = simulate_ensemble(spec, policy, n_paths=40, master_seed=8)
     for z in (1, 2, 3):
         kx, ku = kpi(ensemble, z)
@@ -661,7 +655,7 @@ _REDUCTION_CASES = [
 
 @pytest.mark.parametrize("spec,n_paths", _REDUCTION_CASES)
 def test_reductions_equal_plain_expressions_bit_for_bit(spec, n_paths):
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     ensemble = simulate_ensemble(spec, policy, n_paths=n_paths, master_seed=17)
     breakdown, stderr, moments, kpis = _reference_reductions(spec, ensemble)
 
@@ -682,7 +676,7 @@ def test_reductions_of_one_bundle_peak_at_block_buffers_and_path_vectors():
     # moment slabs of one step: no buffer the size of the states (11 path
     # vectors here).
     spec = example_config(4, 3).problem
-    _, policy = _solved_policy(spec)
+    _, policy = solve(spec)
     ensemble = simulate_ensemble(spec, policy, n_paths=4 * _BLOCK + 7, master_seed=5)
     n, path_vector = ensemble.n_steps, 8 * ensemble.n_paths
     tracemalloc.start()
