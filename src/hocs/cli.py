@@ -4,10 +4,10 @@ Exit codes are part of the contract: 0 success, 1 a validity check failed,
 2 a recursion or verification failure (a weight of the wrong sign, a
 non-finite coefficient, a missing moment, oracle disagreement), 3 an
 unreadable config, a malformed or out-of-range flag or an unknown command,
-an I/O problem or running out of memory. Run settings resolve in one place,
-_run_settings: the seed is HOCS_SEED, else --seed, else the config's
-run.master_seed, else the RunSettings default; --paths and a directory --out
-replace run.n_paths and run.out_dir likewise, and kpi starts from one path.
+an I/O problem or running out of memory. _check_flags puts a set HOCS_SEED in
+place of --seed before any command runs. _run_settings then takes --seed, else
+run.master_seed, else the RunSettings default, and --paths and a directory
+--out in place of run.n_paths and run.out_dir; kpi starts from one path.
 
 All CSV output uses a comma delimiter, a header row, Unix newlines, '.' as
 the radix, and 17 significant digits for floats, so files round-trip to the

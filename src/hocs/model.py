@@ -202,8 +202,8 @@ def _integer(value, name: str, minimum: int, *, even: bool = False) -> int:
 
 def _store_finite(record, first: str, *optional: str) -> None:
     """Store the named fields of a frozen record through the sequence gate, a
-    non-finite entry raising NonFiniteCoefficient. An optional field left None
-    stays None; one that is set must be as long as the first."""
+    non-finite entry raising NonFiniteCoefficient. The first must hold an entry;
+    an optional one may be None, and one that is set is as long as the first."""
     for name in (first, *optional):
         values = getattr(record, name)
         if values is None and name != first:
@@ -213,6 +213,8 @@ def _store_finite(record, first: str, *optional: str) -> None:
         except ValueError as exc:  # the type errors pass as they are
             raise NonFiniteCoefficient(str(exc)) from None
         object.__setattr__(record, name, out)
+        if not out:
+            raise ValueError(f"{name} must hold at least one entry, got ()")
         if len(out) != len(getattr(record, first)):
             raise ValueError(f"{name} must have the same length as {first}")
 

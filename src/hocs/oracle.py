@@ -36,9 +36,8 @@ from .model import NotConverged, ProblemSpec, ProblemClass
 from .recursion import CoefficientSchedule, solve
 from .simulate import (
     _common_draws,
-    _deviation_term,
     _mean_channel,
-    _mean_term,
+    _price_terms,
     predicted_cost,
     realized_cost,
     simulate_ensemble,
@@ -227,8 +226,8 @@ def mc_validate(
     plug-in standard errors (see realized_cost), with a floor relative to
     the moment scale itself; a floor relative to the total would swallow the
     moment channel whenever the mean cost dwarfs it. ``discrepant`` is set
-    unless both channels agree. The price comes before the rollout, so one
-    that overflows raises NonFiniteCoefficient without simulating a path.
+    unless both channels agree. The price, one _price_terms call, comes before
+    the rollout, so one that overflows raises NonFiniteCoefficient first.
 
     The gate assumes a near-normal sample mean whose plug-in stderr sees the
     tail, so heavy-tailed per-path costs make it fire on correct code, on the
@@ -236,19 +235,13 @@ def mc_validate(
     stderr is right and more paths fix it; at example 3, p = 2 the plug-in
     stderr is 5.2 times below the exact one, and longer horizons fire more.
     """
-    closed_form = predicted_cost(schedule, spec.initial)
-    mean_predicted = _mean_term(schedule, spec.initial)
-    moment_predicted = _deviation_term(schedule, spec.initial)
-    ensemble = simulate_ensemble(spec, gains, n_paths, master_seed)
-    report = realized_cost(spec, ensemble)
-
-    mean_realized = report.breakdown["state_power"] + report.breakdown["control_power"]
+    mean_predicted, moment_predicted = _price_terms(schedule, spec.initial)
+    closed_form = moment_predicted + mean_predicted  # predicted_cost's order, so its bits
+    report = realized_cost(spec, simulate_ensemble(spec, gains, n_paths, master_seed))
+    mean_realized, moment_realized = report.channels
     mean_ok = abs(mean_predicted - mean_realized) <= 1e-10 * max(abs(mean_predicted), 1.0)
-
-    moment_realized = report.breakdown["state_moment"] + report.breakdown["control_moment"]
-    moment_budget = 3.0 * report.realized_stderr + 1e-10 * max(
-        abs(moment_predicted), abs(moment_realized)
-    )
+    moment_budget = (3.0 * report.realized_stderr
+                     + 1e-10 * max(abs(moment_predicted), abs(moment_realized)))
     # A non-finite budget (per-path costs past ~1e154 square to inf) agrees with nothing.
     moment_ok = (math.isfinite(moment_budget)
                  and abs(moment_predicted - moment_realized) <= moment_budget)
@@ -323,16 +316,11 @@ def local_optimality_probe(
             paths = 1 if channel == "mean" else n_paths
             for factor in PROBE_GRID:
                 perturbed = _scaled_gains(gains, channel, factor)
-                ensemble = simulate_ensemble(spec, perturbed, paths, master_seed)
-                report = realized_cost(spec, ensemble)
-                # The next rollout allocates its own block; this one is spent.
-                del ensemble
-                parts = report.breakdown
-                if channel == "mean":
-                    cost, err = parts["state_power"] + parts["control_power"], 0.0
-                else:
-                    cost = parts["state_moment"] + parts["control_moment"]
-                    err = report.realized_stderr
+                # No name holds the ensemble, so its block is freed before the next one.
+                report = realized_cost(spec, simulate_ensemble(spec, perturbed, paths, master_seed))
+                mean_cost, moment_cost = report.channels
+                cost, err = ((mean_cost, 0.0) if channel == "mean"
+                             else (moment_cost, report.realized_stderr))
                 # Paths that left the float range cost inf, also where they met as nan.
                 points.append((factor, math.inf if math.isnan(cost) else cost, err))
             curves[channel] = tuple(points)

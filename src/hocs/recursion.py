@@ -63,11 +63,12 @@ class CoefficientSchedule:
     """Backward-solved value coefficients, indexed k = 0..N.
 
     ``alpha_bar[k]`` weights xbar**(2p) in the value ansatz. ``alpha[k]``
-    weights the 2o-th central moment of the state (absent for the
-    deterministic class). ``gamma_bar[k]`` is the additive-noise offset
-    (present only for the additive class). The class tag (which may be given
-    by name) and the powers are carried along so a schedule is
-    self-contained for cost prediction. Every entry must be finite.
+    weights the 2o-th central moment of the state, for every stochastic
+    class and no other. ``gamma_bar[k]`` is the additive-noise offset, for
+    the additive class and no other; a missing or extra channel raises
+    ValueError naming it. The class tag (which may be given by name) and the
+    powers make a schedule self-contained for cost prediction. Every entry
+    must be finite, and alpha_bar holds at least one.
     """
 
     problem_class: ProblemClass
@@ -78,9 +79,15 @@ class CoefficientSchedule:
     gamma_bar: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "problem_class", ProblemClass(self.problem_class))
+        klass = ProblemClass(self.problem_class)
+        object.__setattr__(self, "problem_class", klass)
         for name in ("p", "o"):
             object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
+        for name, held in (("alpha", klass is not ProblemClass.DETERMINISTIC),
+                           ("gamma_bar", klass is ProblemClass.ADDITIVE)):
+            if (getattr(self, name) is None) == held:
+                rule = "is required" if held else "must be None"
+                raise ValueError(f"{name} {rule} for class {klass.value}")
         _store_finite(self, "alpha_bar", "alpha", "gamma_bar")
 
     @property

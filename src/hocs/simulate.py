@@ -1,5 +1,9 @@
 """Closed-loop simulation: mean propagation, seeded ensembles, costs, KPIs.
 
+A cost has two channels, checked apart: the mean channel (xbar and ubar
+powers, exact given the mean path) and the random moment channel. _price_terms
+prices them from a schedule and CostReport.channels realizes them, in that order.
+
 The mean channel is deterministic for every problem class,
 
     xbar[k+1] = a_bar[k] xbar[k] + b_bar[k] ubar[k],
@@ -138,7 +142,7 @@ class CostReport:
 
     ``breakdown`` splits realized_mean into its four term families
     (state_power, control_power, state_moment, control_moment); the entries
-    sum to realized_mean exactly.
+    sum to realized_mean exactly; ``channels`` pairs them by channel.
     """
 
     realized_mean: float
@@ -147,6 +151,12 @@ class CostReport:
     n_paths: int
     # The stderr is closed-form, so no bootstrap resamples are ever drawn.
     n_bootstrap: ClassVar[int] = 0
+
+    @property
+    def channels(self) -> tuple[float, float]:
+        """(mean, moment) channel: state_power + control_power, state_moment + control_moment."""
+        b = self.breakdown
+        return b["state_power"] + b["control_power"], b["state_moment"] + b["control_moment"]
 
 
 def _even_power(
@@ -451,41 +461,34 @@ def realized_cost(spec: ProblemSpec, ensemble: TrajectoryEnsemble) -> CostReport
 
 
 def predicted_cost(schedule: CoefficientSchedule, initial) -> float:
-    """Optimal expected cost from the solved coefficients and the initial law.
-
-    The mean term alpha_bar[0] xbar0**2p plus the deviation-channel term
-    (see _deviation_term).
+    """Optimal expected cost from the solved coefficients and the initial law: _price_terms' sum.
 
     Raises:
         NonFiniteCoefficient: If the price overflows (a huge initial mean).
     """
-    total = _deviation_term(schedule, initial) + _mean_term(schedule, initial)
-    if not math.isfinite(total):
-        raise NonFiniteCoefficient(f"predicted cost = {total} at step 0 is not finite")
-    return total
+    mean, moment = _price_terms(schedule, initial)
+    return moment + mean
 
 
-def _mean_term(schedule: CoefficientSchedule, initial) -> float:
-    """The mean-channel part alpha_bar[0] xbar0**2p; past the float range inf, or nan at 0 * inf."""
-    return schedule.alpha_bar[0] * _power(initial.mean, 2 * schedule.p)
+def _price_terms(schedule: CoefficientSchedule, initial) -> tuple[float, float]:
+    """The price by channel, (mean term, moment term), each at its own scale.
 
-
-def _deviation_term(schedule: CoefficientSchedule, initial) -> float:
-    """The deviation-channel part of the predicted cost, at its own scale.
-
-    alpha[0] E[(x0 - xbar0)**2o], plus gamma_bar[0] where the schedule has
-    it (the additive class); 0 for the deterministic class. Never derive this
-    by subtracting the mean term from the total: the mean term can be ten
-    orders larger (a moment contribution of 1e-12 next to a mean cost of 1e7
-    is gone after one addition).
+    The mean term is alpha_bar[0] xbar0**2p; the moment term alpha[0]
+    E[(x0 - xbar0)**2o] plus gamma_bar[0], each where the schedule holds
+    that channel, so 0 for the deterministic class. Never derive the moment
+    term as total minus mean term: the mean term can be ten orders larger (a
+    moment term of 1e-12 is lost when added to a mean cost of 1e7). A
+    non-finite total raises NonFiniteCoefficient.
     """
-    klass = schedule.problem_class
-    if klass is ProblemClass.DETERMINISTIC:
-        return 0.0
-    if schedule.alpha is None:
-        raise ValueError(f"schedule for class {klass.value} lacks the deviation channel")
-    term = schedule.alpha[0] * initial.central_moment(2 * schedule.o)
-    return term if schedule.gamma_bar is None else term + schedule.gamma_bar[0]
+    moment = 0.0
+    if schedule.alpha is not None:
+        moment = schedule.alpha[0] * initial.central_moment(2 * schedule.o)
+    if schedule.gamma_bar is not None:
+        moment += schedule.gamma_bar[0]
+    mean = schedule.alpha_bar[0] * _power(initial.mean, 2 * schedule.p)
+    if not math.isfinite(moment + mean):
+        raise NonFiniteCoefficient(f"predicted cost = {moment + mean} at step 0 is not finite")
+    return mean, moment
 
 
 def kpi(ensemble: TrajectoryEnsemble, zeta: int) -> tuple[float, float]:

@@ -11,6 +11,8 @@ from hocs import (
     InitialLaw,
     NotConverged,
     ProblemSpec,
+    Rademacher,
+    UniformSymmetric,
     brute_force_deterministic,
     example_config,
     local_optimality_probe,
@@ -24,7 +26,7 @@ from hocs import (
 from hocs.cli import main
 from hocs.config import render_config
 from hocs.oracle import PROBE_GRID, _scaled_gains
-from hocs.simulate import _BLOCK, _DRAWS, _common_draws, _deviation_term
+from hocs.simulate import _BLOCK, _DRAWS, _common_draws, _price_terms
 
 from convexity import convexity_check
 
@@ -290,8 +292,7 @@ def test_mc_validation_reports_the_moment_gap_in_standard_errors():
     schedule, gains = solve(spec)
     report = mc_validate(spec, schedule, gains, n_paths=4000, master_seed=46)
     cost = realized_cost(spec, simulate_ensemble(spec, gains, 4000, 46))
-    moment_realized = cost.breakdown["state_moment"] + cost.breakdown["control_moment"]
-    gap = moment_realized - _deviation_term(schedule, spec.initial)
+    gap = cost.channels[1] - _price_terms(schedule, spec.initial)[1]
     assert report.moment_z == gap / cost.realized_stderr
     assert round(report.moment_z, 2) == -5.34
     assert report.discrepant
@@ -313,6 +314,26 @@ def test_mc_mean_gate_is_tight_both_ways(scale, discrepant):
     assert mc_validate(spec, moved, gains, 4000, 5).discrepant is discrepant
 
 
+@pytest.mark.parametrize("law, fault", [
+    (Rademacher(1.5), {"scale": 0.9 * 1.5}), (UniformSymmetric(0.3), {"halfwidth": 0.15}),
+], ids=["rademacher", "uniform"])
+def test_mc_price_check_holds_for_each_noise_law_and_catches_its_sampler_fault(
+    monkeypatch, law, fault,
+):
+    # ex2 p2 with a non-Gaussian noise law: the price comes from the law's moment
+    # table and the paths from its sampler. At 20,000 paths over seeds 0-39,
+    # Rademacher reads discrepant once (seed 18, z = -3.10) and uniform never;
+    # a sampler at 0.9 of the scale, or at half the width, reads z = -312 and
+    # -1,390 at seed 0.
+    spec = replace(example_config(2, 2).problem, noise=law)
+    schedule, gains = solve(spec)
+    assert not mc_validate(spec, schedule, gains, 20_000, 0).discrepant
+    sample = type(law).sample
+    monkeypatch.setattr(type(law), "sample",
+                        lambda self, rng, size: sample(replace(self, **fault), rng, size))
+    assert mc_validate(spec, schedule, gains, 20_000, 0).discrepant
+
+
 @pytest.mark.parametrize("offset, discrepant", [
     (-1.1e-6, True), (-0.9e-6, False),  # closed form below the optimum: the gap bound
     (1.1e-8, True), (0.9e-8, False),  # closed form above it: the oracle beats it
@@ -326,6 +347,33 @@ def test_oracle_bounds_are_tight_both_ways(monkeypatch, offset, discrepant):
     report = brute_force_deterministic(spec)
     assert report.oracle_cost == optimum
     assert report.discrepant is discrepant
+
+
+@pytest.mark.parametrize("shortfall, min_at_unit", [(1.1e-12, False), (0.9e-12, True)])
+def test_probe_rounding_floor_is_tight_both_ways(monkeypatch, shortfall, min_at_unit):
+    # The probe's slack on the exact mean scan is its rounding floor, 1e-12 of
+    # the unit cost: a point 1.1e-12 below the unit cost moves the minimum off
+    # scale 1, one 0.9e-12 below it does not. Seed 5 at 4,000 paths passes.
+    spec = example_config(4, 3).problem
+    _, gains = solve(spec)
+    honest = local_optimality_probe(spec, gains, 4000, 5)
+    assert honest.min_at_unit
+    unit = dict((f, c) for f, c, _ in honest.curves["mean"])[1.0]
+    target, calls = unit * (1 - shortfall), []
+
+    def cost(spec, ensemble):
+        report = realized_cost(spec, ensemble)
+        calls.append(ensemble.n_paths)
+        if len(calls) == 1 + PROBE_GRID.index(0.9):  # the mean scan runs first, in grid order
+            report = replace(report, breakdown={
+                **report.breakdown, "state_power": target, "control_power": 0.0})
+        return report
+
+    monkeypatch.setattr(oracle, "realized_cost", cost)
+    report = local_optimality_probe(spec, gains, 4000, 5)
+    assert calls[PROBE_GRID.index(0.9)] == 1
+    assert dict((f, c) for f, c, _ in report.curves["mean"])[0.9] == target
+    assert report.min_at_unit is min_at_unit
 
 
 def test_probe_finds_minimum_at_unit_scale_deterministically():

@@ -647,9 +647,47 @@ _RECORD_FIELDS = {
     "k_mean": lambda v: FeedbackPolicy(k_mean=v),
     "k_dev": lambda v: FeedbackPolicy(k_mean=(0.5, 0.5), k_dev=v),
     "alpha_bar": lambda v: CoefficientSchedule("deterministic", 1, 1, alpha_bar=v),
+    "alpha": lambda v: CoefficientSchedule("higher_moment", 1, 1, alpha_bar=(1.0, 1.0), alpha=v),
     "gamma_bar": lambda v: CoefficientSchedule(
         "additive", 1, 1, alpha_bar=(1.0, 1.0), alpha=(1.0, 1.0), gamma_bar=v),
 }
+
+
+@pytest.mark.parametrize("field", _RECORD_FIELDS)
+def test_solved_records_refuse_an_empty_field(field):
+    # An empty alpha_bar built a schedule with n_steps == -1, and an empty k_mean
+    # a policy with no step; a set optional field is refused as empty too.
+    with pytest.raises(ValueError, match=rf"^{field} must hold at least one entry, got \(\)$"):
+        _RECORD_FIELDS[field](())
+
+
+#: The channels each class's schedule holds besides alpha_bar.
+_CLASS_CHANNELS = {
+    "deterministic": (), "additive": ("alpha", "gamma_bar"),
+    "mult_state": ("alpha",), "higher_moment": ("alpha",),
+}
+
+
+@pytest.mark.parametrize("klass", _CLASS_CHANNELS)
+@pytest.mark.parametrize("field", ["alpha", "gamma_bar"])
+def test_schedule_holds_exactly_its_class_channels(klass, field):
+    # A higher-moment schedule given a gamma_bar added it to the price, and a
+    # deterministic schedule's alpha was ignored: a missing or extra channel is
+    # refused when the schedule is built, naming it.
+    held = _CLASS_CHANNELS[klass]
+    channels = dict.fromkeys(held, (5.0, 0.0))
+    schedule = CoefficientSchedule(klass, 1, 1, alpha_bar=(1.0, 0.0), **channels)
+    # Mean term 1, and 5 from each held channel: alpha[0] E[(x0 - xbar0)**2] or gamma_bar[0].
+    initial = InitialLaw(mean=1.0, law=Gaussian(sigma=1.0))
+    assert predicted_cost(schedule, initial) == 1.0 + 5.0 * len(held)
+    if field in held:
+        del channels[field]
+        rule = "is required"
+    else:
+        channels[field] = (5.0, 0.0)
+        rule = "must be None"
+    with pytest.raises(ValueError, match=rf"^{field} {rule} for class {klass}$"):
+        CoefficientSchedule(klass, 1, 1, alpha_bar=(1.0, 0.0), **channels)
 
 
 @pytest.mark.parametrize("field", _RECORD_FIELDS)

@@ -33,7 +33,7 @@ from hocs import (
 from hocs.cli import main
 from hocs.config import render_config
 from hocs import simulate
-from hocs.simulate import _BLOCK, _DRAWS, _common_draws, _draw, _even_power
+from hocs.simulate import _BLOCK, _DRAWS, _common_draws, _draw, _even_power, _price_terms
 
 
 def _hand_ensemble(states, controls, mean_path, mean_controls):
@@ -462,6 +462,19 @@ def test_realized_cost_breakdown_sums_exactly():
     assert report.realized_stderr > 0.0
 
 
+def test_cost_report_channels_pair_the_breakdown_as_the_price_does():
+    spec = example_config(2, 2).problem
+    schedule, policy = solve(spec)
+    report = realized_cost(spec, simulate_ensemble(spec, policy, 300, 17))
+    parts = report.breakdown
+    assert report.channels == (parts["state_power"] + parts["control_power"],
+                               parts["state_moment"] + parts["control_moment"])
+    mean, moment = _price_terms(schedule, spec.initial)
+    assert predicted_cost(schedule, spec.initial) == moment + mean
+    assert mean == schedule.alpha_bar[0] * spec.initial.mean ** 4
+    assert moment == schedule.gamma_bar[0]  # a Dirac initial law has no spread
+
+
 def test_realized_cost_without_bootstrap_has_no_stderr():
     # A single path has no spread to estimate, and no resamples are drawn.
     spec = example_config(2, 1).problem
@@ -542,11 +555,12 @@ def test_predicted_cost_desk_values():
 def test_predicted_cost_requires_deviation_channel_when_stochastic():
     from hocs import CoefficientSchedule, ProblemClass
 
-    bare = CoefficientSchedule(
-        problem_class=ProblemClass.ADDITIVE, p=1, o=1, alpha_bar=(1.0, 1.0),
-    )
-    with pytest.raises(ValueError):
-        predicted_cost(bare, InitialLaw(mean=1.0))
+    # The schedule refuses to be built without its class's channels, so no
+    # stochastic schedule reaches predicted_cost without its deviation channel.
+    with pytest.raises(ValueError, match="^alpha is required for class additive$"):
+        CoefficientSchedule(
+            problem_class=ProblemClass.ADDITIVE, p=1, o=1, alpha_bar=(1.0, 1.0),
+        )
 
 
 # --------------------------------------------------------------------------
