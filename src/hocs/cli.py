@@ -4,10 +4,12 @@ Exit codes are part of the contract: 0 success, 1 a validity check failed,
 2 a recursion or verification failure (a weight of the wrong sign, a
 non-finite coefficient, a missing moment, oracle disagreement), 3 an
 unreadable config, a malformed or out-of-range flag or an unknown command,
-an I/O problem or running out of memory. _check_flags puts a set HOCS_SEED in
-place of --seed before any command runs. _run_settings then takes --seed, else
-run.master_seed, else the RunSettings default, and --paths and a directory
---out in place of run.n_paths and run.out_dir; kpi starts from one path.
+a stochastic verify on fewer than 2 paths, an I/O problem or running out of
+memory. _check_flags puts a set HOCS_SEED in place of --seed before any
+command runs. _run_settings then takes --seed, else run.master_seed, else the
+RunSettings default, and --paths and a directory --out in place of
+run.n_paths and run.out_dir. kpi takes no --paths: its study runs one path
+per case per seed.
 
 All CSV output uses a comma delimiter, a header row, Unix newlines, '.' as
 the radix, and 17 significant digits for floats, so files round-trip to the
@@ -143,7 +145,8 @@ def _check_flags(args) -> None:
 def _run_settings(args, run: RunSettings) -> RunSettings:
     """The settings a command runs with: each given --paths, --seed (HOCS_SEED
     already in its place) and directory --out replaces its value in ``run``."""
-    flags = {"n_paths": args.paths, "master_seed": args.seed, "out_dir": getattr(args, "out", None)}
+    flags = {"n_paths": getattr(args, "paths", None), "master_seed": args.seed,
+             "out_dir": getattr(args, "out", None)}
     return replace(run, **{key: value for key, value in flags.items() if value is not None})
 
 
@@ -253,6 +256,10 @@ def cmd_verify(args) -> int:
         print(f"verify: {'FAILED' if report.discrepant else 'ok'}")
         return 2 if report.discrepant else 0
 
+    if run.n_paths < 2:
+        raise ConfigError(f"verify needs at least 2 paths for class {spec.problem_class.value}, "
+                          f"got {run.n_paths}: a one-path standard error is 0, which leaves the "
+                          "moment gate only its 1e-10 floor")
     schedule, gains = solve(spec)
     with _common_draws():
         report = mc_validate(spec, schedule, gains, run.n_paths, run.master_seed)
@@ -283,18 +290,18 @@ def cmd_example(args) -> int:
     return 0
 
 
-def run_kpi_study(n_seeds: int, base_seed: int = RunSettings.master_seed, n_paths: int = 1):
+def run_kpi_study(n_seeds: int, base_seed: int = RunSettings.master_seed):
     """Compare the two reference controllers against the solved one.
 
     The arena is the built-in example-4 problem with o = p = 3. Case 1 is the
     sign controller, Case 2 the linear feedback u = -3 (xbar - x) - 3 xbar as
     a FeedbackPolicy of constant gains k_mean = 3, k_dev = -3, Case 3 the
     policy solve() returns. Each master seed (base_seed + i) is one
-    experiment: all three cases roll out on one shared draw of initial states
-    and noise (common random numbers, drawn once per seed and dropped before
-    the next), and the per-case performance indices are computed per seed for
-    each zeta in 1, 2, 3. One path per case per seed by default, so a seed is
-    a single realized experiment rather than an expectation.
+    experiment: all three cases roll out one path on one shared draw of the
+    initial state and noise (common random numbers, drawn once per seed and
+    dropped before the next), and the per-case performance indices are
+    computed per seed for each zeta in 1, 2, 3. A seed is thus a single
+    realized experiment rather than an expectation.
 
     Returns:
         (rows, aggregate): rows of (seed, zeta, case, kpi_x, kpi_u, total),
@@ -322,13 +329,11 @@ def run_kpi_study(n_seeds: int, base_seed: int = RunSettings.master_seed, n_path
         seed = base_seed + i
         seed_rows = {}
         with _common_draws():
-            # One ensemble alive at a time: reduce it, then drop it before the next rollout.
             for case, policy in policies.items():
-                ensemble = simulate_ensemble(spec, policy, n_paths, seed)
+                ensemble = simulate_ensemble(spec, policy, 1, seed)
                 for zeta in _ZETAS:
                     kpi_x, kpi_u = kpi(ensemble, zeta)
                     seed_rows[zeta, case] = (seed, zeta, case, kpi_x, kpi_u, kpi_x + kpi_u)
-                del ensemble
         for zeta in _ZETAS:
             zeta_rows = [seed_rows[zeta, case] for case in policies]
             rows.extend(zeta_rows)
@@ -346,8 +351,8 @@ def run_kpi_study(n_seeds: int, base_seed: int = RunSettings.master_seed, n_path
 
 
 def cmd_kpi(args) -> int:
-    run = _run_settings(args, RunSettings(n_paths=1))
-    rows, aggregate = run_kpi_study(args.seeds, base_seed=run.master_seed, n_paths=run.n_paths)
+    run = _run_settings(args, RunSettings())
+    rows, aggregate = run_kpi_study(args.seeds, base_seed=run.master_seed)
     out_dir = Path(run.out_dir)
     _write_csv(out_dir / "kpi_seeds.csv",
                ("seed", "zeta", "case", "kpi_x", "kpi_u", "total"), rows)
@@ -387,12 +392,11 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.set_defaults(handler=handler)
         return cmd
 
-    config_paths = f"Monte-Carlo paths (default: config n_paths, {RunSettings.n_paths})"
-    config_seed = f"master seed (default: config master_seed, {RunSettings.master_seed})"
-
-    def add_run_flags(cmd, paths_help: str, seed_help: str):
-        cmd.add_argument("--paths", type=int, default=None, help=paths_help)
-        cmd.add_argument("--seed", type=int, default=None, help=f"{seed_help}; HOCS_SEED overrides")
+    def add_run_flags(cmd):
+        cmd.add_argument("--paths", type=int, default=None,
+                         help=f"Monte-Carlo paths (default: config n_paths, {RunSettings.n_paths})")
+        cmd.add_argument("--seed", type=int, default=None, help="master seed (default: config "
+                         f"master_seed, {RunSettings.master_seed}); HOCS_SEED overrides")
 
     cmd = command("validate", cmd_validate, "print the validity report for a config")
     cmd.add_argument("--config", required=True, help="config JSON path")
@@ -404,22 +408,22 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = command("simulate", cmd_simulate, "simulate the closed loop and write CSVs")
     cmd.add_argument("--config", required=True, help="config JSON path")
     cmd.add_argument("--out", default=None, help="output directory (default: config out_dir)")
-    add_run_flags(cmd, config_paths, config_seed)
+    add_run_flags(cmd)
 
     cmd = command("verify", cmd_verify, "run the class-appropriate oracle checks")
     cmd.add_argument("--config", required=True, help="config JSON path")
-    add_run_flags(cmd, config_paths, config_seed)
+    add_run_flags(cmd)
 
     cmd = command("example", cmd_example, "write the data bundle for a built-in example")
     cmd.add_argument("--id", type=int, required=True, help="example id, 1..4")
     cmd.add_argument("--out", default=None, help="output directory (default .)")
-    add_run_flags(cmd, config_paths, config_seed)
+    add_run_flags(cmd)
 
     cmd = command("kpi", cmd_kpi, "run the three-controller comparison study")
     cmd.add_argument("--seeds", type=int, default=100, help="number of master seeds (default 100)")
     cmd.add_argument("--out", default=None, help="output directory (default .)")
-    add_run_flags(cmd, "paths per case per seed (default 1: one realized experiment)",
-                  f"base master seed (default {RunSettings.master_seed})")
+    cmd.add_argument("--seed", type=int, default=None, help="base master seed "
+                     f"(default {RunSettings.master_seed}); HOCS_SEED overrides")
 
     return parser
 

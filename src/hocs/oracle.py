@@ -15,9 +15,10 @@ Three routes, none of which reuse the backward recursions they are checking:
   feedback against the coefficient-based prediction, judged at three
   plug-in standard errors of the mean per-path moment cost.
 - Common-random-number perturbation probes that scale one gain channel at a
-  time, roll each channel's grid points out on one reused draw of initial
-  states and noise (one path for the mean channel, whose cost the mean path
-  fixes), and require that channel's cost minimum at scale 1.
+  time, roll each channel's grid points out on the draw of initial states
+  and noise that their shared seed fixes (one path for the mean channel,
+  whose cost the mean path fixes), and require that channel's cost minimum
+  at scale 1.
 
 The direct route compares its optimum against the closed-form controls,
 rolled out by the simulator's mean channel; that reuse sits on the side
@@ -34,14 +35,7 @@ import numpy as np
 from .control import FeedbackPolicy
 from .model import NotConverged, ProblemSpec, ProblemClass
 from .recursion import CoefficientSchedule, solve
-from .simulate import (
-    _common_draws,
-    _mean_channel,
-    _price_terms,
-    predicted_cost,
-    realized_cost,
-    simulate_ensemble,
-)
+from .simulate import _mean_channel, _price_terms, predicted_cost, realized_cost, simulate_ensemble
 
 __all__ = [
     "OracleReport",
@@ -129,8 +123,8 @@ def brute_force_deterministic(spec: ProblemSpec) -> OracleReport:
     so the objective is smooth and strictly convex and its stationary point
     is the global minimum. Each state is its own coordinate rather than a
     product of a_bar along the horizon, so each gradient component sums only
-    the cost terms next to its state, and the Hessian is sparse (tridiagonal
-    when every b_bar[k] != 0). One undamped Newton loop from u = 0 finds the
+    the cost terms next to its state, and the Hessian is tridiagonal, zero
+    b_bar steps included. One undamped Newton loop from u = 0 finds the
     minimum, with the exact Hessian equilibrated by its diagonal. It stops
     when an update lands on an iterate it has already visited: a float fixed
     point is a cycle of one. On criterion 2's generator (1,003 specs) that
@@ -287,10 +281,12 @@ def local_optimality_probe(
 ) -> ProbeReport:
     """Check that the solved gains are cost-minimizing along scaling rays.
 
-    Each channel scans PROBE_GRID on one reused draw of initial states and
-    noise (common random numbers, the same draw a fresh ensemble with this
-    master seed would make), so its cost curve is directly comparable. It
-    compares realized costs with each other only, so it needs no price.
+    Each channel scans PROBE_GRID with every point rolled out on master_seed,
+    so every point sees the same initial states and noise (common random
+    numbers) and its cost curve is directly comparable. The probe opens no
+    _common_draws() scope: each point redraws, bit for bit, unless a caller's
+    scope (verify's) serves the draw. It compares realized costs with each
+    other only, so it needs no price.
 
     Each channel is priced on its own terms, so a small moment cost is not
     lost in the rounding of a large mean cost: the mean scan compares
@@ -310,23 +306,22 @@ def local_optimality_probe(
     channels = ["mean"] if gains.k_dev is None else ["mean", "dev"]
     curves: dict[str, tuple[tuple[float, float, float], ...]] = {}
     ok = True
-    with _common_draws():
-        for channel in channels:
-            points = []
-            paths = 1 if channel == "mean" else n_paths
-            for factor in PROBE_GRID:
-                perturbed = _scaled_gains(gains, channel, factor)
-                # No name holds the ensemble, so its block is freed before the next one.
-                report = realized_cost(spec, simulate_ensemble(spec, perturbed, paths, master_seed))
-                mean_cost, moment_cost = report.channels
-                cost, err = ((mean_cost, 0.0) if channel == "mean"
-                             else (moment_cost, report.realized_stderr))
-                # Paths that left the float range cost inf, also where they met as nan.
-                points.append((factor, math.inf if math.isnan(cost) else cost, err))
-            curves[channel] = tuple(points)
-            unit_cost, unit_err = next((c, e) for f, c, e in points if f == 1.0)
-            best_cost, best_err = min(((c, e) for _, c, e in points), key=lambda t: t[0])
-            slack = 3.0 * (unit_err + best_err) + 1e-12 * abs(unit_cost)
-            if unit_cost > best_cost + slack:
-                ok = False
+    for channel in channels:
+        points = []
+        paths = 1 if channel == "mean" else n_paths
+        for factor in PROBE_GRID:
+            perturbed = _scaled_gains(gains, channel, factor)
+            # No name holds the ensemble, so its block is freed before the next one.
+            report = realized_cost(spec, simulate_ensemble(spec, perturbed, paths, master_seed))
+            mean_cost, moment_cost = report.channels
+            cost, err = ((mean_cost, 0.0) if channel == "mean"
+                         else (moment_cost, report.realized_stderr))
+            # Paths that left the float range cost inf, also where they met as nan.
+            points.append((factor, math.inf if math.isnan(cost) else cost, err))
+        curves[channel] = tuple(points)
+        unit_cost, unit_err = next((c, e) for f, c, e in points if f == 1.0)
+        best_cost, best_err = min(((c, e) for _, c, e in points), key=lambda t: t[0])
+        slack = 3.0 * (unit_err + best_err) + 1e-12 * abs(unit_cost)
+        if unit_cost > best_cost + slack:
+            ok = False
     return ProbeReport(curves=curves, min_at_unit=ok)

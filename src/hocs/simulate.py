@@ -20,11 +20,12 @@ consecutive blocks of ``_BLOCK`` paths from the one generator, which equals
 one draw of the whole matrix bit for bit, and each block is rolled out right
 after it is drawn; the problem class alone decides how the noise enters the
 step, and the deterministic class draws none. The draw depends only on the
-spec, the path count and the master seed, never on the policy, so callers
-that roll out several policies or gain scalings on one seed (common random
-numbers) open a ``_common_draws()`` scope and every rollout inside it reuses
-one read-only (x0, noise blocks) draw; outside a scope each ensemble draws
-afresh. Either way the numbers are the same.
+spec, the path count and the master seed, never on the policy, so a rollout
+of several policies or gain scalings on one seed sees common random numbers
+either way. Only the commands open a ``_common_draws()`` scope: verify around
+its price check and probe, and the KPI study once per seed; every rollout
+inside it reuses one read-only (x0, noise blocks) draw. Outside a scope, as in
+a direct probe call, each ensemble draws afresh. The numbers are the same.
 
 Each ensemble is one block of states and controls. Besides that block and a
 draw kept by a scope, every buffer holds one value per path or at most
@@ -91,12 +92,29 @@ class TrajectoryEnsemble:
     per path, is all an ensemble holds besides O(N) vectors. ``mean_path``
     and ``mean_controls`` hold the exactly propagated xbar/ubar. All
     read-only.
+
+    Raises:
+        ValueError: Naming the first field whose shape is not the one above,
+            with n_paths >= 1 and N >= 1 read from ``states``. Only shapes
+            are checked: paths past the float range are legal.
     """
 
     states: np.ndarray
     controls: np.ndarray
     mean_path: np.ndarray
     mean_controls: np.ndarray
+
+    def __post_init__(self):
+        shape = np.shape(self.states)
+        if len(shape) != 2 or shape[0] < 1 or shape[1] < 2:
+            raise ValueError(f"states must be n_paths x (N+1) with n_paths >= 1 and N >= 1, "
+                             f"got shape {shape}")
+        n_paths, n = shape[0], shape[1] - 1
+        for name, expected in (("controls", (n_paths, n)), ("mean_path", (n + 1,)),
+                               ("mean_controls", (n,))):
+            got = np.shape(getattr(self, name))
+            if got != expected:
+                raise ValueError(f"{name} must have shape {expected}, got {got}")
 
     @property
     def n_paths(self) -> int:
@@ -202,12 +220,9 @@ _DRAWS: ContextVar[dict | None] = ContextVar("hocs_common_draws", default=None)
 @contextmanager
 def _common_draws():
     """Within the block, ensembles with equal (spec, n_paths, master_seed)
-    share one (x0, eps) draw. A nested scope reuses the outer one; on exit,
-    normal or by exception, the outermost scope drops every stored draw.
+    share one (x0, eps) draw; on exit, normal or by exception, the scope
+    drops every stored draw.
     """
-    if _DRAWS.get() is not None:
-        yield
-        return
     token = _DRAWS.set({})
     try:
         yield

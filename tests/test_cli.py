@@ -440,8 +440,8 @@ def test_builtin_schedules_match_golden_checksums(tmp_path, capsys):
 # file. A refactor of the CLI, the rollout or the reductions must leave them
 # bit for bit; like the schedules, they assume glibc's pow.
 GOLDEN_KPI_SHA256 = {
-    "kpi_seeds.csv": "7500d4791776fe40a317a1da573d5c89e1c1729d7f71668a2c8f3052c50d7e8c",
-    "kpi_aggregate.csv": "f7bfdeb5a5044dac9492a324ac2195b8d4ac4fa629e418a176ccb6496121a4db",
+    "kpi_seeds.csv": "b501df6dc59e55bbea797c9cb5dd14344ea11d279098554dba4c9e12bd7c315e",
+    "kpi_aggregate.csv": "388aa7a441fa715fac346b221cd25cb4b2b09c19fb78ab12bc6190004dfbdc00",
 }
 GOLDEN_EXAMPLE3_SHA256 = {
     "p1/cost.csv": "5f47cb0061edd9ac4098501055a7f904888a656af48bb7c497e8cf5efcdc7401",
@@ -473,8 +473,7 @@ def _digests(root: Path, pattern: str) -> dict:
 
 def test_monte_carlo_outputs_match_golden_checksums(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("HOCS_SEED", raising=False)
-    assert main(["kpi", "--seeds", "5", "--seed", "3", "--paths", "2",
-                 "--out", str(tmp_path / "kpi")]) == 0
+    assert main(["kpi", "--seeds", "5", "--seed", "3", "--out", str(tmp_path / "kpi")]) == 0
     assert _digests(tmp_path / "kpi", "*.csv") == GOLDEN_KPI_SHA256
     assert main(["example", "--id", "3", "--paths", "3000", "--seed", "5",
                  "--out", str(tmp_path)]) == 0
@@ -828,6 +827,53 @@ def test_verify_serves_every_ensemble_from_one_draw(tmp_path, monkeypatch):
     assert _DRAWS.get() is None
 
 
+def test_verify_scope_drops_its_draws_when_a_cost_raises(tmp_path, monkeypatch):
+    held = []
+
+    def failing_cost(*args):
+        held.append(len(_DRAWS.get()))
+        raise RuntimeError("cost evaluation failed")
+
+    monkeypatch.setattr(oracle, "realized_cost", failing_cost)
+    path = _write_example_config(tmp_path, 4, 3)
+    with pytest.raises(RuntimeError):
+        main(["verify", "--config", str(path), "--paths", "50", "--seed", "1"])
+    assert held == [1]
+    assert _DRAWS.get() is None
+
+
+# One path has a plug-in standard error of 0, which leaves the moment gate
+# only its 1e-10 floor: on correct code these presets read DISCREPANT (exit 2)
+# at seeds 1-3. verify refuses such a run before solving.
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("example_id,p", [(2, 2), (3, 1), (4, 3)])
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_stochastic_verify_refuses_fewer_than_two_paths(tmp_path, monkeypatch, capsys,
+                                                         source, example_id, p, seed):
+    def one_path(doc):
+        doc["run"]["n_paths"] = 1
+
+    solved = []
+    real_solve = cli.solve
+    monkeypatch.setattr(cli, "solve", lambda spec: solved.append(spec) or real_solve(spec))
+    path = _write_example_config(tmp_path, example_id, p, one_path if source == "config" else None)
+    argv = ["verify", "--config", str(path), "--seed", seed]
+    assert main(argv + (["--paths", "1"] if source == "flag" else [])) == 3
+    assert solved == []
+    klass = example_config(example_id, p).problem.problem_class.value
+    assert capsys.readouterr() == ("", (
+        f"config error: verify needs at least 2 paths for class {klass}, got 1: a one-path "
+        "standard error is 0, which leaves the moment gate only its 1e-10 floor\n"))
+
+
+def test_deterministic_verify_and_two_path_verify_run_as_before(tmp_path, capsys):
+    path = _write_example_config(tmp_path, 1, 2)
+    assert main(["verify", "--config", str(path), "--paths", "1"]) == 0
+    path = _write_example_config(tmp_path, 2, 1)
+    assert main(["verify", "--config", str(path), "--paths", "2", "--seed", "1"]) in (0, 2)
+    assert "prediction agreement : " in capsys.readouterr().out
+
+
 # --------------------------------------------------------------------------
 # example and kpi
 # --------------------------------------------------------------------------
@@ -898,8 +944,7 @@ class _LinearFeedback(Policy):
         return -3.0 * (x_bar - x) - 3.0 * x_bar
 
 
-@pytest.mark.parametrize("n_paths", [1, 6])
-def test_kpi_study_rows_equal_fresh_draw_loop(n_paths):
+def test_kpi_study_rows_equal_fresh_draw_loop():
     spec = example_config(4, 3).problem
     policies = {
         1: BaselinePolicy(),
@@ -910,27 +955,20 @@ def test_kpi_study_rows_equal_fresh_draw_loop(n_paths):
     for seed in range(3, 7):
         for zeta in (1, 2, 3):
             for case, policy in policies.items():
-                kpi_x, kpi_u = kpi(simulate_ensemble(spec, policy, n_paths, seed), zeta)
+                kpi_x, kpi_u = kpi(simulate_ensemble(spec, policy, 1, seed), zeta)
                 expected.append((seed, zeta, case, kpi_x, kpi_u, kpi_x + kpi_u))
-    rows, _ = run_kpi_study(4, base_seed=3, n_paths=n_paths)
+    rows, _ = run_kpi_study(4, base_seed=3)
     assert rows == expected
     assert _DRAWS.get() is None
 
 
-def test_kpi_study_holds_one_ensemble_block_at_a_time():
-    spec = example_config(4, 3).problem
-    n, n_paths = spec.n_steps, 20_000
-    run_kpi_study(1, n_paths=1)  # numpy's lazy imports
-    tracemalloc.start()
-    try:
-        run_kpi_study(1, n_paths=n_paths)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    block, draw = 8 * (2 * n + 1) * n_paths, 8 * (n + 1) * n_paths
-    # The seed's draw, one ensemble block and kpi's per-step path vectors
-    # (measured: 4.07); each further live block would add 21 path vectors.
-    assert peak <= draw + block + 5 * 8 * n_paths
+def test_kpi_study_runs_one_path_per_seed(tmp_path, capsys):
+    # A seed is one realized experiment: no flag or parameter sets a path count.
+    with pytest.raises(TypeError):
+        run_kpi_study(5, n_paths=2)
+    assert main(["kpi", "--seeds", "2", "--paths", "2", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "config error: unrecognized arguments: --paths 2\n"
+    assert not tmp_path.joinpath("kpi_seeds.csv").exists()
 
 
 def test_kpi_rejects_bad_seed_count(tmp_path):
@@ -1110,13 +1148,12 @@ def test_repeated_main_calls_share_the_parser_but_not_the_namespace(tmp_path, mo
 
     monkeypatch.setattr(cli, "_check_flags", recording_check)
     monkeypatch.delenv("HOCS_SEED", raising=False)
-    assert main(["kpi", "--seeds", "2", "--paths", "3", "--seed", "5",
-                 "--out", str(tmp_path / "kpi")]) == 0
+    assert main(["kpi", "--seeds", "2", "--seed", "5", "--out", str(tmp_path / "kpi")]) == 0
     path = _write_example_config(tmp_path, 1, 2)
     assert main(["verify", "--config", str(path)]) == 0
     assert cli._build_parser() is cli._build_parser()
     kpi_args, verify_args = namespaces
-    assert kpi_args["seed"] == 5 and kpi_args["paths"] == 3
+    assert kpi_args["seed"] == 5 and "paths" not in kpi_args
     assert verify_args == {
         "command": "verify", "handler": cli.cmd_verify, "config": str(path),
         "paths": None, "seed": None,

@@ -128,6 +128,36 @@ def test_ensemble_columns_are_contiguous_and_read_only():
             array[0, 0] = 99.0
 
 
+# Hand-built ensembles of 2 paths and 3 steps with one field misshapen. Each
+# once got past the constructor: zero steps or paths then failed in the
+# reductions with a bare range() or ZeroDivisionError, a short mean path with
+# a numpy broadcast error, and mismatched path counts were reduced in silence.
+@pytest.mark.parametrize("field,shape,match", [
+    ("states", (2, 1), r"^states must be n_paths x \(N\+1\) with n_paths >= 1 and N >= 1, "
+                       r"got shape \(2, 1\)$"),
+    ("states", (0, 4), r"^states .* got shape \(0, 4\)$"),
+    ("states", (4,), r"^states .* got shape \(4,\)$"),
+    ("controls", (3, 3), r"^controls must have shape \(2, 3\), got \(3, 3\)$"),
+    ("controls", (2, 4), r"^controls must have shape \(2, 3\), got \(2, 4\)$"),
+    ("mean_path", (3,), r"^mean_path must have shape \(4,\), got \(3,\)$"),
+    ("mean_controls", (2, 3), r"^mean_controls must have shape \(3,\), got \(2, 3\)$"),
+], ids=["no-steps", "no-paths", "flat-states", "path-count", "step-count", "short-mean-path",
+        "2d-mean-controls"])
+def test_hand_built_ensemble_refuses_a_misshapen_field(field, shape, match):
+    fields = {"states": (2, 4), "controls": (2, 3), "mean_path": (4,), "mean_controls": (3,)}
+    fields[field] = shape
+    with pytest.raises(ValueError, match=match):
+        _hand_ensemble(*(np.zeros(fields[name]) for name in
+                         ("states", "controls", "mean_path", "mean_controls")))
+
+
+def test_hand_built_ensemble_past_the_float_range_is_legal():
+    ensemble = _hand_ensemble([[1e308, -math.inf]], [[1e308]], [0.0, 0.0], [0.0])
+    with np.errstate(over="ignore"):
+        assert kpi(ensemble, 1) == (math.inf, math.inf)
+    assert ensemble.n_paths == ensemble.n_steps == 1
+
+
 # --------------------------------------------------------------------------
 # Common random numbers: one draw per scope
 # --------------------------------------------------------------------------
@@ -146,8 +176,6 @@ def test_common_draws_scope_reuses_one_draw_and_forgets_it():
         second = simulate_ensemble(spec, policy, n_paths=n_paths, master_seed=5)
         x0, eps = _draw(spec, n_paths, 5)
         assert isinstance(eps, list) and len(eps) == 2
-        with _common_draws():
-            assert _draw(spec, n_paths, 5)[1] is eps
         assert len(_DRAWS.get()) == 1
         other_x0, other_eps = _draw(spec, n_paths, 6)
         assert len(_DRAWS.get()) == 2
