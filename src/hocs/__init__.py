@@ -28,11 +28,11 @@ from .model import (
     IndexOutOfRange,
     InitialLaw,
     InvalidPolicy,
+    InvalidProblem,
     LengthMismatch,
     MissingMoment,
     Moments,
     NonFiniteCoefficient,
-    NonPositiveCoefficient,
     NotConverged,
     ProblemClass,
     ProblemSpec,

@@ -1,15 +1,15 @@
 """Command-line front end: validate, solve, simulate, verify, example, kpi.
 
-Exit codes are part of the contract: 0 success, 1 a validity check failed,
-2 a recursion or verification failure (a weight of the wrong sign, a
-non-finite coefficient, a missing moment, oracle disagreement), 3 an
-unreadable config, a malformed or out-of-range flag or an unknown command,
-a stochastic verify on fewer than 2 paths, an I/O problem or running out of
-memory. _check_flags puts a set HOCS_SEED in place of --seed before any
-command runs. _run_settings then takes --seed, else run.master_seed, else the
-RunSettings default, and --paths and a directory --out in place of
-run.n_paths and run.out_dir. kpi takes no --paths: its study runs one path
-per case per seed.
+Exit codes are part of the contract: 0 success, 1 a validity check failed
+(validate's report, or the InvalidProblem solve raises with it), 2 a
+recursion or verification failure (a non-finite coefficient, a missing
+moment, oracle disagreement), 3 an unreadable config, a malformed or
+out-of-range flag or an unknown command, a valid stochastic verify on fewer
+than 2 paths, an I/O problem or running out of memory. _check_flags puts a
+set HOCS_SEED in place of --seed before any command runs. _run_settings then
+takes --seed, else run.master_seed, else the RunSettings default, and
+--paths and a directory --out in place of run.n_paths and run.out_dir. kpi
+takes no --paths: its study runs one path per case per seed.
 
 All CSV output uses a comma delimiter, a header row, Unix newlines, '.' as
 the radix, and 17 significant digits for floats, so files round-trip to the
@@ -40,9 +40,9 @@ from .config import (
 )
 from .control import BaselinePolicy, FeedbackPolicy
 from .model import (
+    InvalidProblem,
     MissingMoment,
     NonFiniteCoefficient,
-    NonPositiveCoefficient,
     NotConverged,
     ProblemClass,
     ProblemSpec,
@@ -150,14 +150,6 @@ def _run_settings(args, run: RunSettings) -> RunSettings:
     return replace(run, **{key: value for key, value in flags.items() if value is not None})
 
 
-def _validate_or_print(spec: ProblemSpec) -> bool:
-    report = validate(spec)
-    if not report.ok:
-        for check in report.failures:
-            print(f"invalid: {check.name} ({check.detail})", file=sys.stderr)
-    return report.ok
-
-
 def _simulation_bundle(spec: ProblemSpec, schedule: CoefficientSchedule, gains: FeedbackPolicy,
                        out_dir: Path, run: RunSettings) -> None:
     """Price, then write mean_path/paths/moments/kpi/cost CSVs for one solved problem."""
@@ -220,8 +212,6 @@ def cmd_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     config = load_config(args.config)
-    if not _validate_or_print(config.problem):
-        return 1
     schedule, gains = solve(config.problem)
     price = predicted_cost(schedule, config.problem.initial)
     out = Path(args.out) if args.out else Path(config.run.out_dir) / "schedule.csv"
@@ -234,8 +224,6 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
     spec, run = config.problem, _run_settings(args, config.run)
-    if not _validate_or_print(spec):
-        return 1
     schedule, gains = solve(spec)
     _simulation_bundle(spec, schedule, gains, Path(run.out_dir), run)
     return 0
@@ -244,8 +232,6 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     config = load_config(args.config)
     spec, run = config.problem, _run_settings(args, config.run)
-    if not _validate_or_print(spec):
-        return 1
     if spec.problem_class is ProblemClass.DETERMINISTIC:
         report = brute_force_deterministic(spec)
         print(f"closed-form cost     : {report.closed_form_cost:.12g}")
@@ -256,11 +242,11 @@ def cmd_verify(args) -> int:
         print(f"verify: {'FAILED' if report.discrepant else 'ok'}")
         return 2 if report.discrepant else 0
 
+    schedule, gains = solve(spec)
     if run.n_paths < 2:
         raise ConfigError(f"verify needs at least 2 paths for class {spec.problem_class.value}, "
                           f"got {run.n_paths}: a one-path standard error is 0, which leaves the "
                           "moment gate only its 1e-10 floor")
-    schedule, gains = solve(spec)
     with _common_draws():
         report = mc_validate(spec, schedule, gains, run.n_paths, run.master_seed)
         probe = local_optimality_probe(spec, gains, run.n_paths, run.master_seed)
@@ -435,6 +421,10 @@ def main(argv=None) -> int:
         # A path, cost or KPI past the float range is an output (inf or nan), not a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.handler(args)
+    except InvalidProblem as exc:
+        for check in exc.report.failures:
+            print(f"invalid: {check.name} ({check.detail})", file=sys.stderr)
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
@@ -444,7 +434,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"memory error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except (NonPositiveCoefficient, NonFiniteCoefficient) as exc:
+    except NonFiniteCoefficient as exc:
         print(f"recursion failure: {exc}", file=sys.stderr)
         return 2
     except (MissingMoment, NotConverged) as exc:

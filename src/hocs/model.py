@@ -56,8 +56,12 @@ class LengthMismatch(HocsError, ValueError):
     """A sequence does not have the length the horizon requires."""
 
 
-class NonPositiveCoefficient(HocsError, ArithmeticError):
-    """A cost weight has a sign the backward recursion cannot take."""
+class InvalidProblem(HocsError, ValueError):
+    """A spec fails validate(); ``report`` is that ValidationReport."""
+
+    def __init__(self, report: ValidationReport):
+        super().__init__("; ".join(f"{check.name} ({check.detail})" for check in report.failures))
+        self.report = report
 
 
 class NonFiniteCoefficient(HocsError, ValueError):
@@ -105,12 +109,12 @@ def signed_root(x: float, n: int) -> float:
 
     Args:
         x: Any real number.
-        n: Odd positive integer root order.
+        n: Odd positive integer root order, by _is_integer (no bools).
 
     Returns:
         The unique real y with y**n == x.
     """
-    if n < 1 or n % 2 == 0:
+    if not _is_integer(n) or n < 1 or n % 2 == 0:
         raise ValueError(f"root order must be an odd positive integer, got {n}")
     return math.copysign(abs(x) ** (1.0 / n), x)
 
@@ -145,11 +149,17 @@ def _gaussian_moment(order: int, base: float, exponent: int) -> float:
 
 # The three input gates: every number the domain model takes passes one of them.
 
+def _is_0d(value) -> bool:
+    """A 0-d numpy array, which the gates take as the scalar it holds."""
+    return isinstance(value, np.ndarray) and value.ndim == 0
+
+
 def _real(value, name: str) -> float:
     """float(value), +-inf past the float range; no text or bools, which float() reads."""
-    if not isinstance(value, (str, bytes, bool, np.bool_)):
+    held = value[()] if _is_0d(value) else value
+    if not isinstance(held, (str, bytes, bool, np.bool_)):
         try:
-            return float(value)
+            return float(held)
         except OverflowError:
             return math.inf if value > 0 else -math.inf
         except TypeError:
@@ -166,9 +176,10 @@ def _number(value, name: str, *, spread: bool = False) -> float:
 
 
 def _numbers(values, name: str) -> tuple[float, ...]:
-    """The sequence gate: a sequence (not text or a map) whose elements pass the
-    scalar gate; the element it refuses is named by its index."""
-    if isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable):
+    """The sequence gate: a sequence (not text, a map or a 0-d array) whose elements
+    pass the scalar gate; the element it refuses is named by its index."""
+    if (isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable)
+            or _is_0d(values)):
         raise TypeError(f"{name} must be a sequence of numbers, got {values!r}")
     out = []
     for index, value in enumerate(values):
@@ -425,7 +436,7 @@ _PER_STEP_FIELDS = ("a_bar", "b_bar", "a", "b", "q", "q_bar", "r", "r_bar")
 def _per_step(value, n_steps: int, name: str) -> tuple[float, ...]:
     """N finite floats from a scalar, a length-1 sequence or a length-N sequence."""
     # Text is taken whole, for the scalar gate to refuse, rather than split into characters.
-    scalar = isinstance(value, (int, float, str, bytes, np.generic))
+    scalar = isinstance(value, (int, float, str, bytes, np.generic)) or _is_0d(value)
     values = (_number(value, name),) if scalar else _numbers(value, name)
     if len(values) == 1:
         try:
@@ -443,8 +454,8 @@ class ProblemSpec:
     """One fully specified control problem: dynamics, weights, powers and laws.
 
     The mean channel moves as xbar[k+1] = a_bar[k] xbar[k] + b_bar[k] ubar[k];
-    (a, b) are the deviation-channel coefficients, which only the
-    HIGHER_MOMENT class may set apart from (a_bar, b_bar). The running cost
+    (a, b) are the deviation-channel coefficients, which the ADDITIVE and
+    MULT_STATE classes must keep equal to (a_bar, b_bar). The running cost
     at step k is
 
         q[k] E[(x - xbar)**(2o)] + q_bar[k] xbar**(2p)
@@ -471,9 +482,9 @@ class ProblemSpec:
     (n_steps, p and o are ints >= 1), each per-step field broadcasts to
     length N, and noise (unless None), initial and allow_uncontrollable
     must be a Distribution, an InitialLaw and a bool. Semantic validity
-    (positive weights, a noise law exactly on the stochastic classes, ...)
-    is reported by validate() rather than raised, so that deliberately
-    broken specs can be built and inspected.
+    (weight signs, a noise law exactly on the stochastic classes, ...) is
+    reported by validate() rather than raised, so that deliberately broken
+    specs can be built and inspected; solve() refuses them.
     """
 
     problem_class: ProblemClass
@@ -568,41 +579,35 @@ def _check(name: str, ok: bool, detail: str) -> ValidationCheck:
 
 
 #: The weight-sign rule: for each channel, its weight fields in order, each
-#: with whether solve() needs it > 0 (True) or only >= 0 (False). validate()
-#: asks > 0 of every one. The deterministic class has no deviation channel.
+#: with whether it must be > 0 (True) or only >= 0 (False). The deterministic
+#: class has no deviation channel.
 _WEIGHT_SIGNS = (
     ("mean", (("q_bar", False), ("q_bar_terminal", True), ("r_bar", True))),
     ("deviation", (("q", False), ("q_terminal", False), ("r", True))),
 )
 
 
-def _signed_weights(spec: ProblemSpec):
-    """(channel, ((name, values, strict), ...)) for each channel of the spec's class;
-    a terminal weight's values are its one value."""
-    rows = _WEIGHT_SIGNS[:1] if spec.problem_class is ProblemClass.DETERMINISTIC else _WEIGHT_SIGNS
-    for channel, weights in rows:
-        yield channel, tuple(
-            (name, (getattr(spec, name),) if name.endswith("terminal") else getattr(spec, name), strict)
-            for name, strict in weights)
-
-
-def _class_rules(spec: ProblemSpec) -> ValidationReport:
-    """The rules solve()'s deviation pass relies on, outside the higher-moment class."""
-    return ValidationReport(() if spec.problem_class is ProblemClass.HIGHER_MOMENT else (
-        _check("deviation dynamics equal mean dynamics",
-               spec.a == spec.a_bar and spec.b == spec.b_bar,
-               "distinct (a, b) are legal only for the higher-moment class"),
-        _check("moment power o = 1", spec.o == 1,
-               f"class {spec.problem_class.value} penalizes the variance only, got o={spec.o}")))
+def _wrong_sign(spec: ProblemSpec, weights) -> str:
+    """The first weight of the wrong sign, as ``q[0] = -1.0; needs >= 0``, or ''."""
+    for name, strict in weights:
+        value = getattr(spec, name)
+        terminal = name.endswith("terminal")
+        for k, v in enumerate((value,) if terminal else value):
+            if v < 0.0 or (strict and v == 0.0):
+                where = "" if terminal else f"[{k}]"
+                return f"{name}{where} = {v}; needs {'> 0' if strict else '>= 0'}"
+    return ""
 
 
 def validate(spec: ProblemSpec) -> ValidationReport:
     """Run every static validity check on a spec and report pass/fail.
 
-    Nothing is raised here; the report lists each condition so a caller can
-    print all failures at once. The weight checks imply the sign rule that
-    solve() enforces (_WEIGHT_SIGNS), under which every gain denominator
-    1 + c b is >= 1. solve() also enforces the class rules (_class_rules).
+    This is the one statement of what solve() takes: solve() raises
+    InvalidProblem exactly when this report fails. Nothing is raised here;
+    the report lists each condition so a caller can print all failures at
+    once. The weight-sign rows (_WEIGHT_SIGNS) keep every gain denominator
+    1 + c b >= 1. The additive and multiplicative-state classes also keep
+    (a, b) = (a_bar, b_bar) and o = 1, which their one deviation pass needs.
 
     Args:
         spec: A fully populated problem description.
@@ -612,16 +617,21 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     """
     klass = spec.problem_class
     has_deviation_channel = klass is not ProblemClass.DETERMINISTIC
-    checks = [_check(f"{channel} weights strictly positive",
-                     all(v > 0.0 for _, values, _ in weights for v in values),
-                     f"{', '.join(name for name, _, _ in weights)} must all be > 0")
-              for channel, weights in _signed_weights(spec)]
+    checks = []
+    for channel, weights in _WEIGHT_SIGNS[:1 + has_deviation_channel]:
+        wrong = _wrong_sign(spec, weights)
+        checks.append(_check(f"{channel} weight signs", not wrong, wrong))
 
     need = "needs a" if has_deviation_channel else "admits no"
     checks.append(_check("class/noise compatibility",
                          (spec.noise is not None) == has_deviation_channel,
                          f"class {klass.value} {need} noise law"))
-    checks += _class_rules(spec).checks
+    if klass in (ProblemClass.ADDITIVE, ProblemClass.MULT_STATE):
+        checks.append(_check("deviation dynamics equal mean dynamics",
+                             spec.a == spec.a_bar and spec.b == spec.b_bar,
+                             "distinct (a, b) are legal only for the higher-moment class"))
+        checks.append(_check("moment power o = 1", spec.o == 1,
+                             f"class {klass.value} penalizes the variance only, got o={spec.o}"))
     if klass is ProblemClass.DETERMINISTIC:
         checks.append(_check("initial law is a point mass", isinstance(spec.initial.law, Dirac),
                              "the deterministic class admits no initial spread"))

@@ -133,13 +133,15 @@ def brute_force_deterministic(spec: ProblemSpec) -> OracleReport:
 
     Args:
         spec: A DETERMINISTIC-class problem; the optimizer starts from its
-            initial mean.
+            initial mean. Its closed form comes from solve(), so a spec that
+            fails validate() is refused before any Newton update.
 
     Returns:
         An OracleReport comparing cost and controls against the closed form;
         ``iterations`` is the number of Newton updates plus one.
 
     Raises:
+        InvalidProblem: If validate(spec) fails (raised by solve()).
         NotConverged: If an update or the cost is non-finite, overflows,
             divides by zero or is invalid, or the budget of _NEWTON_BUDGET
             updates runs out before an update revisits an iterate.

@@ -24,13 +24,13 @@ couples:
 - multiplicative state: d = M;
 - additive: the offset gamma_bar[k] = gamma_bar[k+1] + alpha[k+1] M, gamma_bar[N] = 0.
 
-solve() checks the weight signs once, before either pass, by the table in
-model (_WEIGHT_SIGNS): in every channel it solves, each control weight
-r > 0 and each state weight q >= 0, and the mean channel's terminal weight
-is > 0. The noise moments are >= 0 by construction. Then alpha[k+1] >= 0
-gives c[k] b[k] >= 0 in floats, so 1 + c b >= 1 and alpha[k] >= 0, and the
-pass itself only checks finiteness: an overflow raises NonFiniteCoefficient
-naming the step.
+solve() refuses exactly the specs validate() fails, raising InvalidProblem
+with the report before either pass. Its weight-sign rows (model._WEIGHT_SIGNS)
+ask, in every channel solved, each control weight r > 0, each state weight
+q >= 0 and the mean terminal weight > 0. The noise moments are >= 0 by
+construction. Then alpha[k+1] >= 0 gives c[k] b[k] >= 0 in floats, so
+1 + c b >= 1 and alpha[k] >= 0, and the pass itself only checks
+finiteness: an overflow raises NonFiniteCoefficient naming the step.
 """
 
 from __future__ import annotations
@@ -40,16 +40,15 @@ from dataclasses import dataclass
 
 from .control import FeedbackPolicy
 from .model import (
+    InvalidProblem,
     NonFiniteCoefficient,
-    NonPositiveCoefficient,
     ProblemClass,
     ProblemSpec,
-    _class_rules,
     _integer,
     _power,
-    _signed_weights,
     _store_finite,
     signed_root,
+    validate,
 )
 
 __all__ = [
@@ -138,35 +137,23 @@ def _power_channel(
     return alpha, gains
 
 
-def _check_signs(spec: ProblemSpec) -> None:
-    """Raise NonPositiveCoefficient naming the first weight of the wrong sign."""
-    for _, weights in _signed_weights(spec):
-        for name, values, strict in weights:
-            for k, value in enumerate(values):
-                if value < 0.0 or (strict and value == 0.0):
-                    where = "" if name.endswith("terminal") else f"[{k}]"
-                    raise NonPositiveCoefficient(
-                        f"{name}{where} = {value}; solve needs {'> 0' if strict else '>= 0'}")
-
-
 def solve(spec: ProblemSpec) -> tuple[CoefficientSchedule, FeedbackPolicy]:
     """Solve the mean channel and, for stochastic classes, the deviation channel.
 
     Args:
-        spec: A spec that passed validate().
+        spec: Any spec; one that fails validate() is refused before either pass.
 
     Returns:
         The coefficient schedule and the solved controller, whose gains are
         the minimizers of the two passes.
 
     Raises:
-        NonPositiveCoefficient: If a weight has the wrong sign (see the
-            module docstring); checked before either pass.
-        ValueError: If a stochastic spec breaks a class rule (model._class_rules).
-        MissingMoment: If a required noise moment is unavailable.
+        InvalidProblem: If validate(spec) fails; ``.report`` is its report.
         NonFiniteCoefficient: If a coefficient or gain overflows.
     """
-    _check_signs(spec)
+    report = validate(spec)
+    if not report.ok:
+        raise InvalidProblem(report)
     klass = spec.problem_class
     alpha_bar, k_mean = _power_channel(
         spec.a_bar, spec.b_bar, spec.q_bar, spec.q_bar_terminal, spec.r_bar, spec.p,
@@ -174,9 +161,6 @@ def solve(spec: ProblemSpec) -> tuple[CoefficientSchedule, FeedbackPolicy]:
     )
     alpha = k_dev = gamma_bar = None
     if klass is not ProblemClass.DETERMINISTIC:
-        broken = _class_rules(spec).failures
-        if broken:
-            raise ValueError(f"{broken[0].name} fails: {broken[0].detail}")
         m = spec.noise_moment(2 * spec.o)
         alpha, k_dev = _power_channel(
             spec.a, spec.b, spec.q, spec.q_terminal, spec.r, spec.o,

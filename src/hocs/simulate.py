@@ -54,6 +54,7 @@ import numpy as np
 from .control import Policy
 from .model import (
     InvalidPolicy,
+    LengthMismatch,
     MissingMoment,
     NonFiniteCoefficient,
     ProblemClass,
@@ -432,9 +433,14 @@ def realized_cost(spec: ProblemSpec, ensemble: TrajectoryEnsemble) -> CostReport
 
     Returns:
         A CostReport; its breakdown entries sum to realized_mean exactly.
+
+    Raises:
+        LengthMismatch: If the ensemble's horizon is not the problem's.
     """
     two_p, two_o = 2 * spec.p, 2 * spec.o
     n = ensemble.n_steps
+    if n != spec.n_steps:
+        raise LengthMismatch(f"ensemble simulated for horizon {n}, problem has {spec.n_steps}")
     x_bar, u_bar = ensemble.mean_path, ensemble.mean_controls
 
     mean_powers = _even_power(x_bar, two_p)

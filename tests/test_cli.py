@@ -114,7 +114,7 @@ def test_validate_accepts_reference_config(tmp_path, capsys):
     path = _write_example_config(tmp_path, 1, 2)
     assert main(["validate", "--config", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "mean weights strictly positive" in out
+    assert "mean weight signs" in out
     assert "fail" not in out
 
 
@@ -124,6 +124,61 @@ def test_validate_rejects_negative_control_weight(tmp_path):
 
     path = _write_example_config(tmp_path, 1, 1, mutate)
     assert main(["validate", "--config", str(path)]) == 1
+
+
+def _cost(**values):
+    return lambda problem: problem["cost"].update(values)
+
+
+# Each edit of a preset's problem breaks validate's rules; the last breaks two.
+_INVALID_CONFIGS = {
+    "negative-r_bar": (1, 1, _cost(r_bar=[-1.0])),
+    "zero-r": (2, 1, _cost(r=0.0)),
+    "negative-q_terminal": (3, 2, _cost(q_terminal=-0.5)),
+    "distinct-a": (2, 2, lambda problem: problem["deviation_dynamics"].update(a=0.5)),
+    "o-2": (3, 1, _cost(o=2)),
+    "no-noise": (4, 3, lambda problem: problem.pop("noise")),
+    "moments-without-order-2o": (
+        4, 2, lambda problem: problem.update(noise={"kind": "moments", "values": {"2": 1.0}})),
+    "deterministic-spread": (
+        1, 2, lambda problem: problem["initial"].update(law={"kind": "gaussian", "variance": 1.0})),
+    "deterministic-noise-and-zero-terminal": (
+        1, 3, lambda problem: problem.update(noise={"kind": "gaussian", "sigma": 1.0})
+        or _cost(q_bar_terminal=0.0)(problem)),
+}
+
+
+@pytest.mark.parametrize("argv", [["solve", "--out", "OUT/schedule.csv"], ["simulate", "--out", "OUT"],
+                                  ["verify"], ["verify", "--paths", "1"]],
+                         ids=["solve", "simulate", "verify", "verify-one-path"])
+@pytest.mark.parametrize("case", _INVALID_CONFIGS)
+def test_invalid_config_prints_exactly_validates_failures(tmp_path, capsys, case, argv):
+    example_id, p, edit = _INVALID_CONFIGS[case]
+    path = _write_example_config(tmp_path, example_id, p, lambda doc: edit(doc["problem"]))
+    failures = model.validate(cli.load_config(path).problem).failures
+    assert len(failures) == (2 if case.endswith("-and-zero-terminal") else 1)
+    out = tmp_path / "out"
+    args = [arg.replace("OUT", str(out)) for arg in argv]
+    assert main([args[0], "--config", str(path), *args[1:]]) == 1
+    assert capsys.readouterr() == ("", "".join(
+        f"invalid: {check.name} ({check.detail})\n" for check in failures))
+    assert not out.exists()
+
+
+# Zero state weights pass validate, so solve takes them and verify checks them.
+@pytest.mark.parametrize("example_id,p", [(i, p) for i in (1, 2, 3, 4) for p in (1, 2, 3)])
+def test_verify_passes_with_zero_state_weights(tmp_path, capsys, example_id, p):
+    zeroed = ("q_bar",) if example_id == 1 else ("q_bar", "q", "q_terminal")
+
+    def mutate(doc):
+        cost = doc["problem"]["cost"]
+        for key in zeroed:
+            cost[key] = 0.0 if key.endswith("terminal") else [0.0]
+
+    path = _write_example_config(tmp_path, example_id, p, mutate)
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["verify", "--config", str(path), "--paths", "4000", "--seed", "5"]) == 0
+    assert capsys.readouterr().out.endswith("verify: ok\n")
 
 
 def test_truncated_config_is_a_config_error(tmp_path):
@@ -844,7 +899,7 @@ def test_verify_scope_drops_its_draws_when_a_cost_raises(tmp_path, monkeypatch):
 
 # One path has a plug-in standard error of 0, which leaves the moment gate
 # only its 1e-10 floor: on correct code these presets read DISCREPANT (exit 2)
-# at seeds 1-3. verify refuses such a run before solving.
+# at seeds 1-3. verify refuses such a run before simulating.
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("example_id,p", [(2, 2), (3, 1), (4, 3)])
 @pytest.mark.parametrize("seed", ["1", "2", "3"])
@@ -853,13 +908,13 @@ def test_stochastic_verify_refuses_fewer_than_two_paths(tmp_path, monkeypatch, c
     def one_path(doc):
         doc["run"]["n_paths"] = 1
 
-    solved = []
-    real_solve = cli.solve
-    monkeypatch.setattr(cli, "solve", lambda spec: solved.append(spec) or real_solve(spec))
+    simulated = []
+    for module in (cli, oracle):
+        monkeypatch.setattr(module, "simulate_ensemble", lambda *args: simulated.append(args))
     path = _write_example_config(tmp_path, example_id, p, one_path if source == "config" else None)
     argv = ["verify", "--config", str(path), "--seed", seed]
     assert main(argv + (["--paths", "1"] if source == "flag" else [])) == 3
-    assert solved == []
+    assert simulated == []
     klass = example_config(example_id, p).problem.problem_class.value
     assert capsys.readouterr() == ("", (
         f"config error: verify needs at least 2 paths for class {klass}, got 1: a one-path "

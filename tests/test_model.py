@@ -19,6 +19,7 @@ from hocs import (
     GaussianVariance,
     IndexOutOfRange,
     InitialLaw,
+    InvalidProblem,
     LengthMismatch,
     MissingMoment,
     Moments,
@@ -585,6 +586,36 @@ def test_numeric_field_must_be_finite_and_a_spread_nonnegative(build, name, spre
         build(value)
 
 
+@pytest.mark.parametrize("build, name, spread", NUMERIC_FIELDS)
+@pytest.mark.parametrize("value", [np.array("5"), np.array(True)], ids=["text", "bool"])
+def test_numeric_field_refuses_a_0d_array_of_text_or_a_bool(build, name, spread, value):
+    # float() reads each as 5.0 or 1.0, as it reads the scalars they hold.
+    name = {"samples": "samples[0]"}.get(name, name)
+    with pytest.raises(TypeError, match=f"^{re.escape(name)} must be a number, got array"):
+        build(value)
+
+
+@pytest.mark.parametrize("name", PER_STEP_FIELDS)
+def test_per_step_field_takes_a_0d_array_as_its_scalar(name):
+    # Iterating a 0-d array once raised a bare "iteration over a 0-d array".
+    for scalar in (np.array(2.0), np.array(2)):
+        assert getattr(_direct_spec(**{name: scalar})(), name) == (2.0, 2.0, 2.0)
+    with pytest.raises(TypeError, match=f"^{name} must be a number, got array"):
+        _direct_spec(**{name: np.array("2")})()
+
+
+def test_empirical_samples_refuse_a_0d_array_naming_the_field():
+    with pytest.raises(TypeError, match=r"^samples must be a sequence of numbers, got array\(1\.\)$"):
+        Empirical(samples=np.array(1.0))
+
+
+def test_signed_root_order_follows_the_integer_type_rule():
+    for order in (True, 3.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match="^root order must be an odd positive integer"):
+            signed_root(8.0, order)
+    assert signed_root(8.0, np.int64(3)) == signed_root(8.0, 3) == 2.0
+
+
 def test_an_int_spread_is_stored_as_a_float():
     for law in (Gaussian(2), GaussianVariance(2), Rademacher(2), UniformSymmetric(2)):
         (field,) = dataclasses.fields(law)
@@ -620,7 +651,7 @@ def test_validate_flags_nonpositive_mean_weight():
     )
     report = validate(spec)
     assert not report.ok
-    assert any(c.name == "mean weights strictly positive" for c in report.failures)
+    assert any(c.name == "mean weight signs" for c in report.failures)
 
 
 def test_validate_flags_incompatible_noise():
@@ -647,8 +678,9 @@ def test_missing_noise_law_raises_missing_moment(klass):
     assert spec.noise is None
     with pytest.raises(MissingMoment):
         spec.noise_moment(2)
-    with pytest.raises(MissingMoment):
+    with pytest.raises(InvalidProblem, match=r"^class/noise compatibility \(") as info:
         solve(spec)
+    assert info.value.report == validate(spec)
     policy = FeedbackPolicy(k_mean=(0.1, 0.1), k_dev=(0.1, 0.1))
     with pytest.raises(MissingMoment):
         simulate_ensemble(spec, policy, n_paths=2, master_seed=0)

@@ -15,9 +15,9 @@ from hocs import (
     FeedbackPolicy,
     Gaussian,
     InitialLaw,
+    InvalidProblem,
     Moments,
     NonFiniteCoefficient,
-    NonPositiveCoefficient,
     ProblemClass,
     ProblemSpec,
     Rademacher,
@@ -85,7 +85,7 @@ def test_zero_terminal_weight_raises():
         a_bar=1.0, b_bar=1.0, q_bar=1.0, q_bar_terminal=0.0, r_bar=1.0, p=1,
         initial=InitialLaw(mean=1.0),
     )
-    with pytest.raises(NonPositiveCoefficient):
+    with pytest.raises(InvalidProblem, match=r"^mean weight signs \(q_bar_terminal = 0.0; needs > 0\)$"):
         solve(spec)
 
 
@@ -109,7 +109,7 @@ def _sign_gate_spec(**overrides):
     ({"q_terminal": -0.5}, "q_terminal"),
 ])
 def test_weight_of_the_wrong_sign_raises_before_the_pass(overrides, label):
-    with pytest.raises(NonPositiveCoefficient, match=rf"^{re.escape(label)} = "):
+    with pytest.raises(InvalidProblem, match=rf"^\w+ weight signs \({re.escape(label)} = "):
         solve(_sign_gate_spec(**overrides))
 
 
@@ -122,7 +122,7 @@ def test_zero_state_weight_over_a_zero_step_gives_a_zero_coefficient():
     assert gains.k_mean == (0.0, 0.0)
 
 
-# The weight-sign rule, written out here apart from the package's table: (field, validate's row, whether solve needs > 0).
+# The weight-sign rule, written out here apart from the package's table: (field, validate's row, whether it must be > 0).
 _SIGN_RULE = [
     ("q_bar", "mean", False), ("q_bar_terminal", "mean", True), ("r_bar", "mean", True),
     ("q", "deviation", False), ("q_terminal", "deviation", False), ("r", "deviation", True),
@@ -133,23 +133,25 @@ _SIGN_RULE = [
 @pytest.mark.parametrize("field,row,strict", _SIGN_RULE, ids=[f for f, _, _ in _SIGN_RULE])
 def test_validate_and_solve_read_one_sign_rule(field, row, strict, value):
     spec = _sign_gate_spec(**{field: value})
-    assert [check.name for check in validate(spec).failures] == [f"{row} weights strictly positive"]
+    report = validate(spec)
     if value < 0.0 or strict:
-        where = "" if field.endswith("terminal") else r"\[0\]"
+        where = "" if field.endswith("terminal") else "[0]"
         need = "> 0" if strict else ">= 0"
-        with pytest.raises(NonPositiveCoefficient, match=rf"^{field}{where} = {value}; solve needs {need}$"):
+        assert [(check.name, check.detail) for check in report.failures] == [
+            (f"{row} weight signs", f"{field}{where} = {value}; needs {need}")]
+        with pytest.raises(InvalidProblem) as info:
             solve(spec)
+        assert info.value.report == report
     else:
-        # validate asks > 0 of a state weight and solve only >= 0: pinned on purpose.
+        assert report.ok
         solve(spec)
 
 
-def test_zero_state_weights_solve_but_do_not_validate():
+def test_zero_state_weights_validate_and_solve():
     spec = ProblemSpec("additive", 3, a_bar=1.0, b_bar=1.0, q_bar=0.0, q_bar_terminal=1.0,
                        r_bar=1.0, p=1, q=0.0, q_terminal=0.0, r=1.0, noise=Gaussian(sigma=1.0),
                        initial=InitialLaw(mean=1.0))
-    assert [check.detail for check in validate(spec).failures] == [
-        "q_bar, q_bar_terminal, r_bar must all be > 0", "q, q_terminal, r must all be > 0"]
+    assert validate(spec).ok
     _, gains = solve(spec)
     assert gains.k_mean == (0.25, 1.0 / 3.0, 0.5)
     assert gains.k_dev == (0.0, 0.0, 0.0)
@@ -165,9 +167,11 @@ def test_zero_state_weights_solve_but_do_not_validate():
 ], ids=["a", "o"])
 def test_validate_and_solve_read_one_class_rule(klass, overrides, rule):
     spec = replace(_sign_gate_spec(), problem_class=klass, p=1, **overrides)
-    assert [check.name for check in validate(spec).failures] == [rule]
-    with pytest.raises(ValueError, match=rf"^{re.escape(rule)} fails: "):
+    report = validate(spec)
+    assert [check.name for check in report.failures] == [rule]
+    with pytest.raises(InvalidProblem, match=rf"^{re.escape(rule)} \(") as info:
         solve(spec)
+    assert info.value.report == report
 
 
 def test_class_rules_do_not_bind_the_deterministic_or_higher_moment_solve():
@@ -175,11 +179,10 @@ def test_class_rules_do_not_bind_the_deterministic_or_higher_moment_solve():
     higher = replace(base, problem_class="higher_moment", a=0.1, o=2)
     assert validate(higher).ok
     assert solve(higher)[1].k_dev != solve(replace(higher, a=2.0, o=1))[1].k_dev
-    # The deterministic class has no deviation pass, so distinct (a, o) fail validate only.
+    # The deterministic class has no deviation pass, so distinct (a, o) are legal and unused.
     plain = replace(base, problem_class="deterministic", noise=None)
     deterministic = replace(plain, a=0.1, o=2)
-    assert [check.name for check in validate(deterministic).failures] == [
-        "deviation dynamics equal mean dynamics", "moment power o = 1"]
+    assert validate(deterministic).ok
     (schedule, gains), (plain_schedule, plain_gains) = solve(deterministic), solve(plain)
     assert (schedule.alpha_bar, gains) == (plain_schedule.alpha_bar, plain_gains)
 
@@ -901,3 +904,37 @@ def test_the_mean_channel_ignores_deviation_weights_and_noise():
         other = replace(spec, **_deviation_weights(rng, spec.n_steps), noise=_noise(rng))
         before, after = _solved(spec), _solved(other)
         assert (after["alpha_bar"], after["k_mean"]) == (before["alpha_bar"], before["k_mean"]), spec
+
+
+def _one_rule_broken(spec, rng):
+    """spec with one of validate's rules broken each way: each weight negated or
+    zeroed (a per-step weight at one step), distinct (a, b), o = 2, the noise
+    law dropped or added, an initial spread, and a Moments law without order 2o.
+    Some variants break nothing on some classes, such as a zero state weight."""
+    j = int(rng.integers(spec.n_steps))
+    for name, _, _ in _SIGN_RULE:
+        value = getattr(spec, name)
+        for scale in (-1.0, 0.0):
+            yield replace(spec, **{name: value * scale if isinstance(value, float) else
+                                   tuple(v * scale if k == j else v for k, v in enumerate(value))})
+    yield replace(spec, a=tuple(v + 1.0 for v in spec.a))
+    yield replace(spec, o=2)
+    yield replace(spec, noise=None)
+    yield replace(spec, noise=Gaussian(sigma=1.0))
+    yield replace(spec, initial=InitialLaw(mean=1.0, law=Gaussian(sigma=1.0)))
+    yield replace(spec, noise=Moments({2 * spec.o + 2: 1.0}))
+
+
+def test_solve_refuses_exactly_what_validate_reports():
+    outcomes = {klass: set() for klass in ProblemClass}
+    for spec, rng in _random_specs():
+        for variant in _one_rule_broken(spec, rng):
+            report = validate(variant)
+            try:
+                solve(variant)
+            except InvalidProblem as exc:
+                assert not report.ok and exc.report == report, variant
+            else:
+                assert report.ok, variant
+            outcomes[variant.problem_class].add(report.ok)
+    assert all(seen == {True, False} for seen in outcomes.values())

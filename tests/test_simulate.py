@@ -16,6 +16,7 @@ from hocs import (
     GaussianVariance,
     InitialLaw,
     InvalidPolicy,
+    LengthMismatch,
     MissingMoment,
     Moments,
     ProblemSpec,
@@ -368,6 +369,14 @@ def test_simulate_rejects_policy_with_wrong_horizon():
     short = FeedbackPolicy(k_mean=(0.1,), k_dev=(0.1,))
     with pytest.raises(InvalidPolicy):
         simulate_ensemble(spec, short, n_paths=2, master_seed=0)
+
+
+def test_realized_cost_names_a_horizon_mismatch():
+    # numpy once raised "shapes (10,) and (6,) not aligned" here.
+    spec, other = example_config(2, 1).problem, example_config(1, 1).problem
+    ensemble = simulate_ensemble(other, solve(other)[1], n_paths=2, master_seed=0)
+    with pytest.raises(LengthMismatch, match=r"^ensemble simulated for horizon 6, problem has 10$"):
+        realized_cost(spec, ensemble)
 
 
 def test_simulate_needs_a_samplable_noise_law():
